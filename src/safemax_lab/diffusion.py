@@ -149,10 +149,11 @@ def sample_latent_batch(dataset: LabeledDataset, schedule: NoiseSchedule,
                 raise DomainError(f"dataset has no samples of class {c}")
             pools.append(idx)
         picks = rng.integers(0, len(pools), size=batch_size)
-        rows = np.empty(batch_size, dtype=np.int64)
-        for i, p in enumerate(picks):
-            pool = pools[p]
-            rows[i] = pool[rng.integers(0, pool.size)]
+        sizes = np.array([pool.size for pool in pools])
+        starts = np.cumsum(sizes) - sizes
+        # Array bounds draw one value per row in row order, so the generator
+        # stream is the same as one scalar draw per row.
+        rows = np.concatenate(pools)[starts[picks] + rng.integers(0, sizes[picks])]
     x0 = dataset.points[rows]
     labels = dataset.labels[rows]
     t = rng.integers(1, schedule.T + 1, size=batch_size)

@@ -17,8 +17,6 @@ from .gradcore import Array, ParamStore, SGD, Tape
 
 log = logging.getLogger(__name__)
 
-LOG_2PI_E = float(np.log(2.0 * np.pi * np.e))
-
 
 @dataclass(frozen=True)
 class ClassifierArch:

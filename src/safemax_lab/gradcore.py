@@ -49,9 +49,12 @@ class Node:
         return self.value.shape
 
     def accumulate(self, contribution: Array) -> None:
+        # The first contribution may be another node's grad or a view of it,
+        # so later ones build a new array instead of adding in place.
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += contribution
+            self.grad = contribution
+        else:
+            self.grad = self.grad + contribution
 
     def __repr__(self) -> str:
         return f"Node(id={self.id}, op={self.op!r}, shape={self.value.shape})"
@@ -209,11 +212,9 @@ def activation(a: Node, kind: str) -> Node:
             a.accumulate(g * (a.value > 0.0))
     elif kind == "silu":
         x = a.value
-        sig = np.empty_like(x)
-        pos = x >= 0
-        sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        sig[~pos] = ex / (1.0 + ex)
+        # Overflow-free sigmoid: the numerator is 1 for x >= 0 and e^x below.
+        ex = np.exp(-np.abs(x))
+        sig = np.maximum(ex, x >= 0) / (1.0 + ex)
         value = x * sig
 
         def backward(g: Array) -> None:

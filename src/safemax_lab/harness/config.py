@@ -75,10 +75,6 @@ def default_config() -> ExperimentConfig:
     )
 
 
-def _positive(kind):
-    return lambda v: v > 0 if kind == "strict" else v >= 0
-
-
 # key -> (section attr, field attr, parser, validator, requirement text)
 _FIELDS: dict[str, tuple] = {
     "dataset.k": ("dataset", "k", int, lambda v: v >= 2, ">= 2"),

@@ -95,6 +95,45 @@ class TestSampleLatentBatch:
                                        classes=[1, 3])
         assert set(np.unique(batch.labels)) <= {1, 3}
 
+    @staticmethod
+    def _per_row_reference(dataset, schedule, batch_size, rng, classes):
+        """Class-restricted draw with one scalar row draw per row."""
+        pools = [dataset.class_indices(int(c)) for c in classes]
+        picks = rng.integers(0, len(pools), size=batch_size)
+        rows = np.empty(batch_size, dtype=np.int64)
+        for i, p in enumerate(picks):
+            rows[i] = pools[p][rng.integers(0, pools[p].size)]
+        t = rng.integers(1, schedule.T + 1, size=batch_size)
+        eps = rng.standard_normal((batch_size, dataset.d))
+        abar = schedule.alpha_bar[t - 1][:, None]
+        x0 = dataset.points[rows]
+        return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps, dataset.labels[rows]
+
+    @pytest.mark.parametrize("batch_size", [1, 64, 129])
+    @pytest.mark.parametrize("classes", [[0], [1, 2, 3], [2, 0]])
+    @pytest.mark.parametrize("uneven", [False, True])
+    def test_class_restricted_stream_matches_per_row_draws(self, toy_dataset, classes,
+                                                           batch_size, uneven):
+        dataset = toy_dataset
+        if uneven:
+            counts = [3, 7, 2, 11]
+            labels = np.repeat(np.arange(4), counts)
+            points = np.random.default_rng(1).standard_normal((len(labels), 2))
+            dataset = df.LabeledDataset(points=points, labels=labels, K=4)
+        sched = df.build_schedule(10, 0.1, 0.2)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        batch = df.sample_latent_batch(dataset, sched, batch_size, rng, classes=classes)
+        x_t, labels = self._per_row_reference(dataset, sched, batch_size, ref_rng, classes)
+        assert batch.x_t.tobytes() == x_t.tobytes()
+        assert batch.labels.tobytes() == labels.tobytes()
+        assert rng.random() == ref_rng.random()
+
+    def test_empty_class_rejected(self, toy_dataset):
+        sched = df.build_schedule(10, 0.1, 0.2)
+        with pytest.raises(DomainError):
+            df.sample_latent_batch(toy_dataset, sched, 8, np.random.default_rng(0),
+                                   classes=[1, 9])
+
     def test_batch_size_zero_rejected(self, toy_dataset):
         sched = df.build_schedule(10, 0.1, 0.2)
         with pytest.raises(DomainError):

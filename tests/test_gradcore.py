@@ -84,12 +84,69 @@ class TestElementwise:
         npt.assert_allclose(grads["x"], [0.5], atol=1e-12)
         npt.assert_allclose(fd, 0.5, atol=1e-6)
 
+    @staticmethod
+    def _silu_reference(x):
+        """Two-sided masked sigmoid, then silu's value and its derivative."""
+        sig = np.empty_like(x)
+        pos = x >= 0
+        sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        sig[~pos] = ex / (1.0 + ex)
+        return x * sig, sig * (1.0 + x * (1.0 - sig))
+
+    @staticmethod
+    def _assert_same_bits(actual, expected):
+        nan = np.isnan(expected)
+        npt.assert_array_equal(np.isnan(actual), nan)
+        npt.assert_array_equal(actual[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 40.0])
+    @pytest.mark.parametrize("shape", [(7,), (128, 128), (500, 128)])
+    def test_silu_bit_identical_to_masked_form(self, scale, shape):
+        x = scale * np.random.default_rng(int(scale) + len(shape)).standard_normal(shape)
+        self._check_silu_bits(x)
+
+    def test_silu_bit_identical_at_edge_values(self):
+        edges = np.array([0.0, np.inf, 745.0, 800.0, 5e-324, 1e308])
+        x = np.concatenate([edges, -edges, [np.nan]])
+        self._check_silu_bits(x)
+
+    def _check_silu_bits(self, x):
+        store = make_store(x=x)
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = gc.activation(gc.Tape().params(store)["x"], "silu")
+            grads = gc.backward(gc.total(out))
+            value, slope = self._silu_reference(x)
+        self._assert_same_bits(out.value, value)
+        self._assert_same_bits(grads["x"], slope)
+        assert np.isnan(out.value[np.isnan(x)]).all()
+
     def test_scale(self):
         store = make_store(x=np.array([2.0, -3.0]))
         tape = gc.Tape()
         loss = gc.total(gc.scale(tape.params(store)["x"], -1.5))
         npt.assert_allclose(loss.value, 1.5)
         npt.assert_allclose(gc.backward(loss)["x"], [-1.5, -1.5])
+
+
+class TestAccumulate:
+    """A node's grad may be handed on as-is; later sums must not write into it."""
+
+    def test_add_of_a_node_with_itself(self):
+        store = make_store(x=np.array([[1.0, -2.0], [3.0, 0.5]]))
+        node = gc.Tape().params(store)["x"]
+        doubled = gc.add(node, node)
+        grads = gc.backward(gc.total(doubled))
+        npt.assert_array_equal(grads["x"], np.full((2, 2), 2.0))
+        npt.assert_array_equal(doubled.grad, np.ones((2, 2)))
+
+    def test_concat_of_a_node_with_itself(self):
+        x = np.array([[1.0, -2.0], [3.0, 0.5]])
+        node = gc.Tape().params(make_store(x=x))["x"]
+        joined = gc.concat_cols([node, node])
+        grads = gc.backward(gc.total(gc.square(joined)))
+        npt.assert_array_equal(grads["x"], 4.0 * x)
+        npt.assert_array_equal(joined.grad, 2.0 * np.concatenate([x, x], axis=1))
 
 
 class TestMseLoss:
