@@ -71,6 +71,24 @@ def _timestep_embedding_rows(t: Array, embed_dim: int) -> Array:
     return out
 
 
+def init_mlp(params: ParamStore, fan_in: int, width: int, depth: int, out: int,
+             rng: np.random.Generator) -> None:
+    """Add fan-in scaled ``layer{i}_w``/``layer{i}_b`` for i < depth, then ``head_w``/``head_b``."""
+    for i in range(depth):
+        params.add(f"layer{i}_w", rng.standard_normal((fan_in, width)) / np.sqrt(fan_in))
+        params.add(f"layer{i}_b", np.zeros(width))
+        fan_in = width
+    params.add("head_w", rng.standard_normal((width, out)) / np.sqrt(width))
+    params.add("head_b", np.zeros(out))
+
+
+def mlp(h: Node, pnodes: dict[str, Node], depth: int, kind: str) -> Node:
+    """Forward pass through the layers ``init_mlp`` made, ``kind`` activation on each hidden layer."""
+    for i in range(depth):
+        h = gc.activation(gc.add(gc.matmul(h, pnodes[f"layer{i}_w"]), pnodes[f"layer{i}_b"]), kind)
+    return gc.add(gc.matmul(h, pnodes["head_w"]), pnodes["head_b"])
+
+
 def init_model(d: int, K: int, hidden_width: int, hidden_depth: int,
                embed_dim: int, T: int, rng: np.random.Generator) -> DenoiserModel:
     """Fan-in scaled normal initialization; deterministic given the rng state."""
@@ -86,13 +104,7 @@ def init_model(d: int, K: int, hidden_width: int, hidden_depth: int,
     params.add("class_embed", rng.standard_normal((K, embed_dim)) / np.sqrt(embed_dim))
     params.add("time_w", rng.standard_normal((embed_dim, embed_dim)) / np.sqrt(embed_dim))
     params.add("time_b", np.zeros(embed_dim))
-    width_in = d + 2 * embed_dim
-    for i in range(hidden_depth):
-        fan_in = width_in if i == 0 else hidden_width
-        params.add(f"layer{i}_w", rng.standard_normal((fan_in, hidden_width)) / np.sqrt(fan_in))
-        params.add(f"layer{i}_b", np.zeros(hidden_width))
-    params.add("head_w", rng.standard_normal((hidden_width, d)) / np.sqrt(hidden_width))
-    params.add("head_b", np.zeros(d))
+    init_mlp(params, d + 2 * embed_dim, hidden_width, hidden_depth, d, rng)
     return DenoiserModel(params=params, arch=arch)
 
 
@@ -119,9 +131,7 @@ def denoiser_forward(tape: Tape, pnodes: dict[str, Node], arch: DenoiserArch,
     temb = gc.add(gc.matmul(sinusoid, pnodes["time_w"]), pnodes["time_b"])
     cemb = gc.embedding(pnodes["class_embed"], labels)
     h = gc.concat_cols([tape.constant(x_t), cemb, temb])
-    for i in range(arch.hidden_depth):
-        h = gc.activation(gc.add(gc.matmul(h, pnodes[f"layer{i}_w"]), pnodes[f"layer{i}_b"]), "silu")
-    return gc.add(gc.matmul(h, pnodes["head_w"]), pnodes["head_b"])
+    return mlp(h, pnodes, arch.hidden_depth, "silu")
 
 
 def predict_eps(model: DenoiserModel, x_t: Array, labels: Array, t: Array) -> Array:
@@ -131,8 +141,7 @@ def predict_eps(model: DenoiserModel, x_t: Array, labels: Array, t: Array) -> Ar
     return denoiser_forward(tape, pnodes, model.arch, x_t, labels, t).value
 
 
-def train_step(model: DenoiserModel, batch: LatentBatch, learning_rate: float,
-               optimizer: SGD | None = None) -> float:
+def train_step(model: DenoiserModel, batch: LatentBatch, optimizer: SGD) -> float:
     """One update on the noise-regression loss; returns the pre-step loss."""
     tape = Tape()
     pnodes = tape.params(model.params)
@@ -140,26 +149,22 @@ def train_step(model: DenoiserModel, batch: LatentBatch, learning_rate: float,
     loss = gc.mse_loss(pred, batch.eps)
     if not np.isfinite(loss.value):
         raise NumericError("non-finite training loss")
-    grads = gc.backward(loss)
-    if optimizer is not None:
-        optimizer.step(model.params, grads)
-    else:
-        gc.sgd_step(model.params, grads, learning_rate)
+    optimizer.step(model.params, gc.backward(loss))
     return float(loss.value)
 
 
 def train(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedule,
-          config: TrainConfig, momentum: float = 0.9) -> tuple[DenoiserModel, list[float]]:
+          config: TrainConfig) -> tuple[DenoiserModel, list[float]]:
     """Train in place for config.steps; returns the model and per-step losses."""
     if dataset.K != model.arch.K:
         raise DomainError(f"dataset has {dataset.K} classes, model expects {model.arch.K}")
     rng = np.random.default_rng(config.seed)
-    opt = SGD(config.learning_rate, momentum=momentum)
+    opt = SGD(config.learning_rate, momentum=0.9)
     losses: list[float] = []
     for step in range(config.steps):
         batch = sample_latent_batch(dataset, schedule, config.batch_size, rng)
         try:
-            losses.append(train_step(model, batch, config.learning_rate, optimizer=opt))
+            losses.append(train_step(model, batch, opt))
         except NumericError as exc:
             raise NumericError(f"{exc} (at step {step})") from exc
     return model, losses

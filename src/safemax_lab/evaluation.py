@@ -5,17 +5,19 @@ retention distance, the Fano-style error bound, and reference entropy values.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gradcore as gc
+from .denoiser import init_mlp, mlp
 from .diffusion import LabeledDataset, NoiseSchedule, ancestral_sample
-from .errors import (DegenerateSampleError, DimensionError, DomainError,
-                     EvaluatorQualityError, NumericError)
+from .errors import DimensionError, DomainError, EvaluatorQualityError, NumericError
 from .gradcore import Array, ParamStore, SGD, Tape
 
 log = logging.getLogger(__name__)
+
+_CLASSIFIER_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,7 @@ class FanoDiagnostic:
 
 
 def _classifier_logits(tape: Tape, pnodes, arch: ClassifierArch, x: Array):
-    h = tape.constant(x)
-    for i in range(2):
-        h = gc.activation(gc.add(gc.matmul(h, pnodes[f"layer{i}_w"]), pnodes[f"layer{i}_b"]), "relu")
-    return gc.add(gc.matmul(h, pnodes["head_w"]), pnodes["head_b"])
+    return mlp(tape.constant(x), pnodes, _CLASSIFIER_DEPTH, "relu")
 
 
 def predict_proba(classifier: Classifier, samples: Array) -> Array:
@@ -91,13 +90,7 @@ def init_classifier(d: int, K: int, hidden_width: int, rng: np.random.Generator)
     """Two hidden relu layers with fan-in scaled normal initialization."""
     arch = ClassifierArch(d=d, K=K, hidden_width=hidden_width)
     params = ParamStore()
-    fan_in = d
-    for i in range(2):
-        params.add(f"layer{i}_w", rng.standard_normal((fan_in, hidden_width)) / np.sqrt(fan_in))
-        params.add(f"layer{i}_b", np.zeros(hidden_width))
-        fan_in = hidden_width
-    params.add("head_w", rng.standard_normal((hidden_width, K)) / np.sqrt(hidden_width))
-    params.add("head_b", np.zeros(K))
+    init_mlp(params, d, hidden_width, _CLASSIFIER_DEPTH, K, rng)
     return Classifier(params=params, arch=arch)
 
 

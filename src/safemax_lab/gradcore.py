@@ -417,11 +417,7 @@ def _apply_update(params: ParamStore, name: str, step: Array) -> None:
 
 def sgd_step(params: ParamStore, grads: Gradients, learning_rate: float) -> ParamStore:
     """One plain gradient-descent update, in place."""
-    if learning_rate <= 0.0:
-        raise DomainError(f"learning_rate must be positive, got {learning_rate}")
-    for name in params.names():
-        _apply_update(params, name, learning_rate * grads[name])
-    return params
+    return SGD(learning_rate, momentum=0.0).step(params, grads)
 
 
 class SGD:

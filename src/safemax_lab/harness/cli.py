@@ -59,15 +59,6 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
-    result = run_experiment(config, method=args.method, lam=None)
-    print(json.dumps({"pretrained": result.pre_report.to_json_dict(),
-                      "unlearned": result.post_report.to_json_dict()},
-                     indent=2, sort_keys=True))
-    return 0
-
-
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
     values = [float(v) for v in args.lam.split(",") if v.strip() != ""]
@@ -115,11 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("evaluate", help="run and print both evaluation reports")
-    p.add_argument("config")
-    p.add_argument("--method", choices=("safemax", "relabel"), default="safemax")
-    p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("sweep", help="sweep the decay rate over shared seeds")
     p.add_argument("config")

@@ -22,8 +22,7 @@ import numpy as np
 from .. import denoiser, unlearn
 from ..diffusion import LabeledDataset, NoiseSchedule, ancestral_sample, build_schedule
 from ..errors import DomainError, StageError
-from ..evaluation import (Classifier, EvalReport, entropy_linkage_holds, evaluate,
-                          train_classifier)
+from ..evaluation import EvalReport, entropy_linkage_holds, evaluate, train_classifier
 from .checkpoints import Checkpoint, FORMAT_VERSION, load_checkpoint, param_store_from, save_checkpoint
 from .config import ExperimentConfig, config_sha256, pretrain_sha256, render_config
 from .datasets import generate_toy_dataset

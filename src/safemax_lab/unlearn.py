@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gradcore as gc
 from .denoiser import DenoiserModel, denoiser_forward
-from .diffusion import LabeledDataset, LatentBatch, NoiseSchedule, _forward_sample_rows, sample_latent_batch
+from .diffusion import LabeledDataset, LatentBatch, NoiseSchedule, sample_latent_batch
 from .errors import ContractError, DomainError, NumericError
 from .gradcore import Array, Node, SGD, Tape
 
@@ -160,62 +160,72 @@ def _retained_classes(dataset: LabeledDataset, forget_class: int) -> list[int]:
     return retained
 
 
-def _combined_step(model: DenoiserModel, f_loss: Node, r_loss: Node,
-                   config: UnlearnConfig, optimizer: SGD | None) -> None:
+def _update(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedule,
+            config: UnlearnConfig, rng: np.random.Generator, optimizer: SGD,
+            source_class: int, forget_objective) -> StepRecord:
+    """One combined update: ``forget_objective(batch, tape, pnodes)`` gives the forget
+    loss node and row weights for a ``source_class`` batch; retained classes fine-tune.
+
+    The rng is drawn in a fixed order: forget batch, retain batch, then any
+    draw inside ``forget_objective``."""
+    retained = _retained_classes(dataset, config.forget_class)
+    f_batch = sample_latent_batch(dataset, schedule, config.batch_size_forget, rng,
+                                  classes=[source_class])
+    r_batch = sample_latent_batch(dataset, schedule, config.batch_size_retain, rng,
+                                  classes=retained)
+    tape = Tape()
+    pnodes = tape.params(model.params)
+    f_loss, weights = forget_objective(f_batch, tape, pnodes)
+    r_loss = retain_loss(model, r_batch, tape=tape, pnodes=pnodes,
+                         forget_class=config.forget_class)
     # Separate rates fold into one update: step with lr_forget on
     # f + (lr_retain / lr_forget) * r. Equal rates give the plain unit sum.
     ratio = config.learning_rate_retain / config.learning_rate_forget
     objective = gc.add(f_loss, gc.scale(r_loss, ratio)) if ratio != 1.0 else gc.add(f_loss, r_loss)
     if not np.isfinite(objective.value):
         raise NumericError("non-finite unlearning objective")
-    grads = gc.backward(objective)
-    if optimizer is not None:
-        optimizer.step(model.params, grads)
-    else:
-        gc.sgd_step(model.params, grads, config.learning_rate_forget)
+    optimizer.step(model.params, gc.backward(objective))
+    return StepRecord(step=-1, forget_loss=float(f_loss.value), retain_loss=float(r_loss.value),
+                      psi_mean=float(np.mean(weights)), psi_min=float(np.min(weights)))
+
+
+def _run(model: DenoiserModel, config: UnlearnConfig, step) -> tuple[DenoiserModel, UnlearnLog]:
+    """Run config.steps updates ``step(model, rng, optimizer)`` on a copy of the model."""
+    model = model.copy()
+    rng = np.random.default_rng(config.seed)
+    opt = SGD(config.learning_rate_forget, momentum=0.9)
+    log = UnlearnLog()
+    for i in range(config.steps):
+        try:
+            record = step(model, rng, opt)
+        except NumericError as exc:
+            raise NumericError(f"{exc} (at step {i})") from exc
+        log.records.append(replace(record, step=i))
+    return model, log
 
 
 def safemax_step(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedule,
-                 config: UnlearnConfig, rng: np.random.Generator,
-                 optimizer: SGD | None = None) -> StepRecord:
+                 config: UnlearnConfig, rng: np.random.Generator, optimizer: SGD) -> StepRecord:
     """One combined update: forget batch on the terminal-noise target, retain batch on regular fine-tuning."""
-    retained = _retained_classes(dataset, config.forget_class)
-    f_batch = sample_latent_batch(dataset, schedule, config.batch_size_forget, rng,
-                                  classes=[config.forget_class])
-    r_batch = sample_latent_batch(dataset, schedule, config.batch_size_retain, rng,
-                                  classes=retained)
-    tape = Tape()
-    pnodes = tape.params(model.params)
-    f_loss = forget_loss(model, f_batch, schedule, config.lam, config.epsT_mode, rng,
-                         tape=tape, pnodes=pnodes)
-    r_loss = retain_loss(model, r_batch, tape=tape, pnodes=pnodes,
-                         forget_class=config.forget_class)
-    _combined_step(model, f_loss, r_loss, config, optimizer)
-    w = psi(f_batch.t, schedule.T, config.lam)
-    return StepRecord(step=-1, forget_loss=float(f_loss.value), retain_loss=float(r_loss.value),
-                      psi_mean=float(np.mean(w)), psi_min=float(np.min(w)))
+    def objective(batch: LatentBatch, tape: Tape, pnodes: dict[str, Node]):
+        loss = forget_loss(model, batch, schedule, config.lam, config.epsT_mode, rng,
+                           tape=tape, pnodes=pnodes)
+        return loss, psi(batch.t, schedule.T, config.lam)
+
+    return _update(model, dataset, schedule, config, rng, optimizer, config.forget_class, objective)
 
 
 def run_unlearning(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedule,
-                   config: UnlearnConfig, momentum: float = 0.9) -> tuple[DenoiserModel, UnlearnLog]:
+                   config: UnlearnConfig) -> tuple[DenoiserModel, UnlearnLog]:
     """Run config.steps unlearning updates on a copy of the model."""
-    model = model.copy()
-    rng = np.random.default_rng(config.seed)
-    opt = SGD(config.learning_rate_forget, momentum=momentum)
-    log = UnlearnLog()
-    for step in range(config.steps):
-        try:
-            record = safemax_step(model, dataset, schedule, config, rng, optimizer=opt)
-        except NumericError as exc:
-            raise NumericError(f"{exc} (at step {step})") from exc
-        log.records.append(replace(record, step=step))
-    return model, log
+    return _run(model, config,
+                lambda m, rng, opt: safemax_step(m, dataset, schedule, config, rng, opt))
 
 
 def baseline_relabel_step(model: DenoiserModel, dataset: LabeledDataset,
                           schedule: NoiseSchedule, config: UnlearnConfig,
                           target_class: int, rng: np.random.Generator,
-                          optimizer: SGD | None = None) -> StepRecord:
+                          optimizer: SGD) -> StepRecord:
     """Fixed-relabel baseline: condition on the forget class, regress noise from target-class data.
 
     Drives forget-conditioned generation onto one retained class instead of
@@ -225,39 +235,19 @@ def baseline_relabel_step(model: DenoiserModel, dataset: LabeledDataset,
         raise DomainError("target_class must differ from forget_class")
     if not 0 <= target_class < dataset.K:
         raise DomainError(f"target_class {target_class} outside [0, {dataset.K})")
-    retained = _retained_classes(dataset, config.forget_class)
-    donor = sample_latent_batch(dataset, schedule, config.batch_size_forget, rng,
-                                classes=[target_class])
-    relabeled = LatentBatch(x_t=donor.x_t, eps=donor.eps, t=donor.t,
-                            labels=np.full(donor.size, config.forget_class, dtype=np.int64),
-                            x0=donor.x0)
-    r_batch = sample_latent_batch(dataset, schedule, config.batch_size_retain, rng,
-                                  classes=retained)
-    tape = Tape()
-    pnodes = tape.params(model.params)
-    pred = denoiser_forward(tape, pnodes, model.arch,
-                            relabeled.x_t, relabeled.labels, relabeled.t)
-    f_loss = gc.mse_loss(pred, relabeled.eps)
-    r_loss = retain_loss(model, r_batch, tape=tape, pnodes=pnodes,
-                         forget_class=config.forget_class)
-    _combined_step(model, f_loss, r_loss, config, optimizer)
-    return StepRecord(step=-1, forget_loss=float(f_loss.value), retain_loss=float(r_loss.value),
-                      psi_mean=1.0, psi_min=1.0)
+
+    def objective(donor: LatentBatch, tape: Tape, pnodes: dict[str, Node]):
+        labels = np.full(donor.size, config.forget_class, dtype=np.int64)
+        pred = denoiser_forward(tape, pnodes, model.arch, donor.x_t, labels, donor.t)
+        return gc.mse_loss(pred, donor.eps), 1.0
+
+    return _update(model, dataset, schedule, config, rng, optimizer, target_class, objective)
 
 
 def run_relabel_unlearning(model: DenoiserModel, dataset: LabeledDataset,
                            schedule: NoiseSchedule, config: UnlearnConfig,
-                           target_class: int, momentum: float = 0.9) -> tuple[DenoiserModel, UnlearnLog]:
+                           target_class: int) -> tuple[DenoiserModel, UnlearnLog]:
     """Run config.steps relabel-baseline updates on a copy of the model."""
-    model = model.copy()
-    rng = np.random.default_rng(config.seed)
-    opt = SGD(config.learning_rate_forget, momentum=momentum)
-    log = UnlearnLog()
-    for step in range(config.steps):
-        try:
-            record = baseline_relabel_step(model, dataset, schedule, config,
-                                           target_class, rng, optimizer=opt)
-        except NumericError as exc:
-            raise NumericError(f"{exc} (at step {step})") from exc
-        log.records.append(replace(record, step=step))
-    return model, log
+    return _run(model, config,
+                lambda m, rng, opt: baseline_relabel_step(m, dataset, schedule, config,
+                                                          target_class, rng, opt))

@@ -131,7 +131,7 @@ class TestTrainStep:
     def test_loss_non_negative(self, dataset, schedule):
         model = small_model(1)
         batch = df.sample_latent_batch(dataset, schedule, 16, np.random.default_rng(0))
-        assert dn.train_step(model, batch, 0.01) >= 0.0
+        assert dn.train_step(model, batch, gc.SGD(0.01, momentum=0.0)) >= 0.0
 
     def test_gradient_matches_finite_differences(self, dataset, schedule):
         model = small_model(2)
@@ -154,7 +154,7 @@ class TestTrainStep:
         opt = gc.SGD(0.02, momentum=0.9)
         loss = np.inf
         for _ in range(2000):
-            loss = dn.train_step(model, batch, 0.02, optimizer=opt)
+            loss = dn.train_step(model, batch, opt)
             if loss < 1e-3:
                 break
         assert loss < 1e-3, f"stuck at {loss}"

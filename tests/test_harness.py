@@ -324,6 +324,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert "pretrained" in captured.out and "unlearned" in captured.out
 
+    def test_unlearn_command(self, tmp_path, capsys):
+        from safemax_lab.harness.cli import main
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(cf.render_config(tiny_config(tmp_path)), encoding="utf-8")
+        assert main(["unlearn", str(cfg_path), "--method", "relabel"]) == 0
+        out = capsys.readouterr().out
+        assert "method=relabel" in out
+        assert "pretrained: UA=" in out and "unlearned:  UA=" in out
+        # the pipeline's reports are printed by `unlearn` and kept in report.json
+        with pytest.raises(SystemExit) as err:
+            main(["evaluate", str(cfg_path)])
+        assert err.value.code == 2
+
     def test_config_error_exit_code(self, tmp_path):
         from safemax_lab.harness.cli import main
         bad = tmp_path / "bad.cfg"

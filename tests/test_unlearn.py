@@ -176,7 +176,7 @@ class TestSafemaxStep:
     def test_returns_finite_losses(self, dataset, schedule):
         model = small_model(5)
         record = ul.safemax_step(model, dataset, schedule, base_config(),
-                                 np.random.default_rng(0))
+                                 np.random.default_rng(0), gc.SGD(0.01, momentum=0.0))
         assert np.isfinite(record.forget_loss) and np.isfinite(record.retain_loss)
         assert 0.0 < record.psi_min <= record.psi_mean <= 1.0
 
@@ -185,28 +185,46 @@ class TestSafemaxStep:
         model = small_model(5)
         with pytest.raises(DomainError):
             ul.safemax_step(model, ds, schedule, base_config(forget_class=7),
-                            np.random.default_rng(0))
+                            np.random.default_rng(0), gc.SGD(0.01, momentum=0.0))
 
-    def test_equal_rates_single_summed_objective(self, dataset, schedule):
-        # with equal rates the update equals one step on forget + retain
+    @pytest.mark.parametrize("retain_rate", [0.01, 0.02], ids=["equal", "retain2x"])
+    @pytest.mark.parametrize("method", ["safemax", "relabel"])
+    def test_update_is_one_step_on_summed_objective(self, dataset, schedule, method,
+                                                    retain_rate):
+        # the update equals one plain step on forget + (lr_retain / lr_forget) * retain
+        cfg = base_config(learning_rate_retain=retain_rate)
         model_a = small_model(6)
         model_b = model_a.copy()
-        rng_state = np.random.default_rng(33)
-        ul.safemax_step(model_a, dataset, schedule, base_config(), rng_state)
+        opt = gc.SGD(cfg.learning_rate_forget, momentum=0.0)
+        if method == "safemax":
+            ul.safemax_step(model_a, dataset, schedule, cfg, np.random.default_rng(33), opt)
+        else:
+            ul.baseline_relabel_step(model_a, dataset, schedule, cfg, 2,
+                                     np.random.default_rng(33), opt)
 
         rng = np.random.default_rng(33)
-        cfg = base_config()
         retained = [1, 2, 3]
+        source = 0 if method == "safemax" else 2
         f_batch = df.sample_latent_batch(dataset, schedule, cfg.batch_size_forget, rng,
-                                         classes=[0])
+                                         classes=[source])
         r_batch = df.sample_latent_batch(dataset, schedule, cfg.batch_size_retain, rng,
                                          classes=retained)
         tape = gc.Tape()
         pnodes = tape.params(model_b.params)
-        f_loss = ul.forget_loss(model_b, f_batch, schedule, cfg.lam, cfg.epsT_mode, rng,
-                                tape=tape, pnodes=pnodes)
+        if method == "safemax":
+            f_loss = ul.forget_loss(model_b, f_batch, schedule, cfg.lam, cfg.epsT_mode, rng,
+                                    tape=tape, pnodes=pnodes)
+        else:
+            # donor rows from the target class, conditioned on the forget class
+            labels = np.full(f_batch.size, cfg.forget_class)
+            pred = dn.denoiser_forward(tape, pnodes, model_b.arch, f_batch.x_t, labels, f_batch.t)
+            f_loss = gc.mse_loss(pred, f_batch.eps)
         r_loss = ul.retain_loss(model_b, r_batch, tape=tape, pnodes=pnodes)
-        grads = gc.backward(gc.add(f_loss, r_loss))
+        if retain_rate == cfg.learning_rate_forget:
+            objective = gc.add(f_loss, r_loss)
+        else:
+            objective = gc.add(f_loss, gc.scale(r_loss, 2.0))
+        grads = gc.backward(objective)
         gc.sgd_step(model_b.params, grads, cfg.learning_rate_forget)
         for name, value in model_a.params.items():
             npt.assert_array_equal(value, model_b.params[name])
@@ -247,12 +265,14 @@ class TestRelabelBaseline:
         model = small_model(9)
         with pytest.raises(DomainError):
             ul.baseline_relabel_step(model, dataset, schedule, base_config(),
-                                     target_class=0, rng=np.random.default_rng(0))
+                                     target_class=0, rng=np.random.default_rng(0),
+                                     optimizer=gc.SGD(0.01, momentum=0.0))
 
     def test_loss_non_negative(self, dataset, schedule):
         model = small_model(9)
         record = ul.baseline_relabel_step(model, dataset, schedule, base_config(),
-                                          target_class=1, rng=np.random.default_rng(0))
+                                          target_class=1, rng=np.random.default_rng(0),
+                                          optimizer=gc.SGD(0.01, momentum=0.0))
         assert record.forget_loss >= 0.0
         assert record.retain_loss >= 0.0
 
