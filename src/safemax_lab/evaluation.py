@@ -41,6 +41,7 @@ class EvalReport:
     frechet_mean: float
     rte_seconds: float
     steps_executed: int
+    samples: dict[int, Array]  # the generated samples scored above, per class; not in JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -276,4 +277,5 @@ def evaluate(model, classifier: Classifier, dataset: LabeledDataset,
     frechet_mean = float(np.mean(list(frechet_per_class.values())))
     return EvalReport(ua_percent=ua, mean_entropy_nats=entropy,
                       frechet_per_class=frechet_per_class, frechet_mean=frechet_mean,
-                      rte_seconds=rte_seconds, steps_executed=steps_executed)
+                      rte_seconds=rte_seconds, steps_executed=steps_executed,
+                      samples=samples)

@@ -21,7 +21,7 @@ from .errors import ContractError, DimensionError, DomainError, NumericError
 
 Array = np.ndarray
 
-ACTIVATION_KINDS = ("relu", "silu", "tanh")
+ACTIVATION_KINDS = ("relu", "silu")
 
 
 def as_array(value) -> Array:
@@ -83,12 +83,6 @@ class ParamStore:
         if name not in self._arrays:
             raise ContractError(f"unknown parameter {name!r}")
         self._arrays[name] = as_array(value)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
-
-    def __len__(self) -> int:
-        return len(self._arrays)
 
     def names(self) -> list[str]:
         return list(self._arrays)
@@ -204,7 +198,7 @@ def scale(a: Node, s: float) -> Node:
 
 
 def activation(a: Node, kind: str) -> Node:
-    """Apply relu, silu, or tanh elementwise."""
+    """Apply relu or silu elementwise."""
     if kind == "relu":
         value = np.maximum(a.value, 0.0)
 
@@ -219,11 +213,6 @@ def activation(a: Node, kind: str) -> Node:
 
         def backward(g: Array) -> None:
             a.accumulate(g * (sig * (1.0 + a.value * (1.0 - sig))))
-    elif kind == "tanh":
-        value = np.tanh(a.value)
-
-        def backward(g: Array) -> None:
-            a.accumulate(g * (1.0 - value * value))
     else:
         raise DomainError(f"unknown activation kind {kind!r}; expected one of {ACTIVATION_KINDS}")
     return a.tape._record(kind, [a], value, backward)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import unlearn
 from ..diffusion import ancestral_sample
 from ..errors import ConfigError
 from .checkpoints import load_checkpoint
@@ -62,7 +63,7 @@ def _cmd_sample(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
     values = [float(v) for v in args.lam.split(",") if v.strip() != ""]
-    path = sweep(config, "lambda", values, members=args.members)
+    path = sweep(config, values, members=args.members)
     print(f"sweep table at {path}")
     print(path.read_text(encoding="utf-8"))
     return 0
@@ -94,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unlearn", help="run the full pipeline with one unlearning method")
     p.add_argument("config")
-    p.add_argument("--method", choices=("safemax", "relabel"), default="safemax")
+    p.add_argument("--method", choices=tuple(unlearn.METHODS),
+                   default=next(iter(unlearn.METHODS)))
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="override the decay rate")
     p.set_defaults(func=_cmd_unlearn)

@@ -20,7 +20,7 @@ from statistics import median
 import numpy as np
 
 from .. import denoiser, unlearn
-from ..diffusion import LabeledDataset, NoiseSchedule, ancestral_sample, build_schedule
+from ..diffusion import LabeledDataset, NoiseSchedule, build_schedule
 from ..errors import DomainError, StageError
 from ..evaluation import EvalReport, entropy_linkage_holds, evaluate, train_classifier
 from .checkpoints import Checkpoint, FORMAT_VERSION, load_checkpoint, param_store_from, save_checkpoint
@@ -32,8 +32,6 @@ log = logging.getLogger(__name__)
 
 OUTPUT_ROOT_ENV = "SAFEMAX_LAB_OUT"
 HELDOUT_SEED_OFFSET = 1_000_003
-
-METHODS = ("safemax", "relabel")
 
 
 @dataclass
@@ -171,24 +169,19 @@ def write_metrics_csv(path: Path, config: ExperimentConfig, rows: list[str]) -> 
     path.write_text(text, encoding="utf-8")
 
 
-def _scatter_from_model(model, schedule, K: int, seed: int, path: Path, title: str) -> None:
-    rng = np.random.default_rng(seed)
-    samples = {c: ancestral_sample(model, c, schedule, 200, rng) for c in range(K)}
-    render_scatter(samples, path, title=title)
-
-
-def run_experiment(config: ExperimentConfig, method: str = "safemax",
+def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.METHODS)),
                    lam: float | None = None, clock=time.perf_counter,
                    pretrained_dir: Path | None = None) -> ExperimentResult:
     """Full pipeline: pretrain (or reuse), unlearn, evaluate both models, persist.
 
-    ``lam`` overrides the config's decay rate. ``clock`` feeds the runtime
-    measurement around the unlearning loop; inject a fake for byte-stable
-    outputs. ``pretrained_dir`` points at a directory whose pretrained
-    checkpoint may be shared across runs.
+    ``method`` names an entry of ``unlearn.METHODS``. ``lam`` overrides the
+    config's decay rate. ``clock`` feeds the runtime measurement around the
+    unlearning loop; inject a fake for byte-stable outputs. ``pretrained_dir``
+    points at a directory whose pretrained checkpoint may be shared across runs.
+    The scatter plots show the samples each evaluation scored.
     """
-    if method not in METHODS:
-        raise DomainError(f"method must be one of {METHODS}, got {method!r}")
+    if method not in unlearn.METHODS:
+        raise DomainError(f"method must be one of {tuple(unlearn.METHODS)}, got {method!r}")
     if lam is not None:
         config = replace(config, unlearn=replace(config.unlearn, lam=float(lam)))
     ucfg = config.unlearn
@@ -217,12 +210,7 @@ def run_experiment(config: ExperimentConfig, method: str = "safemax",
 
     with _stage("unlearn", outdir):
         start = clock()
-        if method == "safemax":
-            unlearned, ulog = unlearn.run_unlearning(model, train_ds, schedule, ucfg)
-        else:
-            target = (ucfg.forget_class + 1) % config.dataset.k
-            unlearned, ulog = unlearn.run_relabel_unlearning(model, train_ds, schedule,
-                                                             ucfg, target)
+        unlearned, ulog = unlearn.METHODS[method](model, train_ds, schedule, ucfg)
         rte_seconds = clock() - start
         (outdir / "unlearn_log.csv").write_text("\n".join(ulog.csv_rows()) + "\n",
                                                 encoding="utf-8")
@@ -244,10 +232,10 @@ def run_experiment(config: ExperimentConfig, method: str = "safemax",
                   "unlearned": post_report.to_json_dict()}
         (outdir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                             encoding="utf-8")
-        _scatter_from_model(model, schedule, config.dataset.k, config.eval.seed,
-                            outdir / "samples_pretrained.svg", "pretrained samples")
-        _scatter_from_model(unlearned, schedule, config.dataset.k, config.eval.seed,
-                            outdir / "samples_unlearned.svg", f"unlearned samples ({method})")
+        render_scatter(pre_report.samples, outdir / "samples_pretrained.svg",
+                       title="pretrained samples")
+        render_scatter(post_report.samples, outdir / "samples_unlearned.svg",
+                       title=f"unlearned samples ({method})")
     return ExperimentResult(outdir=outdir, pre_report=pre_report, post_report=post_report,
                             method=method, lam=ucfg.lam, rte_seconds=rte_seconds)
 
@@ -264,16 +252,15 @@ def offset_seeds(config: ExperimentConfig, k: int) -> ExperimentConfig:
     )
 
 
-def sweep(config: ExperimentConfig, parameter: str, values, members: int = 3,
+def sweep(config: ExperimentConfig, values, members: int = 3,
           clock=time.perf_counter) -> Path:
-    """Run the pipeline per decay value with shared member seeds; emit a table.
+    """Run the default method per decay value with shared member seeds; emit a table.
 
     Members reuse one pretrained checkpoint each (the pretraining inputs do
-    not depend on the swept value). Failed runs are recorded and skipped;
-    medians summarize the successful ones.
+    not depend on the swept value). Runs that fail in a pipeline stage are
+    recorded and skipped; medians summarize the successful ones. Any other
+    error, such as a decay value the config rejects, propagates.
     """
-    if parameter != "lambda":
-        raise DomainError(f"only the decay rate can be swept, got {parameter!r}")
     values = [float(v) for v in values]
     if not values:
         raise DomainError("values must be non-empty")
@@ -293,9 +280,9 @@ def sweep(config: ExperimentConfig, parameter: str, values, members: int = 3,
             run_dir = member_dir / f"value_{value!r}"
             run_cfg = replace(member_cfg, output_dir=str(run_dir))
             try:
-                result = run_experiment(run_cfg, method="safemax", lam=value,
-                                        clock=clock, pretrained_dir=member_dir)
-            except Exception as exc:  # keep sweeping; mark the failure
+                result = run_experiment(run_cfg, lam=value, clock=clock,
+                                        pretrained_dir=member_dir)
+            except StageError as exc:  # keep sweeping; mark the failure
                 log.error("sweep member %d value %s failed: %s", k, value, exc)
                 lines.append(f"{value!r},{member_cfg.unlearn.seed},failed,,,,")
                 continue

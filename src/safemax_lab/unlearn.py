@@ -6,6 +6,7 @@ each latent, weighted by an exponential decay over the step index so early
 (semantically rich) steps dominate. Retained classes keep training on the
 ordinary noise-regression objective. A fixed-relabel baseline is included
 for contrast: it redirects the forget condition onto one retained class.
+``METHODS`` is the one table of methods the harness can run.
 """
 
 from __future__ import annotations
@@ -118,19 +119,22 @@ def _single_class(batch: LatentBatch) -> int:
 
 def forget_loss(model: DenoiserModel, forget_batch: LatentBatch, schedule: NoiseSchedule,
                 lam: float, epsT_mode: str, rng: np.random.Generator,
-                tape: Tape | None = None, pnodes: dict[str, Node] | None = None) -> Node:
-    """Decay-weighted regression of the forget-conditioned output onto terminal noise."""
+                tape: Tape | None = None,
+                pnodes: dict[str, Node] | None = None) -> tuple[Node, Array]:
+    """Decay-weighted regression of the forget-conditioned output onto terminal noise.
+
+    Returns the loss node and the per-row decay weights it applied."""
     _single_class(forget_batch)
     if tape is None:
         tape = Tape()
     if pnodes is None:
         pnodes = tape.params(model.params)
-    weights = psi(forget_batch.t, schedule.T, lam)
+    weights = np.asarray(psi(forget_batch.t, schedule.T, lam), dtype=np.float64)
     target = epsT_target(forget_batch.x0, forget_batch.x_t, forget_batch.t,
                          schedule, epsT_mode, rng)
     pred = denoiser_forward(tape, pnodes, model.arch,
                             forget_batch.x_t, forget_batch.labels, forget_batch.t)
-    return gc.mse_loss(pred, target, weights=np.asarray(weights, dtype=np.float64))
+    return gc.mse_loss(pred, target, weights=weights), weights
 
 
 def retain_loss(model: DenoiserModel, retain_batch: LatentBatch,
@@ -208,9 +212,8 @@ def safemax_step(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseS
                  config: UnlearnConfig, rng: np.random.Generator, optimizer: SGD) -> StepRecord:
     """One combined update: forget batch on the terminal-noise target, retain batch on regular fine-tuning."""
     def objective(batch: LatentBatch, tape: Tape, pnodes: dict[str, Node]):
-        loss = forget_loss(model, batch, schedule, config.lam, config.epsT_mode, rng,
+        return forget_loss(model, batch, schedule, config.lam, config.epsT_mode, rng,
                            tape=tape, pnodes=pnodes)
-        return loss, psi(batch.t, schedule.T, config.lam)
 
     return _update(model, dataset, schedule, config, rng, optimizer, config.forget_class, objective)
 
@@ -251,3 +254,16 @@ def run_relabel_unlearning(model: DenoiserModel, dataset: LabeledDataset,
     return _run(model, config,
                 lambda m, rng, opt: baseline_relabel_step(m, dataset, schedule, config,
                                                           target_class, rng, opt))
+
+
+# Method name -> ``(model, dataset, schedule, config) -> (model, UnlearnLog)``.
+# The first entry is the default method. Each entry looks its runner up as a
+# module global at call time, so a runner patched on this module (as the
+# benchmark tracer does) sees every call made through the table.
+METHODS = {
+    "safemax": lambda model, dataset, schedule, config:
+        run_unlearning(model, dataset, schedule, config),
+    "relabel": lambda model, dataset, schedule, config:
+        run_relabel_unlearning(model, dataset, schedule, config,
+                               (config.forget_class + 1) % dataset.K),
+}

@@ -234,7 +234,7 @@ class TestBackward:
             return gc.mse_loss(gc.matmul(tape.constant(x), p["w"]), t1)
 
         def loss2(tape, p):
-            return gc.mse_loss(gc.activation(gc.matmul(tape.constant(x), p["w"]), "tanh"), t2)
+            return gc.mse_loss(gc.activation(gc.matmul(tape.constant(x), p["w"]), "silu"), t2)
 
         tape = gc.Tape()
         p = tape.params(store)
@@ -276,7 +276,7 @@ def _random_mlp_loss(rng):
     d_hid = int(rng.integers(2, 7))
     d_out = int(rng.integers(1, 4))
     n_embed = int(rng.integers(2, 5))
-    kind = ("relu", "silu", "tanh")[int(rng.integers(3))]
+    kind = ("relu", "silu")[int(rng.integers(2))]
     fan_in = d_in + n_embed
     store = make_store(
         w1=rng.standard_normal((fan_in, d_hid)) / np.sqrt(fan_in),

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safemax_lab import denoiser as dn
+from safemax_lab import unlearn as ul
 from safemax_lab.errors import (CheckpointIntegrityError, CheckpointVersionError,
                                 ConfigError, DimensionError, DomainError, StageError)
 from safemax_lab.harness import checkpoints as ck
@@ -213,9 +215,19 @@ class FakeClock:
 
 
 class TestRunExperiment:
-    def test_pipeline_produces_all_artifacts(self, tmp_path):
+    def test_pipeline_produces_all_artifacts(self, tmp_path, monkeypatch):
+        calls = []
+        predict_eps = dn.predict_eps
+
+        def counting_predict_eps(*args):
+            calls.append(args)
+            return predict_eps(*args)
+
+        monkeypatch.setattr(dn, "predict_eps", counting_predict_eps)
         cfg = tiny_config(tmp_path)
         result = ex.run_experiment(cfg, clock=FakeClock())
+        # one reverse chain per class per evaluated model; the plots reuse them
+        assert len(calls) == 2 * cfg.dataset.k * cfg.schedule.t
         out = result.outdir
         for name in ("config.txt", "pretrained.ckpt", "unlearned.ckpt", "metrics.csv",
                      "report.json", "unlearn_log.csv", "samples_pretrained.svg",
@@ -281,7 +293,7 @@ class TestRunExperiment:
 class TestSweep:
     def test_single_value_matches_single_run(self, tmp_path):
         cfg = tiny_config(tmp_path)
-        path = ex.sweep(cfg, "lambda", [1.0], members=1, clock=FakeClock())
+        path = ex.sweep(cfg, [1.0], members=1, clock=FakeClock())
         lines = path.read_text().splitlines()
         assert lines[0] == "value,seed,status,ua_percent,mean_entropy_nats,frechet_mean,rte_seconds"
         data = [l for l in lines[1:] if l]
@@ -291,17 +303,26 @@ class TestSweep:
         assert median_row.split(",")[1] == "median"
         assert run_row.split(",")[3] == median_row.split(",")[3]
 
+    def test_stage_failure_gives_failed_rows_and_no_median(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        # classifier gate cannot pass with one step at a tiny rate
+        cfg = replace(cfg, eval=replace(cfg.eval, classifier_steps=1,
+                                        classifier_learning_rate=1e-9))
+        path = ex.sweep(cfg, [1.0], members=2, clock=FakeClock())
+        data = path.read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in data] == ["failed", "failed"]
+
     def test_duplicate_values_rejected(self, tmp_path):
         with pytest.raises(DomainError):
-            ex.sweep(tiny_config(tmp_path), "lambda", [1.0, 1.0])
+            ex.sweep(tiny_config(tmp_path), [1.0, 1.0])
 
     def test_empty_values_rejected(self, tmp_path):
         with pytest.raises(DomainError):
-            ex.sweep(tiny_config(tmp_path), "lambda", [])
+            ex.sweep(tiny_config(tmp_path), [])
 
-    def test_unsupported_parameter_rejected(self, tmp_path):
-        with pytest.raises(DomainError):
-            ex.sweep(tiny_config(tmp_path), "steps", [1.0])
+    def test_bad_value_propagates(self, tmp_path):
+        with pytest.raises(DomainError, match="lambda"):
+            ex.sweep(tiny_config(tmp_path), [-1.0])
 
 
 class TestCli:
@@ -325,10 +346,13 @@ class TestCli:
         assert "pretrained" in captured.out and "unlearned" in captured.out
 
     def test_unlearn_command(self, tmp_path, capsys):
-        from safemax_lab.harness.cli import main
+        from safemax_lab.harness.cli import build_parser, main
         cfg_path = tmp_path / "tiny.cfg"
         cfg_path.write_text(cf.render_config(tiny_config(tmp_path)), encoding="utf-8")
         assert main(["unlearn", str(cfg_path), "--method", "relabel"]) == 0
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        method = next(a for a in commands.choices["unlearn"]._actions if a.dest == "method")
+        assert tuple(method.choices) == tuple(ul.METHODS)
         out = capsys.readouterr().out
         assert "method=relabel" in out
         assert "pretrained: UA=" in out and "unlearned:  UA=" in out

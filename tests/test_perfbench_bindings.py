@@ -60,7 +60,19 @@ def test_install_then_uninstall_restores_every_binding(tracer_module):
     assert changed == []
 
 
-def test_loops_call_the_patched_step_functions(tracer_module):
+def _run_both_directly(model, dataset, schedule, config):
+    ul.run_unlearning(model, dataset, schedule, config)
+    ul.run_relabel_unlearning(model, dataset, schedule, config, 1)
+
+
+def _run_both_through_table(model, dataset, schedule, config):
+    ul.METHODS["safemax"](model, dataset, schedule, config)
+    ul.METHODS["relabel"](model, dataset, schedule, config)  # target (0 + 1) % 4
+
+
+@pytest.mark.parametrize("run_both", [_run_both_directly, _run_both_through_table],
+                         ids=["direct", "method_table"])
+def test_loops_call_the_patched_step_functions(tracer_module, run_both):
     schedule = df.build_schedule(20, 1e-3, 0.2)
     dataset = generate_toy_dataset(4, 50, "ring", 0.35, seed=0)
     model = dn.init_model(2, 4, 8, 1, 4, 20, np.random.default_rng(0))
@@ -70,13 +82,14 @@ def test_loops_call_the_patched_step_functions(tracer_module):
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        ul.run_unlearning(model, dataset, schedule, config)
-        ul.run_relabel_unlearning(model, dataset, schedule, config, 1)
+        run_both(model, dataset, schedule, config)
         dn.train(model.copy(), dataset, schedule, dn.TrainConfig(3, 4, 0.01, 0))
     finally:
         tracer.uninstall()
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    assert calls["unlearn.run_unlearning"] == 1
+    assert calls["unlearn.run_relabel_unlearning"] == 1
     assert calls["unlearn.step"] == 4
-    assert calls["unlearn.psi"] == 4
+    assert calls["unlearn.psi"] == 2  # once per safemax step
     assert calls["denoiser.train_step"] == 3
     assert calls["gradcore.optimizer"] == 7

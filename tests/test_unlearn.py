@@ -116,8 +116,8 @@ class TestForgetLoss:
     def test_no_decay_reduces_to_plain_mse(self, dataset, schedule):
         model = small_model()
         batch = forget_batch(dataset, schedule, n=8, seed=7)
-        loss_a = ul.forget_loss(model, batch, schedule, 0.0, "independent",
-                                np.random.default_rng(42))
+        loss_a, _ = ul.forget_loss(model, batch, schedule, 0.0, "independent",
+                                   np.random.default_rng(42))
         target = ul.epsT_target(batch.x0, batch.x_t, batch.t, schedule, "independent",
                                 np.random.default_rng(42))
         tape = gc.Tape()
@@ -212,8 +212,8 @@ class TestSafemaxStep:
         tape = gc.Tape()
         pnodes = tape.params(model_b.params)
         if method == "safemax":
-            f_loss = ul.forget_loss(model_b, f_batch, schedule, cfg.lam, cfg.epsT_mode, rng,
-                                    tape=tape, pnodes=pnodes)
+            f_loss, _ = ul.forget_loss(model_b, f_batch, schedule, cfg.lam, cfg.epsT_mode, rng,
+                                       tape=tape, pnodes=pnodes)
         else:
             # donor rows from the target class, conditioned on the forget class
             labels = np.full(f_batch.size, cfg.forget_class)
