@@ -95,17 +95,14 @@ def init_classifier(d: int, K: int, hidden_width: int, rng: np.random.Generator)
     return Classifier(params=params, arch=arch)
 
 
-def train_classifier(dataset: LabeledDataset, hidden_width: int, steps: int,
-                     lr: float, seed: int) -> Classifier:
-    """Train the evaluation MLP and gate it on held-out accuracy >= 98%.
+def _init_and_split(dataset: LabeledDataset, hidden_width: int, seed: int):
+    """Initial classifier, the generator after it, and the train/held-out rows.
 
-    A quarter of each class is held out; the gate keeps untrustworthy
-    evaluators from ever producing an unlearning-accuracy number.
+    A quarter of each class is held out. Both draws come from ``seed``, so
+    the split can be replayed for a classifier trained elsewhere.
     """
     rng = np.random.default_rng(seed)
     clf = init_classifier(dataset.d, dataset.K, hidden_width, rng)
-    arch = clf.arch
-
     train_idx, held_idx = [], []
     for c in range(dataset.K):
         idx = dataset.class_indices(c).copy()
@@ -113,9 +110,25 @@ def train_classifier(dataset: LabeledDataset, hidden_width: int, steps: int,
         cut = max(1, idx.size // 4)
         held_idx.append(idx[:cut])
         train_idx.append(idx[cut:])
-    train_idx = np.concatenate(train_idx)
-    held_idx = np.concatenate(held_idx)
+    return clf, rng, np.concatenate(train_idx), np.concatenate(held_idx)
 
+
+def _gate(classifier: Classifier, dataset: LabeledDataset, held_idx: Array) -> None:
+    held_acc = _accuracy(classifier, dataset.points[held_idx], dataset.labels[held_idx])
+    if held_acc < 0.98:
+        raise EvaluatorQualityError(
+            f"classifier held-out accuracy {held_acc:.3f} below the 0.98 gate")
+
+
+def train_classifier(dataset: LabeledDataset, hidden_width: int, steps: int,
+                     lr: float, seed: int) -> Classifier:
+    """Train the evaluation MLP and gate it on held-out accuracy >= 98%.
+
+    A quarter of each class is held out; the gate keeps untrustworthy
+    evaluators from ever producing an unlearning-accuracy number.
+    """
+    clf, rng, train_idx, held_idx = _init_and_split(dataset, hidden_width, seed)
+    arch = clf.arch
     opt = SGD(lr, momentum=0.9)
     batch = min(128, train_idx.size)
     for _ in range(steps):
@@ -127,12 +140,15 @@ def train_classifier(dataset: LabeledDataset, hidden_width: int, steps: int,
         if not np.isfinite(loss.value):
             raise NumericError("non-finite classifier loss")
         opt.step(clf.params, gc.backward(loss))
-
-    held_acc = _accuracy(clf, dataset.points[held_idx], dataset.labels[held_idx])
-    if held_acc < 0.98:
-        raise EvaluatorQualityError(
-            f"classifier held-out accuracy {held_acc:.3f} below the 0.98 gate")
+    _gate(clf, dataset, held_idx)
     return clf
+
+
+def gate_classifier(classifier: Classifier, dataset: LabeledDataset, seed: int) -> None:
+    """Re-apply ``train_classifier``'s 98% gate to a classifier it trained
+    from ``dataset`` and ``seed``, on the same held-out quarter."""
+    *_, held_idx = _init_and_split(dataset, classifier.arch.hidden_width, seed)
+    _gate(classifier, dataset, held_idx)
 
 
 def classifier_loss_node(tape: Tape, classifier: Classifier, points: Array, labels: Array):
@@ -241,11 +257,17 @@ def entropy_linkage_holds(classifier: Classifier, dataset: LabeledDataset,
     return noise_entropy > real_entropy
 
 
-def evaluate(model, classifier: Classifier, dataset: LabeledDataset,
-             schedule: NoiseSchedule, c_f: int, n_samples: int,
-             rng: np.random.Generator, rte_seconds: float = 0.0,
-             steps_executed: int = 0) -> EvalReport:
-    """Full protocol: generate per class, score forgetting, score retention.
+def sample_classes(model, schedule: NoiseSchedule, k: int, n_samples: int,
+                   rng: np.random.Generator) -> dict[int, Array]:
+    """``n_samples`` ancestral samples per class, classes in order from one ``rng``."""
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    return {c: ancestral_sample(model, c, schedule, n_samples, rng) for c in range(k)}
+
+
+def score_samples(classifier: Classifier, samples: dict[int, Array], dataset: LabeledDataset,
+                  c_f: int, rte_seconds: float = 0.0, steps_executed: int = 0) -> EvalReport:
+    """Score forgetting on ``samples[c_f]`` and retention on every other class.
 
     ``dataset`` should be held-out data (not what the model trained on) so
     the retention distances measure generalization, not memorization.
@@ -253,10 +275,6 @@ def evaluate(model, classifier: Classifier, dataset: LabeledDataset,
     """
     if not 0 <= c_f < dataset.K:
         raise DomainError(f"forget class {c_f} outside [0, {dataset.K})")
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    samples = {c: ancestral_sample(model, c, schedule, n_samples, rng)
-               for c in range(dataset.K)}
     forget_samples = samples[c_f]
     ua = unlearning_accuracy(classifier, forget_samples, c_f)
     entropy = prediction_entropy(classifier, forget_samples)
@@ -279,3 +297,12 @@ def evaluate(model, classifier: Classifier, dataset: LabeledDataset,
                       frechet_per_class=frechet_per_class, frechet_mean=frechet_mean,
                       rte_seconds=rte_seconds, steps_executed=steps_executed,
                       samples=samples)
+
+
+def evaluate(model, classifier: Classifier, dataset: LabeledDataset,
+             schedule: NoiseSchedule, c_f: int, n_samples: int,
+             rng: np.random.Generator, rte_seconds: float = 0.0,
+             steps_executed: int = 0) -> EvalReport:
+    """Full protocol: ``sample_classes`` from ``model``, then ``score_samples``."""
+    samples = sample_classes(model, schedule, dataset.K, n_samples, rng)
+    return score_samples(classifier, samples, dataset, c_f, rte_seconds, steps_executed)

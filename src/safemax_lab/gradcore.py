@@ -426,8 +426,11 @@ class SGD:
             g = grads[name]
             if self.momentum > 0.0:
                 v = self._velocity.get(name)
-                v = g if v is None else self.momentum * v + g
-                self._velocity[name] = v
+                if v is None:  # a copy, so the in-place updates leave `grads` intact
+                    v = self._velocity[name] = g.copy()
+                else:  # rounds exactly as `momentum * v + g`
+                    v *= self.momentum
+                    v += g
             else:
                 v = g
             _apply_update(params, name, self.learning_rate * v)

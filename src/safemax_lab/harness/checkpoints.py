@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,7 +54,14 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     for arr in ckpt.params.values():
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     payload = b"".join(parts)
-    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    # Write beside the target and rename over it, so a crash mid-write never
+    # leaves a truncated checkpoint under the final name.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(payload + hashlib.sha256(payload).digest())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class _Reader:

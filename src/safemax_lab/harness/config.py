@@ -188,8 +188,16 @@ def config_sha256(config: ExperimentConfig) -> str:
     return hashlib.sha256("\n".join(relevant).encode("utf-8")).hexdigest()
 
 
+def _keys_sha256(config: ExperimentConfig, prefixes: tuple[str, ...]) -> str:
+    relevant = [line for line in render_config(config).splitlines() if line.startswith(prefixes)]
+    return hashlib.sha256("\n".join(relevant).encode("utf-8")).hexdigest()
+
+
 def pretrain_sha256(config: ExperimentConfig) -> str:
     """Hash of only the keys that determine the pretrained model."""
-    relevant = [line for line in render_config(config).splitlines()
-                if line.split(".", 1)[0] in ("dataset", "schedule", "model", "pretrain")]
-    return hashlib.sha256("\n".join(relevant).encode("utf-8")).hexdigest()
+    return _keys_sha256(config, ("dataset.", "schedule.", "model.", "pretrain."))
+
+
+def classifier_sha256(config: ExperimentConfig) -> str:
+    """Hash of only the keys that determine the evaluation classifier."""
+    return _keys_sha256(config, ("dataset.", "eval.classifier_"))

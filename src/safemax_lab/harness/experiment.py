@@ -21,10 +21,13 @@ import numpy as np
 
 from .. import denoiser, unlearn
 from ..diffusion import LabeledDataset, NoiseSchedule, build_schedule
-from ..errors import DomainError, StageError
-from ..evaluation import EvalReport, entropy_linkage_holds, evaluate, train_classifier
+from ..errors import CheckpointIntegrityError, CheckpointVersionError, DomainError, StageError
+from ..evaluation import (Classifier, ClassifierArch, EvalReport, entropy_linkage_holds, evaluate,
+                          gate_classifier, sample_classes, score_samples, train_classifier)
+from ..gradcore import Array
 from .checkpoints import Checkpoint, FORMAT_VERSION, load_checkpoint, param_store_from, save_checkpoint
-from .config import ExperimentConfig, config_sha256, pretrain_sha256, render_config
+from .config import (ExperimentConfig, classifier_sha256, config_sha256, pretrain_sha256,
+                     render_config)
 from .datasets import generate_toy_dataset
 from .plots import render_scatter
 
@@ -125,21 +128,88 @@ def pretrain_model(config: ExperimentConfig, train_ds: LabeledDataset,
     return model
 
 
+def _load_or_build(path: Path, key: dict, build, use):
+    """``use`` of the checkpoint cached at ``path`` under ``key``, else of a fresh ``build()``.
+
+    ``use`` turns a checkpoint into what the caller needs and runs its
+    checks, on cached and fresh checkpoints alike. A fresh one is saved,
+    with ``key`` in its provenance, only once ``use`` accepts it. A cached
+    file that fails its integrity or version check counts as stale.
+    """
+    if path.exists():
+        try:
+            ckpt = load_checkpoint(path)
+        except (CheckpointIntegrityError, CheckpointVersionError) as exc:
+            log.warning("cached %s is unreadable (%s); rebuilding", path, exc)
+        else:
+            if all(ckpt.provenance.get(name) == value for name, value in key.items()):
+                log.info("reusing %s", path)
+                return use(ckpt)
+            log.info("cached %s is stale; rebuilding", path)
+    ckpt = build()
+    ckpt.provenance.update(key)
+    value = use(ckpt)
+    save_checkpoint(path, ckpt)
+    return value
+
+
+def _arrays_checkpoint(arrays: dict[str, Array], arch: dict | None = None) -> Checkpoint:
+    """A checkpoint of arrays that need no noise schedule."""
+    return Checkpoint(format_version=FORMAT_VERSION, arch=arch or {}, schedule={},
+                      beta=np.zeros(0), params=arrays, provenance={})
+
+
 def ensure_pretrained(config: ExperimentConfig, outdir: Path, train_ds: LabeledDataset,
                       schedule: NoiseSchedule) -> denoiser.DenoiserModel:
     """Load the pretrained checkpoint when its provenance matches, else train and save."""
-    path = outdir / "pretrained.ckpt"
-    if path.exists():
-        ckpt = load_checkpoint(path)
-        if ckpt.provenance.get("pretrain_sha256") == pretrain_sha256(config):
-            model, _ = model_from_checkpoint(ckpt)
-            log.info("reusing pretrained checkpoint %s", path)
-            return model
-        log.info("pretrained checkpoint %s is stale; retraining", path)
-    model = pretrain_model(config, train_ds, schedule)
-    save_checkpoint(path, _model_checkpoint(model, config, config.pretrain.seed,
-                                            config.pretrain.steps, schedule))
-    return model
+    def build():
+        model = pretrain_model(config, train_ds, schedule)
+        return _model_checkpoint(model, config, config.pretrain.seed, config.pretrain.steps,
+                                 schedule)
+
+    return _load_or_build(outdir / "pretrained.ckpt", {"pretrain_sha256": pretrain_sha256(config)},
+                          build, lambda ckpt: model_from_checkpoint(ckpt)[0])
+
+
+def _ensure_classifier(config: ExperimentConfig, cache_dir: Path,
+                       train_ds: LabeledDataset) -> Classifier:
+    """The evaluation classifier, cached by its training inputs and gated on every load."""
+    ev = config.eval
+
+    def build():
+        clf = train_classifier(train_ds, ev.classifier_hidden_width, ev.classifier_steps,
+                               ev.classifier_learning_rate, ev.classifier_seed)
+        arch = clf.arch
+        return _arrays_checkpoint(dict(clf.params.items()),
+                                  {"d": arch.d, "K": arch.K, "hidden_width": arch.hidden_width})
+
+    def use(ckpt):
+        clf = Classifier(params=param_store_from(ckpt.params),
+                         arch=ClassifierArch(**{k: int(v) for k, v in ckpt.arch.items()}))
+        gate_classifier(clf, train_ds, ev.classifier_seed)
+        return clf
+
+    return _load_or_build(cache_dir / "classifier.ckpt",
+                          {"classifier_sha256": classifier_sha256(config)}, build, use)
+
+
+def _score_pretrained(config: ExperimentConfig, cache_dir: Path, model: denoiser.DenoiserModel,
+                      classifier: Classifier, held_ds: LabeledDataset,
+                      schedule: NoiseSchedule) -> EvalReport:
+    """The pretrained model's report, from samples cached by model and sampling inputs."""
+    ev, k = config.eval, held_ds.K
+
+    def build():
+        samples = sample_classes(model, schedule, k, ev.n_samples, np.random.default_rng(ev.seed))
+        return _arrays_checkpoint({f"class{c}": samples[c] for c in range(k)})
+
+    def use(ckpt):
+        samples = {c: ckpt.params[f"class{c}"] for c in range(k)}
+        return score_samples(classifier, samples, held_ds, config.unlearn.forget_class)
+
+    key = {"pretrain_sha256": pretrain_sha256(config), "eval_seed": ev.seed,
+           "n_samples": ev.n_samples}
+    return _load_or_build(cache_dir / "samples_pretrained.ckpt", key, build, use)
 
 
 def _fmt(value) -> str:
@@ -177,8 +247,10 @@ def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.MET
     ``method`` names an entry of ``unlearn.METHODS``. ``lam`` overrides the
     config's decay rate. ``clock`` feeds the runtime measurement around the
     unlearning loop; inject a fake for byte-stable outputs. ``pretrained_dir``
-    points at a directory whose pretrained checkpoint may be shared across runs.
-    The scatter plots show the samples each evaluation scored.
+    points at a directory whose pretrained checkpoint may be shared across runs;
+    the evaluation classifier and the pretrained model's samples are cached
+    next to that checkpoint. The scatter plots show the samples each
+    evaluation scored.
     """
     if method not in unlearn.METHODS:
         raise DomainError(f"method must be one of {tuple(unlearn.METHODS)}, got {method!r}")
@@ -187,26 +259,22 @@ def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.MET
     ucfg = config.unlearn
 
     outdir = _ensure_dir(resolve_outdir(config))
+    cache_dir = pretrained_dir or outdir
     (outdir / "config.txt").write_text(render_config(config), encoding="utf-8")
 
     with _stage("dataset", outdir):
         train_ds, held_ds, schedule = build_world(config)
     with _stage("pretrain", outdir):
-        model = ensure_pretrained(config, pretrained_dir or outdir, train_ds, schedule)
+        model = ensure_pretrained(config, cache_dir, train_ds, schedule)
     with _stage("classifier", outdir):
-        classifier = train_classifier(train_ds, config.eval.classifier_hidden_width,
-                                      config.eval.classifier_steps,
-                                      config.eval.classifier_learning_rate,
-                                      config.eval.classifier_seed)
+        classifier = _ensure_classifier(config, cache_dir, train_ds)
         if not entropy_linkage_holds(classifier, train_ds, ucfg.forget_class,
                                      np.random.default_rng(config.eval.classifier_seed)):
             log.warning("standard-normal inputs do not raise classifier entropy above "
                         "real forget-class data; entropy comparisons may be weak")
 
     with _stage("evaluate_pretrained", outdir):
-        pre_report = evaluate(model, classifier, held_ds, schedule, ucfg.forget_class,
-                              config.eval.n_samples, np.random.default_rng(config.eval.seed),
-                              rte_seconds=0.0, steps_executed=0)
+        pre_report = _score_pretrained(config, cache_dir, model, classifier, held_ds, schedule)
 
     with _stage("unlearn", outdir):
         start = clock()
@@ -256,16 +324,19 @@ def sweep(config: ExperimentConfig, values, members: int = 3,
           clock=time.perf_counter) -> Path:
     """Run the default method per decay value with shared member seeds; emit a table.
 
-    Members reuse one pretrained checkpoint each (the pretraining inputs do
-    not depend on the swept value). Runs that fail in a pipeline stage are
-    recorded and skipped; medians summarize the successful ones. Any other
-    error, such as a decay value the config rejects, propagates.
+    Members reuse one pretrained checkpoint, evaluation classifier and set
+    of pretrained-model samples each (none depends on the swept value). Runs
+    that fail in a pipeline stage are recorded and skipped; medians
+    summarize the successful ones. A decay value the config rejects raises
+    before the first run; any other error propagates.
     """
     values = [float(v) for v in values]
     if not values:
         raise DomainError("values must be non-empty")
     if len(set(values)) != len(values):
         raise DomainError(f"duplicate sweep values: {values}")
+    for value in values:  # reject a bad value before any run starts
+        replace(config.unlearn, lam=value)
 
     outdir = _ensure_dir(resolve_outdir(config))
     sweep_dir = outdir / "sweep_lambda"

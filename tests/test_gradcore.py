@@ -380,6 +380,29 @@ class TestSgd:
         opt.step(store, {"p": np.array([1.0])})   # v=1.5, p=-2.5
         npt.assert_allclose(store["p"], [-2.5])
 
+    def test_momentum_steps_bit_identical_to_reference_formula(self):
+        rng = np.random.default_rng(7)
+        start = {"w": rng.standard_normal((5, 3)), "b": rng.standard_normal(3)}
+        grads = [{name: rng.standard_normal(a.shape) for name, a in start.items()}
+                 for _ in range(3)]
+        kept = [{name: g.copy() for name, g in step.items()} for step in grads]
+        lr, m = 0.05, 0.9
+        store = make_store(**start)
+        opt = gc.SGD(learning_rate=lr, momentum=m)
+        expected = {name: a.copy() for name, a in start.items()}
+        velocity: dict = {}
+        for step in grads:
+            opt.step(store, step)
+            for name, g in step.items():
+                v = velocity.get(name)
+                velocity[name] = v = g if v is None else m * v + g
+                expected[name] = expected[name] - lr * v
+            for name in start:
+                assert store[name].tobytes() == expected[name].tobytes()
+        for step, copy in zip(grads, kept):
+            for name in step:
+                assert step[name].tobytes() == copy[name].tobytes()
+
     def test_zero_momentum_matches_plain(self):
         a = make_store(p=np.array([1.0, 2.0]))
         b = make_store(p=np.array([1.0, 2.0]))

@@ -161,6 +161,22 @@ class TestCheckpoints:
         with pytest.raises(CheckpointIntegrityError):
             ck.load_checkpoint(path)
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        ck.save_checkpoint(path, _dummy_checkpoint())
+        before = path.read_bytes()
+        changed = _dummy_checkpoint()
+        changed.provenance["steps"] = 6
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ck.os, "replace", crash)
+        with pytest.raises(OSError, match="disk full"):
+            ck.save_checkpoint(path, changed)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
 
 class TestRenderScatter:
     def test_identical_input_identical_bytes(self, tmp_path):
@@ -205,6 +221,24 @@ def tiny_config(tmp_path, **unlearn_overrides) -> cf.ExperimentConfig:
     )
 
 
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Record the arguments of every call to ``owner.name`` while still running it."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+RUN_ARTIFACTS = ("config.txt", "metrics.csv", "report.json", "unlearn_log.csv",
+                 "samples_pretrained.svg", "samples_unlearned.svg", "pretrained.ckpt",
+                 "unlearned.ckpt", "classifier.ckpt", "samples_pretrained.ckpt")
+
+
 class FakeClock:
     def __init__(self):
         self.now = 0.0
@@ -216,22 +250,13 @@ class FakeClock:
 
 class TestRunExperiment:
     def test_pipeline_produces_all_artifacts(self, tmp_path, monkeypatch):
-        calls = []
-        predict_eps = dn.predict_eps
-
-        def counting_predict_eps(*args):
-            calls.append(args)
-            return predict_eps(*args)
-
-        monkeypatch.setattr(dn, "predict_eps", counting_predict_eps)
+        calls = count_calls(monkeypatch, dn, "predict_eps")
         cfg = tiny_config(tmp_path)
         result = ex.run_experiment(cfg, clock=FakeClock())
         # one reverse chain per class per evaluated model; the plots reuse them
         assert len(calls) == 2 * cfg.dataset.k * cfg.schedule.t
         out = result.outdir
-        for name in ("config.txt", "pretrained.ckpt", "unlearned.ckpt", "metrics.csv",
-                     "report.json", "unlearn_log.csv", "samples_pretrained.svg",
-                     "samples_unlearned.svg"):
+        for name in RUN_ARTIFACTS:
             assert (out / name).exists(), name
         header = (out / "metrics.csv").read_text().splitlines()[0]
         assert header == ("phase,seed,lambda,steps,ua_percent,mean_entropy_nats,"
@@ -278,6 +303,73 @@ class TestRunExperiment:
         assert err.value.stage == "classifier"
         status = json.loads((Path(cfg.output_dir) / "status.json").read_text())
         assert status["stage"] == "classifier"
+        assert not (Path(cfg.output_dir) / "classifier.ckpt").exists()
+
+    def test_second_run_reuses_classifier_and_pretrained_samples(self, tmp_path, monkeypatch):
+        eps_calls = count_calls(monkeypatch, dn, "predict_eps")
+        clf_calls = count_calls(monkeypatch, ex, "train_classifier")
+        linkage_calls = count_calls(monkeypatch, ex, "entropy_linkage_holds")
+        shared = tmp_path / "shared"
+        shared.mkdir()
+        cfg = tiny_config(tmp_path)
+        chains = cfg.dataset.k * cfg.schedule.t
+        first = ex.run_experiment(replace(cfg, output_dir=str(tmp_path / "first")),
+                                  clock=FakeClock(), pretrained_dir=shared)
+        assert (len(eps_calls), len(clf_calls)) == (2 * chains, 1)
+        del eps_calls[:], clf_calls[:]
+        second = ex.run_experiment(replace(cfg, output_dir=str(tmp_path / "second")),
+                                   clock=FakeClock(), pretrained_dir=shared)
+        # only the unlearned model is sampled; the classifier is loaded
+        assert (len(eps_calls), len(clf_calls)) == (chains, 0)
+        assert len(linkage_calls) == 2
+        for name in ("metrics.csv", "report.json", "samples_pretrained.svg",
+                     "samples_unlearned.svg", "unlearn_log.csv", "unlearned.ckpt"):
+            assert (first.outdir / name).read_bytes() == (second.outdir / name).read_bytes(), name
+
+    def test_each_cache_is_invalidated_only_by_its_own_keys(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path)
+        ex.run_experiment(cfg, clock=FakeClock())
+        eps_calls = count_calls(monkeypatch, dn, "predict_eps")
+        clf_calls = count_calls(monkeypatch, ex, "train_classifier")
+        chains = cfg.dataset.k * cfg.schedule.t
+        cfg = replace(cfg, eval=replace(cfg.eval, seed=cfg.eval.seed + 1))
+        ex.run_experiment(cfg, clock=FakeClock())
+        assert (len(eps_calls), len(clf_calls)) == (2 * chains, 0)
+        del eps_calls[:], clf_calls[:]
+        cfg = replace(cfg, eval=replace(cfg.eval, classifier_steps=cfg.eval.classifier_steps + 1))
+        ex.run_experiment(cfg, clock=FakeClock())
+        assert (len(eps_calls), len(clf_calls)) == (chains, 1)
+
+    def test_cached_classifier_is_gated_again(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        out = ex.run_experiment(cfg, clock=FakeClock()).outdir
+        cached = ck.load_checkpoint(out / "classifier.ckpt")
+        cached.params["head_w"] = np.zeros_like(cached.params["head_w"])
+        ck.save_checkpoint(out / "classifier.ckpt", cached)
+        with pytest.raises(StageError) as err:
+            ex.run_experiment(cfg, clock=FakeClock())
+        assert err.value.stage == "classifier"
+
+    def test_failed_scoring_caches_no_samples(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        cfg = replace(cfg, eval=replace(cfg.eval, n_samples=2))  # too few for a Frechet fit
+        with pytest.raises(StageError) as err:
+            ex.run_experiment(cfg, clock=FakeClock())
+        assert err.value.stage == "evaluate_pretrained"
+        assert not (Path(cfg.output_dir) / "samples_pretrained.ckpt").exists()
+
+    def test_corrupt_caches_are_rebuilt_byte_identically(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        out = ex.run_experiment(cfg, clock=FakeClock()).outdir
+        clean = {name: (out / name).read_bytes() for name in RUN_ARTIFACTS}
+        pretrained = out / "pretrained.ckpt"
+        pretrained.write_bytes(clean["pretrained.ckpt"][:len(clean["pretrained.ckpt"]) // 2])
+        flipped = bytearray(clean["classifier.ckpt"])
+        flipped[len(flipped) // 2] ^= 0x01
+        (out / "classifier.ckpt").write_bytes(bytes(flipped))
+        ex.run_experiment(cfg, clock=FakeClock())
+        for name in RUN_ARTIFACTS:
+            assert (out / name).read_bytes() == clean[name], name
 
     def test_relabel_method(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -323,6 +415,18 @@ class TestSweep:
     def test_bad_value_propagates(self, tmp_path):
         with pytest.raises(DomainError, match="lambda"):
             ex.sweep(tiny_config(tmp_path), [-1.0])
+
+    def test_bad_value_rejected_before_any_run(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        with pytest.raises(DomainError, match="lambda"):
+            ex.sweep(cfg, [1.0, -1.0], members=1)
+        assert not (Path(cfg.output_dir) / "sweep_lambda" / "member0").exists()
+        assert list(tmp_path.rglob("*.ckpt")) == []
+
+    def test_members_train_one_classifier_each(self, tmp_path, monkeypatch):
+        clf_calls = count_calls(monkeypatch, ex, "train_classifier")
+        ex.sweep(tiny_config(tmp_path), [0.0, 1.0], members=2, clock=FakeClock())
+        assert len(clf_calls) == 2
 
 
 class TestCli:
