@@ -7,6 +7,7 @@ keeps the gradient path trivial to verify.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,14 @@ def _timestep_embedding_rows(t: Array, embed_dim: int) -> Array:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _timestep_embedding_table(T: int, embed_dim: int) -> Array:
+    """Read-only ``timestep_embedding`` rows for every step 0..T, indexed by step."""
+    table = _timestep_embedding_rows(np.arange(T + 1), embed_dim)
+    table.setflags(write=False)
+    return table
+
+
 def init_mlp(params: ParamStore, fan_in: int, width: int, depth: int, out: int,
              rng: np.random.Generator) -> None:
     """Add fan-in scaled ``layer{i}_w``/``layer{i}_b`` for i < depth, then ``head_w``/``head_b``."""
@@ -85,8 +94,8 @@ def init_mlp(params: ParamStore, fan_in: int, width: int, depth: int, out: int,
 def mlp(h: Node, pnodes: dict[str, Node], depth: int, kind: str) -> Node:
     """Forward pass through the layers ``init_mlp`` made, ``kind`` activation on each hidden layer."""
     for i in range(depth):
-        h = gc.activation(gc.add(gc.matmul(h, pnodes[f"layer{i}_w"]), pnodes[f"layer{i}_b"]), kind)
-    return gc.add(gc.matmul(h, pnodes["head_w"]), pnodes["head_b"])
+        h = gc.dense(h, pnodes[f"layer{i}_w"], pnodes[f"layer{i}_b"], kind)
+    return gc.dense(h, pnodes["head_w"], pnodes["head_b"])
 
 
 def init_model(d: int, K: int, hidden_width: int, hidden_depth: int,
@@ -127,16 +136,16 @@ def denoiser_forward(tape: Tape, pnodes: dict[str, Node], arch: DenoiserArch,
     labels = np.asarray(labels, dtype=np.int64)
     t = np.asarray(t, dtype=np.int64)
     _validate_batch_inputs(arch, x_t, labels, t)
-    sinusoid = tape.constant(_timestep_embedding_rows(t, arch.embed_dim))
-    temb = gc.add(gc.matmul(sinusoid, pnodes["time_w"]), pnodes["time_b"])
+    sinusoid = tape.constant(_timestep_embedding_table(arch.T, arch.embed_dim)[t])
+    temb = gc.dense(sinusoid, pnodes["time_w"], pnodes["time_b"])
     cemb = gc.embedding(pnodes["class_embed"], labels)
     h = gc.concat_cols([tape.constant(x_t), cemb, temb])
     return mlp(h, pnodes, arch.hidden_depth, "silu")
 
 
 def predict_eps(model: DenoiserModel, x_t: Array, labels: Array, t: Array) -> Array:
-    """Plain forward pass; same code path as training, gradients discarded."""
-    tape = Tape()
+    """Plain forward pass: the training code path on a tape that records no graph."""
+    tape = Tape(grad=False)
     pnodes = tape.params(model.params)
     return denoiser_forward(tape, pnodes, model.arch, x_t, labels, t).value
 

@@ -70,7 +70,7 @@ def predict_proba(classifier: Classifier, samples: Array) -> Array:
     samples = gc.as_array(samples)
     if samples.ndim != 2 or samples.shape[1] != classifier.arch.d:
         raise DimensionError(f"samples must have shape (n, {classifier.arch.d})")
-    tape = Tape()
+    tape = Tape(grad=False)
     pnodes = tape.params(classifier.params)
     logits = _classifier_logits(tape, pnodes, classifier.arch, samples).value
     shifted = logits - logits.max(axis=1, keepdims=True)

@@ -1,18 +1,25 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-A ``Tape`` records operations in execution order. ``backward`` replays the
-tape in reverse, accumulating gradients into every node it reaches.
-Parameters live in a ``ParamStore`` as plain numpy arrays; each training
-step wraps them into fresh leaf nodes, so every step owns a small acyclic
-graph and no state leaks between steps.
+Every op returns a ``Node`` that holds its inputs and its tape; the tape
+holds its nodes only weakly. ``backward`` walks the graph from the loss
+through the inputs and replays the nodes it reaches in reverse creation
+order, accumulating gradients into each. References therefore point only
+from later nodes to earlier ones, so a step's graph, with its activations
+and gradients, is freed by reference counting as soon as the step drops it.
 
-All math is 64-bit. Broadcasting is restricted to row-wise bias addition;
-every other op demands exact shape agreement, which keeps the gradient
+Parameters live in a ``ParamStore``: one contiguous float64 buffer with a
+named view per parameter, which each tape wraps into fresh leaf nodes.
+``dense`` is the one layer op: product, row bias and activation in one node.
+
+All math is 64-bit. The only broadcast is ``dense``'s bias row; every
+other op demands exact shape agreement, which keeps the gradient
 code small enough to verify by finite differences.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from typing import Callable, Iterator
 
 import numpy as np
@@ -21,7 +28,7 @@ from .errors import ContractError, DimensionError, DomainError, NumericError
 
 Array = np.ndarray
 
-ACTIVATION_KINDS = ("relu", "silu")
+DENSE_KINDS = (None, "relu", "silu")
 
 
 def as_array(value) -> Array:
@@ -32,7 +39,7 @@ def as_array(value) -> Array:
 class Node:
     """One tape entry: an operation tag, its value, and its gradient slot."""
 
-    __slots__ = ("tape", "id", "op", "inputs", "value", "grad", "_backward")
+    __slots__ = ("tape", "id", "op", "inputs", "value", "grad", "_backward", "__weakref__")
 
     def __init__(self, tape: "Tape", node_id: int, op: str, inputs: list["Node"],
                  value: Array, backward: Callable[[Array], None] | None):
@@ -61,43 +68,63 @@ class Node:
 
 
 class ParamStore:
-    """Named float64 parameter arrays with stable iteration order.
+    """Named float64 parameters in one contiguous buffer, ``flat``.
 
-    Names are unique; iteration follows insertion order, which is
-    deterministic across runs that construct parameters in the same
-    sequence.
+    Each name maps to a view into ``flat``, laid out in insertion order, so
+    an optimizer updates every parameter with whole-buffer operations and
+    the views see the update. Names are unique; iteration follows insertion
+    order, which is deterministic across runs that construct parameters in
+    the same sequence.
     """
 
     def __init__(self):
-        self._arrays: dict[str, Array] = {}
+        self.flat = np.zeros(0)
+        self._shapes: dict[str, tuple[int, ...]] = {}
+        self._views: dict[str, Array] = {}
+
+    def _bind_views(self) -> None:
+        offset = 0
+        for name, shape in self._shapes.items():
+            size = math.prod(shape)
+            self._views[name] = self.flat[offset:offset + size].reshape(shape)
+            offset += size
 
     def add(self, name: str, value) -> None:
-        if name in self._arrays:
+        if name in self._shapes:
             raise ContractError(f"parameter {name!r} already exists")
-        self._arrays[name] = as_array(value).copy()
+        value = as_array(value)
+        self.flat = np.concatenate([self.flat, value.reshape(-1)])
+        self._shapes[name] = value.shape
+        self._bind_views()
 
     def __getitem__(self, name: str) -> Array:
-        return self._arrays[name]
+        return self._views[name]
 
     def __setitem__(self, name: str, value) -> None:
-        if name not in self._arrays:
+        """Copy ``value`` into the parameter's view; its shape must not change."""
+        if name not in self._views:
             raise ContractError(f"unknown parameter {name!r}")
-        self._arrays[name] = as_array(value)
+        value = as_array(value)
+        if value.shape != self._shapes[name]:
+            raise DimensionError(f"parameter {name!r} has shape {self._shapes[name]}, "
+                                 f"got {value.shape}")
+        self._views[name][...] = value
 
     def names(self) -> list[str]:
-        return list(self._arrays)
+        return list(self._views)
 
     def items(self) -> Iterator[tuple[str, Array]]:
-        return iter(self._arrays.items())
+        return iter(self._views.items())
 
     def copy(self) -> "ParamStore":
         dup = ParamStore()
-        for name, value in self._arrays.items():
-            dup.add(name, value)
+        dup.flat = self.flat.copy()
+        dup._shapes = dict(self._shapes)
+        dup._bind_views()
         return dup
 
     def total_size(self) -> int:
-        return sum(a.size for a in self._arrays.values())
+        return self.flat.size
 
 
 Gradients = dict[str, Array]
@@ -106,19 +133,31 @@ Gradients = dict[str, Array]
 class Tape:
     """Execution trace for one forward pass.
 
-    Confined to a single worker: a tape, the nodes it owns, and the
-    ParamStore it wrapped must not be shared across threads.
+    The tape counts its nodes but keeps none of them: nodes reference the
+    tape and their inputs, and the parameter registry holds its leaf nodes
+    through weak references, beside the wrapped arrays that unreached
+    parameters' zero gradients are shaped after.
+
+    A tape made with ``grad=False`` is for inference: its nodes keep no
+    inputs and no backward, so each value is freed as soon as the next op
+    has consumed it, and ``backward`` refuses it.
+
+    Confined to a single worker: a tape, its nodes, and the ParamStore it
+    wrapped must not be shared across threads.
     """
 
-    def __init__(self):
-        self._nodes: list[Node] = []
-        self._param_nodes: dict[str, Node] = {}
-        self._wrapped_stores: dict[int, dict[str, Node]] = {}
+    def __init__(self, grad: bool = True):
+        self.grad = grad
+        self.size = 0
+        # name -> (id of the wrapped store, weak reference to the leaf, wrapped array)
+        self._params: dict[str, tuple[int, weakref.ref, Array]] = {}
 
     def _record(self, op: str, inputs: list[Node], value: Array,
                 backward: Callable[[Array], None] | None) -> Node:
-        node = Node(self, len(self._nodes), op, inputs, value, backward)
-        self._nodes.append(node)
+        if not self.grad:
+            inputs, backward = [], None
+        node = Node(self, self.size, op, inputs, value, backward)
+        self.size += 1
         return node
 
     def constant(self, value) -> Node:
@@ -126,23 +165,19 @@ class Tape:
         return self._record("const", [], as_array(value), None)
 
     def params(self, store: ParamStore) -> dict[str, Node]:
-        """Wrap every array in ``store`` as a leaf node, once per tape."""
-        cached = self._wrapped_stores.get(id(store))
-        if cached is not None:
-            return cached
+        """Wrap every array in ``store`` as a leaf node, once per tape and store."""
+        owner = id(store)
         nodes: dict[str, Node] = {}
         for name, value in store.items():
-            if name in self._param_nodes:
+            entry = self._params.get(name)
+            if entry is not None and entry[0] != owner:
                 raise ContractError(f"parameter name collision on tape: {name!r}")
-            node = self._record("param", [], value, None)
-            self._param_nodes[name] = node
+            node = entry[1]() if entry is not None else None
+            if node is None:  # first wrap, or the earlier leaf was dropped unused
+                node = self._record("param", [], value, None)
+                self._params[name] = (owner, weakref.ref(node), value)
             nodes[name] = node
-        self._wrapped_stores[id(store)] = nodes
         return nodes
-
-    @property
-    def size(self) -> int:
-        return len(self._nodes)
 
 
 def _check_same_tape(nodes: list[Node]) -> Tape:
@@ -153,35 +188,16 @@ def _check_same_tape(nodes: list[Node]) -> Tape:
     return tape
 
 
-def matmul(a: Node, b: Node) -> Node:
-    """Matrix product of two rank-2 nodes."""
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise DimensionError(f"matmul needs rank-2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+def add(a: Node, b: Node) -> Node:
+    """Elementwise sum of two nodes of one shape."""
     tape = _check_same_tape([a, b])
-    value = a.value @ b.value
+    if a.shape != b.shape:
+        raise DimensionError(f"add shapes incompatible: {a.shape} + {b.shape}")
 
     def backward(g: Array) -> None:
-        a.accumulate(g @ b.value.T)
-        b.accumulate(a.value.T @ g)
+        a.accumulate(g)
+        b.accumulate(g)
 
-    return tape._record("matmul", [a, b], value, backward)
-
-
-def add(a: Node, b: Node) -> Node:
-    """Elementwise sum; the only broadcast allowed is a row-wise bias."""
-    tape = _check_same_tape([a, b])
-    if a.shape == b.shape:
-        def backward(g: Array) -> None:
-            a.accumulate(g)
-            b.accumulate(g)
-    elif a.value.ndim == 2 and b.value.ndim == 1 and b.shape[0] == a.shape[1]:
-        def backward(g: Array) -> None:
-            a.accumulate(g)
-            b.accumulate(g.sum(axis=0))
-    else:
-        raise DimensionError(f"add shapes incompatible: {a.shape} + {b.shape}")
     return tape._record("add", [a, b], a.value + b.value, backward)
 
 
@@ -197,25 +213,55 @@ def scale(a: Node, s: float) -> Node:
     return a.tape._record("scale", [a], s * a.value, backward)
 
 
-def activation(a: Node, kind: str) -> Node:
-    """Apply relu or silu elementwise."""
-    if kind == "relu":
-        value = np.maximum(a.value, 0.0)
+def dense(h: Node, w: Node, b: Node, kind: str | None = None) -> Node:
+    """One layer, ``kind(h @ w + b)``, as a single node with a hand-written backward.
 
-        def backward(g: Array) -> None:
-            a.accumulate(g * (a.value > 0.0))
-    elif kind == "silu":
-        x = a.value
-        # Overflow-free sigmoid: the numerator is 1 for x >= 0 and e^x below.
-        ex = np.exp(-np.abs(x))
-        sig = np.maximum(ex, x >= 0) / (1.0 + ex)
-        value = x * sig
-
-        def backward(g: Array) -> None:
-            a.accumulate(g * (sig * (1.0 + a.value * (1.0 - sig))))
+    ``h`` and ``w`` are rank-2, ``b`` is a bias row of ``w``'s width, and
+    ``kind`` is None (identity), "relu" or "silu". The forward pass works in
+    the product's buffer; every value and gradient rounds exactly as the
+    product, the row-bias sum and the activation taken as separate steps.
+    """
+    if kind not in DENSE_KINDS:
+        raise DomainError(f"unknown activation kind {kind!r}; expected one of {DENSE_KINDS}")
+    if h.value.ndim != 2 or w.value.ndim != 2:
+        raise DimensionError(f"dense needs rank-2 operands, got {h.shape} @ {w.shape}")
+    if h.shape[1] != w.shape[0]:
+        raise DimensionError(f"dense inner dims differ: {h.shape} @ {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise DimensionError(f"dense bias must have shape ({w.shape[1]},), got {b.shape}")
+    tape = _check_same_tape([h, w, b])
+    z = h.value @ w.value
+    z += b.value
+    if kind == "silu":
+        # Overflow-free sigmoid: the numerator is 1 for z >= 0 and e^z below.
+        ex = np.abs(z)
+        np.negative(ex, out=ex)
+        np.exp(ex, out=ex)
+        sig = np.maximum(ex, z >= 0)
+        ex += 1.0
+        sig /= ex
+        value = np.multiply(z, sig, out=ex)
+    elif kind == "relu":
+        value = np.maximum(z, 0.0, out=z)  # positive exactly where z was
     else:
-        raise DomainError(f"unknown activation kind {kind!r}; expected one of {ACTIVATION_KINDS}")
-    return a.tape._record(kind, [a], value, backward)
+        value = z
+
+    def backward(g: Array) -> None:
+        if kind == "silu":  # g * (sig * (1 + z * (1 - sig))), one rounding at a time
+            gz = 1.0 - sig
+            gz *= z
+            gz += 1.0
+            gz *= sig
+            gz *= g
+        elif kind == "relu":
+            gz = g * (value > 0.0)
+        else:
+            gz = g
+        b.accumulate(gz.sum(axis=0))
+        h.accumulate(gz @ w.value.T)
+        w.accumulate(h.value.T @ gz)
+
+    return tape._record("dense", [h, w, b], value, backward)
 
 
 def square(a: Node) -> Node:
@@ -332,21 +378,31 @@ def softmax_cross_entropy(logits: Node, labels) -> Node:
 def backward(loss: Node) -> Gradients:
     """Run reverse accumulation from a scalar loss.
 
-    Every node reachable from the loss receives its gradient. Returns the
-    gradient for each parameter the tape wrapped; parameters the loss does
-    not depend on map to zeros.
+    Every node reachable from the loss through ``inputs`` receives its
+    gradient; the reached nodes replay in reverse creation order. Returns
+    the gradient for each parameter the tape wrapped; parameters the loss
+    does not depend on map to zeros.
     """
     if loss.value.ndim != 0:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    tape = loss.tape
+    if not loss.tape.grad:
+        raise ContractError("backward requires a tape made with grad=True")
+    reached = {loss.id: loss}
+    pending = [loss]
+    while pending:
+        for node in pending.pop().inputs:
+            if node.id not in reached:
+                reached[node.id] = node
+                pending.append(node)
     loss.grad = np.ones_like(loss.value)
-    for node in reversed(tape._nodes[:loss.id + 1]):
-        if node.grad is None or node._backward is None:
-            continue
-        node._backward(node.grad)
+    for node_id in sorted(reached, reverse=True):
+        node = reached[node_id]
+        if node.grad is not None and node._backward is not None:
+            node._backward(node.grad)
     grads: Gradients = {}
-    for name, node in tape._param_nodes.items():
-        grads[name] = node.grad if node.grad is not None else np.zeros_like(node.value)
+    for name, (_, ref, value) in loss.tape._params.items():
+        node = ref()
+        grads[name] = node.grad if node is not None and node.grad is not None else np.zeros_like(value)
     return grads
 
 
@@ -365,7 +421,7 @@ def grad_check(model_loss_fn, params: ParamStore, epsilon: float = 1e-5,
         rng = np.random.default_rng(0)
 
     def loss_value() -> float:
-        value = float(model_loss_fn(Tape(), params).value)
+        value = float(model_loss_fn(Tape(grad=False), params).value)
         if not np.isfinite(value):
             raise NumericError("non-finite loss while probing gradients")
         return value
@@ -398,19 +454,16 @@ def grad_check(model_loss_fn, params: ParamStore, epsilon: float = 1e-5,
     return worst
 
 
-def _apply_update(params: ParamStore, name: str, step: Array) -> None:
-    if not np.all(np.isfinite(step)):
-        raise NumericError(f"non-finite gradient for parameter {name!r}")
-    params[name] = params[name] - step
-
-
 def sgd_step(params: ParamStore, grads: Gradients, learning_rate: float) -> ParamStore:
     """One plain gradient-descent update, in place."""
     return SGD(learning_rate, momentum=0.0).step(params, grads)
 
 
 class SGD:
-    """Gradient descent with classical momentum (momentum=0 is plain SGD)."""
+    """Gradient descent with classical momentum (momentum=0 is plain SGD).
+
+    The velocity is one flat array laid out like ``ParamStore.flat``.
+    """
 
     def __init__(self, learning_rate: float, momentum: float = 0.9):
         if learning_rate <= 0.0:
@@ -419,19 +472,29 @@ class SGD:
             raise DomainError(f"momentum must lie in [0, 1), got {momentum}")
         self.learning_rate = learning_rate
         self.momentum = momentum
-        self._velocity: dict[str, Array] = {}
+        self._velocity: Array | None = None
 
     def step(self, params: ParamStore, grads: Gradients) -> ParamStore:
-        for name in params.names():
-            g = grads[name]
-            if self.momentum > 0.0:
-                v = self._velocity.get(name)
-                if v is None:  # a copy, so the in-place updates leave `grads` intact
-                    v = self._velocity[name] = g.copy()
-                else:  # rounds exactly as `momentum * v + g`
-                    v *= self.momentum
-                    v += g
-            else:
-                v = g
-            _apply_update(params, name, self.learning_rate * v)
+        # A fresh array, so the in-place updates below leave `grads` intact.
+        g = np.concatenate([grads[name].reshape(-1) for name in params.names()])
+        if self.momentum == 0.0:
+            step = np.multiply(g, self.learning_rate, out=g)
+        elif self._velocity is None:
+            self._velocity = g
+            step = self.learning_rate * g
+        else:  # rounds exactly as `momentum * v + g`
+            v = self._velocity
+            v *= self.momentum
+            v += g
+            step = np.multiply(v, self.learning_rate, out=g)
+        if not np.isfinite(step).all():
+            raise NumericError(f"non-finite gradient for parameter {_first_non_finite(params, step)!r}")
+        params.flat -= step
         return params
+
+
+def _first_non_finite(params: ParamStore, flat: Array) -> str:
+    """The parameter whose stretch of ``flat`` holds the first non-finite value."""
+    ends = np.cumsum([value.size for _, value in params.items()])
+    first = np.flatnonzero(~np.isfinite(flat))[0]
+    return params.names()[int(np.searchsorted(ends, first, side="right"))]

@@ -36,7 +36,6 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    path = Path(path)
     header = {
         "arch": ckpt.arch,
         "schedule": ckpt.schedule,
@@ -54,11 +53,22 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     for arr in ckpt.params.values():
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     payload = b"".join(parts)
-    # Write beside the target and rename over it, so a crash mid-write never
-    # leaves a truncated checkpoint under the final name.
+    write_atomic(path, payload + hashlib.sha256(payload).digest())
+
+
+def write_atomic(path, data: bytes | str) -> None:
+    """Write ``data`` (a str as UTF-8) to ``path`` all at once or not at all.
+
+    The bytes go to a temporary file beside the target, which is then
+    renamed over it, so a crash mid-write never leaves a truncated file
+    under the final name, and a failed write leaves no temporary file.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(payload + hashlib.sha256(payload).digest())
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -96,6 +106,7 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(reader.take(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointIntegrityError(f"unreadable header: {exc}") from exc
+    _check_header(header)
     beta = np.frombuffer(reader.take(8 * header["beta_len"]), dtype="<f8").copy()
     params: dict[str, Array] = {}
     for entry in header["params"]:
@@ -109,8 +120,37 @@ def load_checkpoint(path) -> Checkpoint:
                       provenance=header["provenance"])
 
 
-def param_store_from(params: dict[str, Array]) -> ParamStore:
-    store = ParamStore()
-    for name, arr in params.items():
-        store.add(name, arr)
-    return store
+def _check_header(header) -> None:
+    """Reject a header that passed its checksum yet lacks a key or has a malformed entry."""
+    if not isinstance(header, dict):
+        raise CheckpointIntegrityError("header is not a JSON object")
+    for key, kind in (("arch", dict), ("schedule", dict), ("provenance", dict),
+                      ("beta_len", int), ("params", list)):
+        if type(header.get(key)) is not kind:
+            raise CheckpointIntegrityError(f"header lacks a valid {key!r} entry")
+    if header["beta_len"] < 0:
+        raise CheckpointIntegrityError(f"negative beta_len {header['beta_len']}")
+    names = set()
+    for entry in header["params"]:
+        if not (isinstance(entry, dict) and type(entry.get("name")) is str
+                and type(entry.get("shape")) is list
+                and all(type(n) is int and n >= 0 for n in entry["shape"])
+                and entry["name"] not in names):
+            raise CheckpointIntegrityError(f"malformed params entry {entry!r}")
+        names.add(entry["name"])
+
+
+def param_store_from(params: dict[str, Array], like: ParamStore) -> ParamStore:
+    """``like``, overwritten with ``params``, whose names and shapes must match it.
+
+    ``like`` is a freshly initialized store of the architecture a checkpoint
+    header declares; a mismatch means the checkpoint is corrupt.
+    """
+    expected = {name: value.shape for name, value in like.items()}
+    found = {name: np.shape(value) for name, value in params.items()}
+    if found != expected:
+        raise CheckpointIntegrityError(
+            f"parameters {found} disagree with the architecture's {expected}")
+    for name in expected:
+        like[name] = params[name]
+    return like

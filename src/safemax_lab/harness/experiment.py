@@ -13,7 +13,7 @@ import logging
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from statistics import median
 
@@ -23,9 +23,11 @@ from .. import denoiser, unlearn
 from ..diffusion import LabeledDataset, NoiseSchedule, build_schedule
 from ..errors import CheckpointIntegrityError, CheckpointVersionError, DomainError, StageError
 from ..evaluation import (Classifier, ClassifierArch, EvalReport, entropy_linkage_holds, evaluate,
-                          gate_classifier, sample_classes, score_samples, train_classifier)
+                          gate_classifier, init_classifier, sample_classes, score_samples,
+                          train_classifier)
 from ..gradcore import Array
-from .checkpoints import Checkpoint, FORMAT_VERSION, load_checkpoint, param_store_from, save_checkpoint
+from .checkpoints import (Checkpoint, FORMAT_VERSION, load_checkpoint, param_store_from,
+                          save_checkpoint, write_atomic)
 from .config import (ExperimentConfig, classifier_sha256, config_sha256, pretrain_sha256,
                      render_config)
 from .datasets import generate_toy_dataset
@@ -72,9 +74,8 @@ def _stage(name: str, outdir: Path | None):
     except Exception as exc:
         if outdir is not None:
             try:
-                (outdir / "status.json").write_text(
-                    json.dumps({"stage": name, "error": str(exc)}, sort_keys=True) + "\n",
-                    encoding="utf-8")
+                write_atomic(outdir / "status.json",
+                             json.dumps({"stage": name, "error": str(exc)}, sort_keys=True) + "\n")
             except OSError:
                 pass
         raise StageError(name, str(exc)) from exc
@@ -109,10 +110,19 @@ def _model_checkpoint(model: denoiser.DenoiserModel, config: ExperimentConfig,
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[denoiser.DenoiserModel, NoiseSchedule]:
-    arch = denoiser.DenoiserArch(**{k: int(v) for k, v in ckpt.arch.items()})
-    model = denoiser.DenoiserModel(params=param_store_from(ckpt.params), arch=arch)
-    schedule = build_schedule(int(ckpt.schedule["t"]), float(ckpt.schedule["beta_min"]),
-                              float(ckpt.schedule["beta_max"]))
+    """The model and schedule a checkpoint holds.
+
+    Raises ``CheckpointIntegrityError`` when the architecture or schedule
+    entries are unusable or the parameters do not fit the architecture.
+    """
+    try:
+        arch = denoiser.DenoiserArch(**{k: int(v) for k, v in ckpt.arch.items()})
+        layout = denoiser.init_model(**asdict(arch), rng=np.random.default_rng(0)).params
+        schedule = build_schedule(int(ckpt.schedule["t"]), float(ckpt.schedule["beta_min"]),
+                                  float(ckpt.schedule["beta_max"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointIntegrityError(f"checkpoint does not describe a model: {exc!r}") from exc
+    model = denoiser.DenoiserModel(params=param_store_from(ckpt.params, layout), arch=arch)
     return model, schedule
 
 
@@ -134,18 +144,18 @@ def _load_or_build(path: Path, key: dict, build, use):
     ``use`` turns a checkpoint into what the caller needs and runs its
     checks, on cached and fresh checkpoints alike. A fresh one is saved,
     with ``key`` in its provenance, only once ``use`` accepts it. A cached
-    file that fails its integrity or version check counts as stale.
+    file that fails its integrity or version check, when loaded or in
+    ``use``, counts as stale.
     """
     if path.exists():
         try:
             ckpt = load_checkpoint(path)
-        except (CheckpointIntegrityError, CheckpointVersionError) as exc:
-            log.warning("cached %s is unreadable (%s); rebuilding", path, exc)
-        else:
             if all(ckpt.provenance.get(name) == value for name, value in key.items()):
                 log.info("reusing %s", path)
                 return use(ckpt)
             log.info("cached %s is stale; rebuilding", path)
+        except (CheckpointIntegrityError, CheckpointVersionError) as exc:
+            log.warning("cached %s is unreadable (%s); rebuilding", path, exc)
     ckpt = build()
     ckpt.provenance.update(key)
     value = use(ckpt)
@@ -184,8 +194,13 @@ def _ensure_classifier(config: ExperimentConfig, cache_dir: Path,
                                   {"d": arch.d, "K": arch.K, "hidden_width": arch.hidden_width})
 
     def use(ckpt):
-        clf = Classifier(params=param_store_from(ckpt.params),
-                         arch=ClassifierArch(**{k: int(v) for k, v in ckpt.arch.items()}))
+        try:
+            arch = ClassifierArch(**{k: int(v) for k, v in ckpt.arch.items()})
+            layout = init_classifier(arch.d, arch.K, arch.hidden_width, np.random.default_rng(0))
+        except (TypeError, ValueError) as exc:
+            raise CheckpointIntegrityError(f"checkpoint does not describe a classifier: "
+                                           f"{exc!r}") from exc
+        clf = Classifier(params=param_store_from(ckpt.params, layout.params), arch=arch)
         gate_classifier(clf, train_ds, ev.classifier_seed)
         return clf
 
@@ -204,6 +219,10 @@ def _score_pretrained(config: ExperimentConfig, cache_dir: Path, model: denoiser
         return _arrays_checkpoint({f"class{c}": samples[c] for c in range(k)})
 
     def use(ckpt):
+        shapes = {name: value.shape for name, value in ckpt.params.items()}
+        if shapes != {f"class{c}": (ev.n_samples, held_ds.d) for c in range(k)}:
+            raise CheckpointIntegrityError(f"cached samples {shapes} do not hold "
+                                           f"{ev.n_samples} points per class")
         samples = {c: ckpt.params[f"class{c}"] for c in range(k)}
         return score_samples(classifier, samples, held_ds, config.unlearn.forget_class)
 
@@ -236,7 +255,7 @@ def metrics_header(k: int) -> str:
 
 def write_metrics_csv(path: Path, config: ExperimentConfig, rows: list[str]) -> None:
     text = "\n".join([metrics_header(config.dataset.k)] + rows) + "\n"
-    path.write_text(text, encoding="utf-8")
+    write_atomic(path, text)
 
 
 def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.METHODS)),
@@ -260,7 +279,8 @@ def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.MET
 
     outdir = _ensure_dir(resolve_outdir(config))
     cache_dir = pretrained_dir or outdir
-    (outdir / "config.txt").write_text(render_config(config), encoding="utf-8")
+    (outdir / "status.json").unlink(missing_ok=True)  # a failure record of an earlier run
+    write_atomic(outdir / "config.txt", render_config(config))
 
     with _stage("dataset", outdir):
         train_ds, held_ds, schedule = build_world(config)
@@ -280,8 +300,7 @@ def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.MET
         start = clock()
         unlearned, ulog = unlearn.METHODS[method](model, train_ds, schedule, ucfg)
         rte_seconds = clock() - start
-        (outdir / "unlearn_log.csv").write_text("\n".join(ulog.csv_rows()) + "\n",
-                                                encoding="utf-8")
+        write_atomic(outdir / "unlearn_log.csv", "\n".join(ulog.csv_rows()) + "\n")
         save_checkpoint(outdir / "unlearned.ckpt",
                         _model_checkpoint(unlearned, config, ucfg.seed, ucfg.steps, schedule))
 
@@ -298,8 +317,7 @@ def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.MET
                   "config_sha256": config_sha256(config),
                   "pretrained": pre_report.to_json_dict(),
                   "unlearned": post_report.to_json_dict()}
-        (outdir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                            encoding="utf-8")
+        write_atomic(outdir / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
         render_scatter(pre_report.samples, outdir / "samples_pretrained.svg",
                        title="pretrained samples")
         render_scatter(post_report.samples, outdir / "samples_unlearned.svg",
@@ -371,5 +389,5 @@ def sweep(config: ExperimentConfig, values, members: int = 3,
                      f"{median(r.frechet_mean for r in reports)!r},"
                      f"{median(r.rte_seconds for r in reports)!r}")
     path = sweep_dir / "sweep.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
     return path

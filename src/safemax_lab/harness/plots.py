@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from ..errors import DimensionError
 from ..gradcore import as_array
+from .checkpoints import write_atomic
 
 AXIS_MIN, AXIS_MAX = -8.0, 8.0
 CANVAS = 480
@@ -71,4 +70,4 @@ def render_scatter(samples_by_class, path, title: str = "") -> None:
         parts.append(f'<text x="{lx + 16}" y="{ly}" font-family="sans-serif" '
                      f'font-size="12">class {label}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(parts) + "\n")

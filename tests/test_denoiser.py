@@ -1,3 +1,6 @@
+import gc as collector
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -81,6 +84,13 @@ class TestTimestepEmbedding:
         with pytest.raises(DomainError):
             dn.timestep_embedding(1, 5)
 
+    def test_cached_table_rows_match_single_steps(self):
+        table = dn._timestep_embedding_table(100, 16)
+        assert table is dn._timestep_embedding_table(100, 16)
+        assert table.shape == (101, 16) and not table.flags.writeable
+        for t in range(101):
+            assert table[t].tobytes() == dn.timestep_embedding(t, 16).tobytes()
+
 
 class TestPredictEps:
     def test_deterministic(self, schedule):
@@ -91,6 +101,16 @@ class TestPredictEps:
         a = dn.predict_eps(model, x, labels, t)
         b = dn.predict_eps(model, x, labels, t)
         npt.assert_array_equal(a, b)
+
+    def test_same_bits_as_the_training_forward(self):
+        model = small_model(3)
+        rng = np.random.default_rng(2)
+        x = 3.0 * rng.standard_normal((64, 2))
+        labels = rng.integers(0, 4, size=64)
+        t = rng.integers(1, 21, size=64)
+        tape = gc.Tape()
+        trained = dn.denoiser_forward(tape, tape.params(model.params), model.arch, x, labels, t)
+        assert dn.predict_eps(model, x, labels, t).tobytes() == trained.value.tobytes()
 
     def test_class_conditioning_changes_output(self):
         model = small_model(4)
@@ -158,6 +178,31 @@ class TestTrainStep:
             if loss < 1e-3:
                 break
         assert loss < 1e-3, f"stuck at {loss}"
+
+
+class TestGraphLifetime:
+    def test_step_and_inference_graphs_die_without_the_cyclic_collector(
+            self, dataset, schedule, monkeypatch):
+        tapes = []
+
+        def recording_tape(*args, **kwargs):
+            tape = gc.Tape(*args, **kwargs)
+            tapes.append(weakref.ref(tape))
+            return tape
+
+        monkeypatch.setattr(dn, "Tape", recording_tape)
+        model = small_model(1)
+        batch = df.sample_latent_batch(dataset, schedule, 16, np.random.default_rng(0))
+        collector_was_on = collector.isenabled()
+        collector.disable()
+        try:
+            dn.train_step(model, batch, gc.SGD(0.01, momentum=0.9))
+            dn.predict_eps(model, batch.x_t, batch.labels, batch.t)
+            assert len(tapes) == 2
+            assert [ref() for ref in tapes] == [None, None]
+        finally:
+            if collector_was_on:
+                collector.enable()
 
 
 class TestTrain:

@@ -13,75 +13,109 @@ def make_store(**arrays) -> gc.ParamStore:
     return store
 
 
-class TestMatmul:
+def _chain_matmul(a, b):
+    """The product op ``dense`` replaced, kept as its reference."""
+    def backward(g):
+        a.accumulate(g @ b.value.T)
+        b.accumulate(a.value.T @ g)
+
+    return a.tape._record("matmul", [a, b], a.value @ b.value, backward)
+
+
+def _chain_add_bias(a, b):
+    """The row-bias sum ``dense`` replaced, kept as its reference."""
+    def backward(g):
+        a.accumulate(g)
+        b.accumulate(g.sum(axis=0))
+
+    return a.tape._record("add", [a, b], a.value + b.value, backward)
+
+
+def _chain_activation(a, kind):
+    """The activation op ``dense`` replaced, kept as its reference."""
+    if kind is None:
+        return a
+    if kind == "relu":
+        value = np.maximum(a.value, 0.0)
+
+        def backward(g):
+            a.accumulate(g * (a.value > 0.0))
+    else:
+        x = a.value
+        ex = np.exp(-np.abs(x))
+        sig = np.maximum(ex, x >= 0) / (1.0 + ex)
+        value = x * sig
+
+        def backward(g):
+            a.accumulate(g * (sig * (1.0 + a.value * (1.0 - sig))))
+    return a.tape._record(kind, [a], value, backward)
+
+
+def _assert_same_bits(actual, expected):
+    nan = np.isnan(expected)
+    npt.assert_array_equal(np.isnan(actual), nan)
+    npt.assert_array_equal(actual[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+class TestDense:
     def test_identity(self):
         m = np.array([[2.0, -1.0], [0.5, 3.0]])
         tape = gc.Tape()
-        out = gc.matmul(tape.constant(np.eye(2)), tape.constant(m))
+        out = gc.dense(tape.constant(np.eye(2)), tape.constant(m), tape.constant(np.zeros(2)))
         npt.assert_array_equal(out.value, m)
 
-    def test_hand_product(self):
+    def test_hand_product_plus_row_bias(self):
         tape = gc.Tape()
         a = tape.constant([[1.0, 2.0], [3.0, 4.0]])
         b = tape.constant([[1.0], [1.0]])
-        npt.assert_array_equal(gc.matmul(a, b).value, [[3.0], [7.0]])
+        npt.assert_array_equal(gc.dense(a, b, tape.constant([0.5])).value, [[3.5], [7.5]])
 
-    def test_shape_mismatch(self):
+    @pytest.mark.parametrize("h_shape, w_shape, b_shape", [
+        ((2, 3), (2, 3), (3,)),     # inner dims differ
+        ((3,), (3, 2), (2,)),       # rank-1 input
+        ((2, 3), (3, 2), (3,)),     # bias of the wrong width
+        ((2, 3), (3, 2), (1, 2)),   # bias not a row
+    ])
+    def test_shape_mismatch(self, h_shape, w_shape, b_shape):
         tape = gc.Tape()
-        a = tape.constant(np.zeros((2, 3)))
-        b = tape.constant(np.zeros((2, 3)))
         with pytest.raises(DimensionError):
-            gc.matmul(a, b)
+            gc.dense(tape.constant(np.zeros(h_shape)), tape.constant(np.zeros(w_shape)),
+                     tape.constant(np.zeros(b_shape)))
 
-    def test_backward_accumulates_to_both(self):
-        store = make_store(a=np.array([[1.0, 2.0]]), b=np.array([[3.0], [4.0]]))
+    def test_backward_accumulates_to_every_operand(self):
+        store = make_store(a=np.array([[1.0, 2.0], [5.0, -1.0]]), b=np.array([[3.0], [4.0]]),
+                           c=np.array([0.5]))
         tape = gc.Tape()
         p = tape.params(store)
-        loss = gc.total(gc.matmul(p["a"], p["b"]))
-        grads = gc.backward(loss)
-        npt.assert_allclose(grads["a"], [[3.0, 4.0]])
-        npt.assert_allclose(grads["b"], [[1.0], [2.0]])
-
-
-class TestElementwise:
-    def test_add_zeros_is_identity(self):
-        tape = gc.Tape()
-        x = np.array([[1.0, -2.0], [0.0, 5.0]])
-        out = gc.add(tape.constant(x), tape.constant(np.zeros_like(x)))
-        npt.assert_array_equal(out.value, x)
-
-    def test_add_rejects_general_broadcast(self):
-        tape = gc.Tape()
-        with pytest.raises(DimensionError):
-            gc.add(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((2, 1))))
-
-    def test_add_row_bias(self):
-        tape = gc.Tape()
-        out = gc.add(tape.constant(np.zeros((2, 3))), tape.constant([1.0, 2.0, 3.0]))
-        npt.assert_array_equal(out.value, [[1, 2, 3], [1, 2, 3]])
+        grads = gc.backward(gc.total(gc.dense(p["a"], p["b"], p["c"])))
+        npt.assert_allclose(grads["a"], [[3.0, 4.0], [3.0, 4.0]])
+        npt.assert_allclose(grads["b"], [[6.0], [1.0]])
+        npt.assert_allclose(grads["c"], [2.0])
 
     def test_relu_definition(self):
         tape = gc.Tape()
-        out = gc.activation(tape.constant([-1.0, 2.0]), "relu")
-        npt.assert_array_equal(out.value, [0.0, 2.0])
+        out = gc.dense(tape.constant([[-1.0, 2.0]]), tape.constant(np.eye(2)),
+                       tape.constant(np.zeros(2)), "relu")
+        npt.assert_array_equal(out.value, [[0.0, 2.0]])
 
     def test_unknown_kind(self):
         tape = gc.Tape()
         with pytest.raises(DomainError):
-            gc.activation(tape.constant([0.0]), "gelu")
+            gc.dense(tape.constant([[0.0]]), tape.constant([[1.0]]), tape.constant([0.0]), "gelu")
 
     def test_silu_derivative_at_zero(self):
         # finite difference with h=1e-6 around 0 gives 0.5
-        store = make_store(x=np.array([0.0]))
+        store = make_store(x=np.array([[0.0]]))
 
         def loss_fn(tape, params):
-            return gc.total(gc.activation(tape.params(params)["x"], "silu"))
+            return gc.total(gc.dense(tape.params(params)["x"], tape.constant([[1.0]]),
+                                     tape.constant([0.0]), "silu"))
 
         tape = gc.Tape()
         grads = gc.backward(loss_fn(tape, store))
         h = 1e-6
         fd = (np.log(1 + np.exp(h)) * 0 + (h / (1 + np.exp(-h)) - (-h / (1 + np.exp(h)))) / (2 * h))
-        npt.assert_allclose(grads["x"], [0.5], atol=1e-12)
+        npt.assert_allclose(grads["x"], [[0.5]], atol=1e-12)
         npt.assert_allclose(fd, 0.5, atol=1e-6)
 
     @staticmethod
@@ -93,12 +127,6 @@ class TestElementwise:
         ex = np.exp(x[~pos])
         sig[~pos] = ex / (1.0 + ex)
         return x * sig, sig * (1.0 + x * (1.0 - sig))
-
-    @staticmethod
-    def _assert_same_bits(actual, expected):
-        nan = np.isnan(expected)
-        npt.assert_array_equal(np.isnan(actual), nan)
-        npt.assert_array_equal(actual[~nan].view(np.int64), expected[~nan].view(np.int64))
 
     @pytest.mark.parametrize("scale", [1.0, 3.0, 40.0])
     @pytest.mark.parametrize("shape", [(7,), (128, 128), (500, 128)])
@@ -112,14 +140,83 @@ class TestElementwise:
         self._check_silu_bits(x)
 
     def _check_silu_bits(self, x):
-        store = make_store(x=x)
+        """silu through a one-input unit layer, against the masked form of its pre-activation."""
+        h = x.reshape(-1, 1)
+        w, b = np.array([[1.0]]), np.array([0.0])
+        store = make_store(h=h)
         with np.errstate(invalid="ignore", over="ignore"):
-            out = gc.activation(gc.Tape().params(store)["x"], "silu")
+            tape = gc.Tape()
+            out = gc.dense(tape.params(store)["h"], tape.constant(w), tape.constant(b), "silu")
             grads = gc.backward(gc.total(out))
-            value, slope = self._silu_reference(x)
-        self._assert_same_bits(out.value, value)
-        self._assert_same_bits(grads["x"], slope)
-        assert np.isnan(out.value[np.isnan(x)]).all()
+            z = h @ w
+            z += b
+            value, slope = self._silu_reference(z)
+            grad_h = slope @ w.T
+        _assert_same_bits(out.value, value)
+        _assert_same_bits(grads["h"], grad_h)
+        assert np.isnan(out.value[np.isnan(h)]).all()
+
+    @pytest.mark.parametrize("kind", gc.DENSE_KINDS)
+    @pytest.mark.parametrize("rows", [1, 64, 128, 500])
+    def test_bit_identical_to_op_chain(self, rows, kind):
+        rng = np.random.default_rng(rows)
+        self._check_against_chain(rng.standard_normal((rows, 34)),
+                                  rng.standard_normal((34, 128)) / np.sqrt(34),
+                                  rng.standard_normal(128), rng.standard_normal((rows, 128)), kind)
+
+    @pytest.mark.parametrize("kind", gc.DENSE_KINDS)
+    def test_bit_identical_to_op_chain_at_edge_values(self, kind):
+        rng = np.random.default_rng(5)
+        edges = np.array([0.0, np.inf, 745.0, 800.0, 5e-324, 1e308])
+        b = np.concatenate([edges, -edges, [np.nan], 40.0 * rng.standard_normal(19)])
+        self._check_against_chain(3.0 * rng.standard_normal((64, 8)), rng.standard_normal((8, 32)),
+                                  b, rng.standard_normal((64, 32)), kind)
+
+    @staticmethod
+    def _check_against_chain(h, w, b, target, kind):
+        """Value and every gradient of ``dense`` against matmul, row-bias add and activation."""
+        results = []
+        with np.errstate(invalid="ignore", over="ignore"):
+            for fused in (True, False):
+                tape = gc.Tape()
+                p = tape.params(make_store(h=h, w=w, b=b))
+                if fused:
+                    out = gc.dense(p["h"], p["w"], p["b"], kind)
+                else:
+                    out = _chain_activation(_chain_add_bias(_chain_matmul(p["h"], p["w"]), p["b"]),
+                                            kind)
+                results.append((out.value, gc.backward(gc.mse_loss(out, target))))
+        (value, grads), (ref_value, ref_grads) = results
+        _assert_same_bits(value, ref_value)
+        for name in ("h", "w", "b"):
+            _assert_same_bits(grads[name], ref_grads[name])
+
+    @pytest.mark.parametrize("kind", gc.DENSE_KINDS)
+    def test_gradients_match_finite_differences(self, kind):
+        rng = np.random.default_rng(11)
+        store = make_store(h=rng.standard_normal((6, 4)), w=rng.standard_normal((4, 5)) / 2.0,
+                           b=0.1 * rng.standard_normal(5))
+        target = rng.standard_normal((6, 5))
+
+        def loss_fn(tape, params):
+            p = tape.params(params)
+            return gc.mse_loss(gc.dense(p["h"], p["w"], p["b"], kind), target)
+
+        assert gc.grad_check(loss_fn, store, epsilon=1e-5, probes=30, rng=rng) < 1e-6
+
+
+class TestElementwise:
+    def test_add_zeros_is_identity(self):
+        tape = gc.Tape()
+        x = np.array([[1.0, -2.0], [0.0, 5.0]])
+        out = gc.add(tape.constant(x), tape.constant(np.zeros_like(x)))
+        npt.assert_array_equal(out.value, x)
+
+    @pytest.mark.parametrize("other", [(2, 1), (3,)])
+    def test_add_rejects_broadcast(self, other):
+        tape = gc.Tape()
+        with pytest.raises(DimensionError):
+            gc.add(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros(other)))
 
     def test_scale(self):
         store = make_store(x=np.array([2.0, -3.0]))
@@ -147,6 +244,47 @@ class TestAccumulate:
         grads = gc.backward(gc.total(gc.square(joined)))
         npt.assert_array_equal(grads["x"], 4.0 * x)
         npt.assert_array_equal(joined.grad, 2.0 * np.concatenate([x, x], axis=1))
+
+
+class TestTape:
+    def test_wrapping_a_store_again_gives_the_same_leaves(self):
+        store = make_store(a=np.ones(2), b=np.ones(3))
+        tape = gc.Tape()
+        first = tape.params(store)
+        second = tape.params(store)
+        assert all(first[name] is second[name] for name in ("a", "b"))
+        assert tape.size == 2
+
+    def test_dropped_leaf_is_wrapped_anew(self):
+        store = make_store(a=np.array([2.0]), b=np.ones(3))
+        tape = gc.Tape()
+        tape.params(store)  # both leaves die at once, unused
+        a = tape.params(store)["a"]
+        grads = gc.backward(gc.total(gc.square(a)))
+        npt.assert_array_equal(grads["a"], [4.0])
+        npt.assert_array_equal(grads["b"], np.zeros(3))
+
+    def test_two_stores_sharing_a_name_collide(self):
+        tape = gc.Tape()
+        tape.params(make_store(a=np.ones(1)))
+        with pytest.raises(ContractError, match="collision"):
+            tape.params(make_store(a=np.ones(1)))
+
+    def test_inference_tape_records_no_graph(self):
+        store = make_store(w=np.eye(2), b=np.ones(2))
+        tape = gc.Tape(grad=False)
+        p = tape.params(store)
+        out = gc.dense(tape.constant([[1.0, -3.0]]), p["w"], p["b"], "relu")
+        npt.assert_array_equal(out.value, [[2.0, 0.0]])
+        assert out.inputs == [] and out._backward is None
+        with pytest.raises(ContractError, match="grad=True"):
+            gc.backward(gc.total(out))
+
+    def test_operands_from_different_tapes_rejected(self):
+        h = gc.Tape().constant(np.ones((1, 1)))
+        other = gc.Tape()
+        with pytest.raises(ContractError, match="different tapes"):
+            gc.dense(h, other.constant([[1.0]]), other.constant([0.0]))
 
 
 class TestMseLoss:
@@ -225,16 +363,16 @@ class TestBackward:
     def test_linearity_of_sum(self):
         # gradient of (loss1 + loss2) equals the sum of separate gradients
         rng = np.random.default_rng(7)
-        store = make_store(w=rng.standard_normal((3, 2)))
+        store = make_store(w=rng.standard_normal((3, 2)), b=np.zeros(2))
         x = rng.standard_normal((4, 3))
         t1 = rng.standard_normal((4, 2))
         t2 = rng.standard_normal((4, 2))
 
         def loss1(tape, p):
-            return gc.mse_loss(gc.matmul(tape.constant(x), p["w"]), t1)
+            return gc.mse_loss(gc.dense(tape.constant(x), p["w"], p["b"]), t1)
 
         def loss2(tape, p):
-            return gc.mse_loss(gc.activation(gc.matmul(tape.constant(x), p["w"]), "silu"), t2)
+            return gc.mse_loss(gc.dense(tape.constant(x), p["w"], p["b"], "silu"), t2)
 
         tape = gc.Tape()
         p = tape.params(store)
@@ -244,17 +382,18 @@ class TestBackward:
         g1 = gc.backward(loss1(tape1, tape1.params(store)))
         tape2 = gc.Tape()
         g2 = gc.backward(loss2(tape2, tape2.params(store)))
-        npt.assert_allclose(g_sum["w"], g1["w"] + g2["w"], atol=1e-12)
+        for name in ("w", "b"):
+            npt.assert_allclose(g_sum[name], g1[name] + g2[name], atol=1e-12)
 
     def test_deterministic_replay(self):
         rng = np.random.default_rng(3)
-        store = make_store(w=rng.standard_normal((5, 5)))
+        store = make_store(w=rng.standard_normal((5, 5)), b=rng.standard_normal(5))
         x = rng.standard_normal((2, 5))
 
         def run():
             tape = gc.Tape()
             p = tape.params(store)
-            h = gc.activation(gc.matmul(tape.constant(x), p["w"]), "silu")
+            h = gc.dense(tape.constant(x), p["w"], p["b"], "silu")
             loss = gc.mse_loss(h, np.zeros_like(x))
             return float(loss.value), gc.backward(loss)["w"].copy()
 
@@ -276,12 +415,13 @@ def _random_mlp_loss(rng):
     d_hid = int(rng.integers(2, 7))
     d_out = int(rng.integers(1, 4))
     n_embed = int(rng.integers(2, 5))
-    kind = ("relu", "silu")[int(rng.integers(2))]
+    kind = gc.DENSE_KINDS[int(rng.integers(3))]
     fan_in = d_in + n_embed
     store = make_store(
         w1=rng.standard_normal((fan_in, d_hid)) / np.sqrt(fan_in),
         b1=0.1 * rng.standard_normal(d_hid),
         w2=rng.standard_normal((d_hid, d_out)) / np.sqrt(d_hid),
+        b2=0.1 * rng.standard_normal(d_out),
         table=rng.standard_normal((n_embed, n_embed)),
     )
     ids = rng.integers(0, n_embed, size=rows)
@@ -297,8 +437,8 @@ def _random_mlp_loss(rng):
         p = tape.params(params)
         emb = gc.embedding(p["table"], ids)
         h = gc.concat_cols([tape.constant(x), emb])
-        h = gc.activation(gc.add(gc.matmul(h, p["w1"]), p["b1"]), kind)
-        out = gc.matmul(h, p["w2"])
+        h = gc.dense(h, p["w1"], p["b1"], kind)
+        out = gc.dense(h, p["w2"], p["b2"])
         return gc.mse_loss(out, target, weights=weights)
 
     return loss_fn, store
@@ -373,6 +513,15 @@ class TestSgd:
         with pytest.raises(NumericError, match="fragile"):
             gc.sgd_step(store, {"fragile": np.array([np.nan])}, learning_rate=0.1)
 
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_non_finite_gradient_names_param_and_updates_nothing(self, momentum):
+        store = make_store(first=np.ones((2, 2)), fragile=np.ones(3), last=np.ones(1))
+        grads = {"first": np.ones((2, 2)), "fragile": np.array([np.inf, 0.0, np.nan]),
+                 "last": np.ones(1)}
+        with pytest.raises(NumericError, match="'fragile'"):
+            gc.SGD(learning_rate=0.1, momentum=momentum).step(store, grads)
+        npt.assert_array_equal(store.flat, np.ones(8))
+
     def test_momentum_accumulates(self):
         store = make_store(p=np.array([0.0]))
         opt = gc.SGD(learning_rate=1.0, momentum=0.5)
@@ -429,3 +578,33 @@ class TestParamStore:
         dup = store.copy()
         dup["p"][0] = 99.0
         npt.assert_array_equal(store["p"], [1.0])
+        dup.flat += 1.0
+        npt.assert_array_equal(store["p"], [1.0])
+        npt.assert_array_equal(dup["p"], [100.0])
+
+    def test_parameters_are_views_of_one_buffer(self):
+        a, b = np.arange(6.0).reshape(2, 3), np.array([6.0, 7.0])
+        store = make_store(a=a, b=b, s=np.array(8.0))
+        npt.assert_array_equal(store.flat, np.arange(9.0))
+        assert store.total_size() == 9
+        assert store["a"].shape == (2, 3) and store["s"].shape == ()
+        store.flat *= 2.0
+        npt.assert_array_equal(store["a"], 2.0 * a)
+        npt.assert_array_equal(store["b"], 2.0 * b)
+        a[0, 0] = -1.0  # add copied its input
+        assert store["a"][0, 0] == 0.0
+
+    def test_setitem_copies_into_the_view(self):
+        store = make_store(a=np.zeros(2), b=np.zeros((2, 2)))
+        view = store["b"]
+        store["b"] = [[1.0, 2.0], [3.0, 4.0]]
+        npt.assert_array_equal(view, [[1.0, 2.0], [3.0, 4.0]])
+        npt.assert_array_equal(store.flat, [0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
+
+    def test_setitem_checks_name_and_shape(self):
+        store = make_store(a=np.zeros(2))
+        with pytest.raises(DimensionError):
+            store["a"] = np.zeros(3)
+        with pytest.raises(ContractError):
+            store["missing"] = np.zeros(2)
+        npt.assert_array_equal(store["a"], [0.0, 0.0])

@@ -177,6 +177,125 @@ class TestCheckpoints:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
+    @pytest.mark.parametrize("write", [
+        lambda path: ck.write_atomic(path, "new text\n"),
+        lambda path: render_scatter({0: np.zeros((3, 2))}, path),
+        lambda path: ex.write_metrics_csv(path, cf.default_config(), ["row"]),
+    ], ids=["write_atomic", "render_scatter", "write_metrics_csv"])
+    def test_failed_text_write_keeps_the_old_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "artifact.txt"
+        path.write_bytes(b"old contents\n")
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ck.os, "replace", crash)
+        with pytest.raises(OSError, match="disk full"):
+            write(path)
+        assert path.read_bytes() == b"old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
+
+    def test_write_atomic_writes_text_as_utf8(self, tmp_path):
+        path = tmp_path / "a.txt"
+        ck.write_atomic(path, "λ = 1\n")
+        assert path.read_bytes() == "λ = 1\n".encode("utf-8")
+        ck.write_atomic(path, b"\x00\x01")
+        assert path.read_bytes() == b"\x00\x01"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda h: h.pop("params"),
+        lambda h: h.pop("provenance"),
+        lambda h: h.update(beta_len="10"),
+        lambda h: h["params"][0].pop("shape"),
+        lambda h: h["params"][0].update(shape=[3, -2]),
+        lambda h: h["params"][0].update(shape=[3.0, 2]),
+        lambda h: h["params"][1].update(name=7),
+        lambda h: h["params"][1].update(name="w"),
+        lambda h: h["params"].append("w"),
+    ], ids=["no_params", "no_provenance", "beta_len_str", "no_shape", "negative_dim",
+            "float_dim", "name_not_str", "duplicate_name", "entry_not_object"])
+    def test_checksummed_malformed_header_raises_integrity_error(self, tmp_path, corrupt):
+        path = tmp_path / "model.ckpt"
+        ck.save_checkpoint(path, _dummy_checkpoint())
+        _rewrite_header(path, corrupt)
+        with pytest.raises(CheckpointIntegrityError):
+            ck.load_checkpoint(path)
+
+
+def _rewrite_header(path, edit) -> None:
+    """Apply ``edit`` to a checkpoint's JSON header and re-sign the file with a valid checksum."""
+    import hashlib
+    import struct
+
+    payload = path.read_bytes()[:-32]
+    start = len(ck.MAGIC) + 4
+    (header_len,) = struct.unpack("<Q", payload[start:start + 8])
+    header = json.loads(payload[start + 8:start + 8 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = (payload[:start] + struct.pack("<Q", len(header_bytes)) + header_bytes
+               + payload[start + 8 + header_len:])
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+
+
+class TestModelFromCheckpoint:
+    @staticmethod
+    def _saved_model(tmp_path, edit=None):
+        model = dn.init_model(2, 4, 8, 2, 4, 10, np.random.default_rng(0))
+        ckpt = ck.Checkpoint(format_version=ck.FORMAT_VERSION,
+                             arch={"d": 2, "K": 4, "hidden_width": 8, "hidden_depth": 2,
+                                   "embed_dim": 4, "T": 10},
+                             schedule={"t": 10, "beta_min": 0.01, "beta_max": 0.2},
+                             beta=np.linspace(0.01, 0.2, 10),
+                             params=dict(model.params.items()), provenance={})
+        if edit is not None:
+            edit(ckpt)
+        ck.save_checkpoint(tmp_path / "model.ckpt", ckpt)
+        return model, ck.load_checkpoint(tmp_path / "model.ckpt")
+
+    def test_round_trip(self, tmp_path):
+        model, ckpt = self._saved_model(tmp_path)
+        loaded, schedule = ex.model_from_checkpoint(ckpt)
+        assert loaded.params.names() == model.params.names()
+        assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+        assert schedule.T == 10
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.params.update(head_b=np.zeros(3)),
+        lambda c: c.params.update(extra=np.zeros(1)),
+        lambda c: c.params.pop("time_b"),
+        lambda c: c.params.update(renamed=c.params.pop("layer0_w")),
+        lambda c: c.arch.update(hidden_width=9),
+        lambda c: c.arch.pop("K"),
+        lambda c: c.arch.update(embed_dim="wide"),
+        lambda c: c.schedule.pop("beta_max"),
+    ], ids=["wrong_shape", "extra_name", "missing_name", "renamed", "arch_width",
+            "arch_missing_key", "arch_not_int", "schedule_missing_key"])
+    def test_mismatch_raises_integrity_error(self, tmp_path, edit):
+        _, ckpt = self._saved_model(tmp_path, edit)
+        with pytest.raises(CheckpointIntegrityError):
+            ex.model_from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("damage", ["params", "header"])
+    def test_ensure_pretrained_rebuilds_a_mismatched_checkpoint(self, tmp_path, damage):
+        cfg = tiny_config(tmp_path)
+        train_ds, _, schedule = ex.build_world(cfg)
+        model = ex.ensure_pretrained(cfg, tmp_path, train_ds, schedule)
+        path = tmp_path / "pretrained.ckpt"
+        clean = path.read_bytes()
+        if damage == "params":
+            ckpt = ck.load_checkpoint(path)
+            ckpt.params["head_b"] = np.zeros(5)
+            ck.save_checkpoint(path, ckpt)
+        else:
+            _rewrite_header(path, lambda h: h["params"][0].pop("shape"))
+        with pytest.raises(CheckpointIntegrityError):
+            ex.model_from_checkpoint(ck.load_checkpoint(path))
+        rebuilt = ex.ensure_pretrained(cfg, tmp_path, train_ds, schedule)
+        assert rebuilt.params.flat.tobytes() == model.params.flat.tobytes()
+        assert path.read_bytes() == clean
+
 
 class TestRenderScatter:
     def test_identical_input_identical_bytes(self, tmp_path):
@@ -305,6 +424,18 @@ class TestRunExperiment:
         assert status["stage"] == "classifier"
         assert not (Path(cfg.output_dir) / "classifier.ckpt").exists()
 
+    def test_successful_rerun_drops_the_old_failure_record(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        failing = replace(cfg, eval=replace(cfg.eval, classifier_steps=1,
+                                            classifier_learning_rate=1e-9))
+        with pytest.raises(StageError):
+            ex.run_experiment(failing, clock=FakeClock())
+        status = Path(cfg.output_dir) / "status.json"
+        assert status.exists()
+        result = ex.run_experiment(cfg, clock=FakeClock())
+        assert (result.outdir / "report.json").exists()
+        assert not status.exists()
+
     def test_second_run_reuses_classifier_and_pretrained_samples(self, tmp_path, monkeypatch):
         eps_calls = count_calls(monkeypatch, dn, "predict_eps")
         clf_calls = count_calls(monkeypatch, ex, "train_classifier")
@@ -367,6 +498,20 @@ class TestRunExperiment:
         flipped = bytearray(clean["classifier.ckpt"])
         flipped[len(flipped) // 2] ^= 0x01
         (out / "classifier.ckpt").write_bytes(bytes(flipped))
+        ex.run_experiment(cfg, clock=FakeClock())
+        for name in RUN_ARTIFACTS:
+            assert (out / name).read_bytes() == clean[name], name
+
+    def test_checksummed_caches_that_do_not_fit_are_rebuilt(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        out = ex.run_experiment(cfg, clock=FakeClock()).outdir
+        clean = {name: (out / name).read_bytes() for name in RUN_ARTIFACTS}
+        for name, edit in (("pretrained.ckpt", lambda p: p.update(head_b=np.zeros(3))),
+                           ("classifier.ckpt", lambda p: p.pop("head_b")),
+                           ("samples_pretrained.ckpt", lambda p: p.pop("class1"))):
+            cached = ck.load_checkpoint(out / name)
+            edit(cached.params)
+            ck.save_checkpoint(out / name, cached)
         ex.run_experiment(cfg, clock=FakeClock())
         for name in RUN_ARTIFACTS:
             assert (out / name).read_bytes() == clean[name], name

@@ -1,3 +1,6 @@
+import gc as collector
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -228,6 +231,29 @@ class TestSafemaxStep:
         gc.sgd_step(model_b.params, grads, cfg.learning_rate_forget)
         for name, value in model_a.params.items():
             npt.assert_array_equal(value, model_b.params[name])
+
+
+class TestGraphLifetime:
+    def test_update_graph_dies_without_the_cyclic_collector(self, dataset, schedule,
+                                                            monkeypatch):
+        tapes = []
+
+        def recording_tape(*args, **kwargs):
+            tape = gc.Tape(*args, **kwargs)
+            tapes.append(weakref.ref(tape))
+            return tape
+
+        monkeypatch.setattr(ul, "Tape", recording_tape)
+        collector_was_on = collector.isenabled()
+        collector.disable()
+        try:
+            ul.safemax_step(small_model(1), dataset, schedule, base_config(),
+                            np.random.default_rng(0), gc.SGD(0.01, momentum=0.9))
+            assert len(tapes) == 1
+            assert tapes[0]() is None
+        finally:
+            if collector_was_on:
+                collector.enable()
 
 
 class TestRunUnlearning:
