@@ -213,6 +213,28 @@ def scale(a: Node, s: float) -> Node:
     return a.tape._record("scale", [a], s * a.value, backward)
 
 
+def _silu(z: Array) -> tuple[Array, Array]:
+    """silu's value ``z * sigmoid(z)`` and the sigmoid, without overflow."""
+    # The sigmoid's numerator is 1 for z >= 0 and e^z below.
+    ex = np.abs(z)
+    np.negative(ex, out=ex)
+    np.exp(ex, out=ex)
+    sig = np.maximum(ex, z >= 0)
+    ex += 1.0
+    sig /= ex
+    return np.multiply(z, sig, out=ex), sig
+
+
+def _silu_grad(z: Array, sig: Array, g: Array) -> Array:
+    """``g * (sig * (1 + z * (1 - sig)))``, one rounding at a time."""
+    gz = 1.0 - sig
+    gz *= z
+    gz += 1.0
+    gz *= sig
+    gz *= g
+    return gz
+
+
 def dense(h: Node, w: Node, b: Node, kind: str | None = None) -> Node:
     """One layer, ``kind(h @ w + b)``, as a single node with a hand-written backward.
 
@@ -233,26 +255,15 @@ def dense(h: Node, w: Node, b: Node, kind: str | None = None) -> Node:
     z = h.value @ w.value
     z += b.value
     if kind == "silu":
-        # Overflow-free sigmoid: the numerator is 1 for z >= 0 and e^z below.
-        ex = np.abs(z)
-        np.negative(ex, out=ex)
-        np.exp(ex, out=ex)
-        sig = np.maximum(ex, z >= 0)
-        ex += 1.0
-        sig /= ex
-        value = np.multiply(z, sig, out=ex)
+        value, sig = _silu(z)
     elif kind == "relu":
         value = np.maximum(z, 0.0, out=z)  # positive exactly where z was
     else:
         value = z
 
     def backward(g: Array) -> None:
-        if kind == "silu":  # g * (sig * (1 + z * (1 - sig))), one rounding at a time
-            gz = 1.0 - sig
-            gz *= z
-            gz += 1.0
-            gz *= sig
-            gz *= g
+        if kind == "silu":
+            gz = _silu_grad(z, sig, g)
         elif kind == "relu":
             gz = g * (value > 0.0)
         else:

@@ -115,15 +115,30 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[denoiser.DenoiserModel, Noi
     Raises ``CheckpointIntegrityError`` when the architecture or schedule
     entries are unusable or the parameters do not fit the architecture.
     """
+    arch, params = _params_for(ckpt, denoiser.DenoiserArch,
+                               lambda arch, rng: denoiser.init_model(**asdict(arch), rng=rng))
     try:
-        arch = denoiser.DenoiserArch(**{k: int(v) for k, v in ckpt.arch.items()})
-        layout = denoiser.init_model(**asdict(arch), rng=np.random.default_rng(0)).params
         schedule = build_schedule(int(ckpt.schedule["t"]), float(ckpt.schedule["beta_min"]),
                                   float(ckpt.schedule["beta_max"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointIntegrityError(f"checkpoint does not describe a model: {exc!r}") from exc
-    model = denoiser.DenoiserModel(params=param_store_from(ckpt.params, layout), arch=arch)
-    return model, schedule
+        raise CheckpointIntegrityError(f"checkpoint has no usable schedule: {exc!r}") from exc
+    return denoiser.DenoiserModel(params=params, arch=arch), schedule
+
+
+def _params_for(ckpt: Checkpoint, arch_cls, init):
+    """The architecture ``ckpt`` declares and its parameters, checked against that architecture.
+
+    ``init(arch, rng)`` builds a model of ``arch`` whose ``params`` give the
+    expected names and shapes. Raises ``CheckpointIntegrityError`` when the
+    architecture entries are unusable or the parameters do not fit them.
+    """
+    try:
+        arch = arch_cls(**{k: int(v) for k, v in ckpt.arch.items()})
+        layout = init(arch, np.random.default_rng(0)).params
+    except (TypeError, ValueError) as exc:
+        raise CheckpointIntegrityError(f"checkpoint does not describe a {arch_cls.__name__}: "
+                                       f"{exc!r}") from exc
+    return arch, param_store_from(ckpt.params, layout)
 
 
 def pretrain_model(config: ExperimentConfig, train_ds: LabeledDataset,
@@ -194,13 +209,10 @@ def _ensure_classifier(config: ExperimentConfig, cache_dir: Path,
                                   {"d": arch.d, "K": arch.K, "hidden_width": arch.hidden_width})
 
     def use(ckpt):
-        try:
-            arch = ClassifierArch(**{k: int(v) for k, v in ckpt.arch.items()})
-            layout = init_classifier(arch.d, arch.K, arch.hidden_width, np.random.default_rng(0))
-        except (TypeError, ValueError) as exc:
-            raise CheckpointIntegrityError(f"checkpoint does not describe a classifier: "
-                                           f"{exc!r}") from exc
-        clf = Classifier(params=param_store_from(ckpt.params, layout.params), arch=arch)
+        arch, params = _params_for(
+            ckpt, ClassifierArch,
+            lambda arch, rng: init_classifier(arch.d, arch.K, arch.hidden_width, rng))
+        clf = Classifier(params=params, arch=arch)
         gate_classifier(clf, train_ds, ev.classifier_seed)
         return clf
 

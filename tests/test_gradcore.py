@@ -140,11 +140,21 @@ class TestDense:
         self._check_silu_bits(x)
 
     def _check_silu_bits(self, x):
-        """silu through a one-input unit layer, against the masked form of its pre-activation."""
-        h = x.reshape(-1, 1)
-        w, b = np.array([[1.0]]), np.array([0.0])
-        store = make_store(h=h)
+        """``dense``'s silu value and slope at ``x`` itself, then through a one-input unit layer.
+
+        The unit layer alone would not reach -0.0: BLAS sums the product
+        from +0.0, so ``-0.0 @ [[1.0]]`` is +0.0 before the bias is added.
+        """
         with np.errstate(invalid="ignore", over="ignore"):
+            value, slope = self._silu_reference(x)
+            out, sig = gc._silu(x)
+            _assert_same_bits(out, value)
+            _assert_same_bits(gc._silu_grad(x, sig, np.ones_like(x)), slope)
+            assert np.isnan(out[np.isnan(x)]).all()
+
+            h = x.reshape(-1, 1)
+            w, b = np.array([[1.0]]), np.array([-0.0])
+            store = make_store(h=h)
             tape = gc.Tape()
             out = gc.dense(tape.params(store)["h"], tape.constant(w), tape.constant(b), "silu")
             grads = gc.backward(gc.total(out))
@@ -154,7 +164,6 @@ class TestDense:
             grad_h = slope @ w.T
         _assert_same_bits(out.value, value)
         _assert_same_bits(grads["h"], grad_h)
-        assert np.isnan(out.value[np.isnan(h)]).all()
 
     @pytest.mark.parametrize("kind", gc.DENSE_KINDS)
     @pytest.mark.parametrize("rows", [1, 64, 128, 500])
