@@ -143,11 +143,17 @@ def denoiser_forward(tape: Tape, pnodes: dict[str, Node], arch: DenoiserArch,
     return mlp(h, pnodes, arch.hidden_depth, "silu")
 
 
-def predict_eps(model: DenoiserModel, x_t: Array, labels: Array, t: Array) -> Array:
-    """Plain forward pass: the training code path on a tape that records no graph."""
-    tape = Tape(grad=False)
+def predict_eps(model: DenoiserModel, x_t: Array, labels: Array, t: Array,
+                tape: Tape) -> Array:
+    """Plain forward pass: the training code path on a tape that records no graph.
+
+    ``tape``, a ``Tape(grad=False)``, is rewound and its layer buffers reused,
+    so repeated calls at one batch size allocate none. Returns a copy, which
+    the next call leaves intact.
+    """
+    tape.rewind()
     pnodes = tape.params(model.params)
-    return denoiser_forward(tape, pnodes, model.arch, x_t, labels, t).value
+    return denoiser_forward(tape, pnodes, model.arch, x_t, labels, t).value.copy()
 
 
 def train_step(model: DenoiserModel, batch: LatentBatch, optimizer: SGD) -> float:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSampleError, DimensionError, DomainError, NumericError
-from .gradcore import Array, as_array
+from .gradcore import Array, Tape, as_array
 
 LOG_2PI_E = float(np.log(2.0 * np.pi * np.e))
 
@@ -168,7 +168,8 @@ def ancestral_sample(model, c: int, schedule: NoiseSchedule, n: int,
 
     Starts from standard normal noise and iterates
     ``x_{t-1} = (x_t - ((1 - a_t)/sqrt(1 - abar_t)) * eps_hat) / sqrt(a_t) + sigma_t z``
-    with ``sigma_t^2 = beta_t`` and no noise at the final step.
+    with ``sigma_t^2 = beta_t`` and no noise at the final step. The T
+    forward passes share one gradient-free tape, so they share its buffers.
     """
     from .denoiser import predict_eps
 
@@ -181,9 +182,10 @@ def ancestral_sample(model, c: int, schedule: NoiseSchedule, n: int,
         raise DomainError(f"n must be >= 0, got {n}")
     x = rng.standard_normal((n, d))
     labels = np.full(n, c, dtype=np.int64)
+    tape = Tape(grad=False)
     for t in range(schedule.T, 0, -1):
         steps = np.full(n, t, dtype=np.int64)
-        eps_hat = predict_eps(model, x, labels, steps)
+        eps_hat = predict_eps(model, x, labels, steps, tape)
         a_t = schedule.alpha[t - 1]
         abar_t = schedule.alpha_bar[t - 1]
         x = (x - ((1.0 - a_t) / np.sqrt(1.0 - abar_t)) * eps_hat) / np.sqrt(a_t)

@@ -140,7 +140,12 @@ class Tape:
 
     A tape made with ``grad=False`` is for inference: its nodes keep no
     inputs and no backward, so each value is freed as soon as the next op
-    has consumed it, and ``backward`` refuses it.
+    has consumed it, and ``backward`` refuses it. Once ``rewind`` is called
+    it becomes a workspace instead: the n-th buffer ``dense`` or
+    ``concat_cols`` takes in a forward pass is the tape's slot n, allocated
+    on first use and again only when its shape changes. Each ``rewind``
+    starts a pass that overwrites the values of the last one, so a caller
+    copies what it keeps.
 
     Confined to a single worker: a tape, its nodes, and the ParamStore it
     wrapped must not be shared across threads.
@@ -151,6 +156,28 @@ class Tape:
         self.size = 0
         # name -> (id of the wrapped store, weak reference to the leaf, wrapped array)
         self._params: dict[str, tuple[int, weakref.ref, Array]] = {}
+        self._slots: list[Array] | None = None  # a list once the tape is rewound
+        self._next_slot = 0
+
+    def rewind(self) -> None:
+        """Start the next forward pass on a gradient-free tape, reusing its buffers."""
+        if self.grad:
+            raise ContractError("rewind requires a tape made with grad=False")
+        if self._slots is None:
+            self._slots = []
+        self._next_slot = 0
+
+    def _slot(self, shape: tuple[int, ...]) -> Array | None:
+        """This pass's next output buffer, contents undefined; None until the tape is rewound."""
+        if self._slots is None:
+            return None
+        i = self._next_slot
+        self._next_slot += 1
+        if i == len(self._slots):
+            self._slots.append(np.empty(shape))
+        elif self._slots[i].shape != shape:
+            self._slots[i] = np.empty(shape)
+        return self._slots[i]
 
     def _record(self, op: str, inputs: list[Node], value: Array,
                 backward: Callable[[Array], None] | None) -> Node:
@@ -213,16 +240,21 @@ def scale(a: Node, s: float) -> Node:
     return a.tape._record("scale", [a], s * a.value, backward)
 
 
-def _silu(z: Array) -> tuple[Array, Array]:
-    """silu's value ``z * sigmoid(z)`` and the sigmoid, without overflow."""
+def _silu(z: Array, ex: Array | None = None, sig: Array | None = None,
+          out: Array | None = None) -> tuple[Array, Array]:
+    """silu's value ``z * sigmoid(z)`` and the sigmoid, without overflow.
+
+    ``ex`` and ``sig`` are buffers for ``e^-|z|`` and the sigmoid, fresh
+    arrays when omitted; the value lands in ``out``, or else in ``ex``.
+    """
     # The sigmoid's numerator is 1 for z >= 0 and e^z below.
-    ex = np.abs(z)
+    ex = np.abs(z, out=ex)
     np.negative(ex, out=ex)
     np.exp(ex, out=ex)
-    sig = np.maximum(ex, z >= 0)
+    sig = np.maximum(ex, z >= 0, out=sig)
     ex += 1.0
     sig /= ex
-    return np.multiply(z, sig, out=ex), sig
+    return np.multiply(z, sig, out=ex if out is None else out), sig
 
 
 def _silu_grad(z: Array, sig: Array, g: Array) -> Array:
@@ -242,6 +274,8 @@ def dense(h: Node, w: Node, b: Node, kind: str | None = None) -> Node:
     ``kind`` is None (identity), "relu" or "silu". The forward pass works in
     the product's buffer; every value and gradient rounds exactly as the
     product, the row-bias sum and the activation taken as separate steps.
+    On a rewound tape that buffer and silu's two scratch buffers are the
+    tape's slots, so the value is overwritten after the tape rewinds again.
     """
     if kind not in DENSE_KINDS:
         raise DomainError(f"unknown activation kind {kind!r}; expected one of {DENSE_KINDS}")
@@ -252,10 +286,11 @@ def dense(h: Node, w: Node, b: Node, kind: str | None = None) -> Node:
     if b.shape != (w.shape[1],):
         raise DimensionError(f"dense bias must have shape ({w.shape[1]},), got {b.shape}")
     tape = _check_same_tape([h, w, b])
-    z = h.value @ w.value
+    z = np.matmul(h.value, w.value, out=tape._slot((h.shape[0], w.shape[1])))
     z += b.value
-    if kind == "silu":
-        value, sig = _silu(z)
+    if kind == "silu":  # backward needs z, so only a gradient-free tape overwrites it
+        value, sig = _silu(z, tape._slot(z.shape), tape._slot(z.shape),
+                           out=None if tape.grad else z)
     elif kind == "relu":
         value = np.maximum(z, 0.0, out=z)  # positive exactly where z was
     else:
@@ -291,7 +326,7 @@ def total(a: Node) -> Node:
 
 
 def concat_cols(parts: list[Node]) -> Node:
-    """Concatenate rank-2 nodes along columns."""
+    """Concatenate rank-2 nodes along columns, into a slot on a rewound tape."""
     if not parts:
         raise ContractError("concat_cols needs at least one operand")
     tape = _check_same_tape(parts)
@@ -299,8 +334,9 @@ def concat_cols(parts: list[Node]) -> Node:
     for p in parts:
         if p.value.ndim != 2 or p.shape[0] != rows:
             raise DimensionError(f"concat_cols row mismatch: {[p.shape for p in parts]}")
-    value = np.concatenate([p.value for p in parts], axis=1)
     widths = [p.shape[1] for p in parts]
+    value = np.concatenate([p.value for p in parts], axis=1,
+                           out=tape._slot((rows, sum(widths))))
 
     def backward(g: Array) -> None:
         offset = 0

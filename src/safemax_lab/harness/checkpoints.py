@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -110,9 +111,13 @@ def load_checkpoint(path) -> Checkpoint:
     beta = np.frombuffer(reader.take(8 * header["beta_len"]), dtype="<f8").copy()
     params: dict[str, Array] = {}
     for entry in header["params"]:
-        count = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
+        count = math.prod(entry["shape"])  # a Python int, so a huge shape cannot wrap
         flat = np.frombuffer(reader.take(8 * count), dtype="<f8").copy()
-        params[entry["name"]] = flat.reshape(entry["shape"])
+        try:
+            params[entry["name"]] = flat.reshape(entry["shape"])
+        except (ValueError, OverflowError) as exc:  # over numpy's rank or size limits
+            raise CheckpointIntegrityError(
+                f"unusable shape {entry['shape']} for {entry['name']!r}: {exc}") from exc
     if reader.pos != len(payload):
         raise CheckpointIntegrityError("trailing bytes after checkpoint payload")
     return Checkpoint(format_version=version, arch=header["arch"],

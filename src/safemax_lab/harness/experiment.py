@@ -355,10 +355,11 @@ def sweep(config: ExperimentConfig, values, members: int = 3,
     """Run the default method per decay value with shared member seeds; emit a table.
 
     Members reuse one pretrained checkpoint, evaluation classifier and set
-    of pretrained-model samples each (none depends on the swept value). Runs
-    that fail in a pipeline stage are recorded and skipped; medians
-    summarize the successful ones. A decay value the config rejects raises
-    before the first run; any other error propagates.
+    of pretrained-model samples each (none depends on the swept value). A
+    run that fails in a pipeline stage gets the status ``failed:<stage>``
+    and is skipped; medians summarize the successful ones. A decay value
+    the config rejects raises before the first run; any other error
+    propagates.
     """
     values = [float(v) for v in values]
     if not values:
@@ -385,7 +386,7 @@ def sweep(config: ExperimentConfig, values, members: int = 3,
                                         pretrained_dir=member_dir)
             except StageError as exc:  # keep sweeping; mark the failure
                 log.error("sweep member %d value %s failed: %s", k, value, exc)
-                lines.append(f"{value!r},{member_cfg.unlearn.seed},failed,,,,")
+                lines.append(f"{value!r},{member_cfg.unlearn.seed},failed:{exc.stage},,,,")
                 continue
             r = result.post_report
             lines.append(f"{value!r},{member_cfg.unlearn.seed},ok,{r.ua_percent!r},"

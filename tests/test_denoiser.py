@@ -1,4 +1,5 @@
 import gc as collector
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,12 +9,17 @@ import pytest
 from safemax_lab import denoiser as dn
 from safemax_lab import diffusion as df
 from safemax_lab import gradcore as gc
-from safemax_lab.errors import DimensionError, DomainError
+from safemax_lab.errors import ContractError, DimensionError, DomainError
 from safemax_lab.harness import generate_toy_dataset
 
 
 def small_model(seed=0, d=2, K=4, width=16, depth=2, embed=8, T=20):
     return dn.init_model(d, K, width, depth, embed, T, np.random.default_rng(seed))
+
+
+def fresh_eps(model, x, labels, t):
+    """predict_eps on a tape of its own."""
+    return dn.predict_eps(model, x, labels, t, gc.Tape(grad=False))
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +104,8 @@ class TestPredictEps:
         x = np.random.default_rng(0).standard_normal((4, 2))
         labels = np.array([0, 1, 2, 3])
         t = np.array([1, 5, 10, 20])
-        a = dn.predict_eps(model, x, labels, t)
-        b = dn.predict_eps(model, x, labels, t)
+        a = fresh_eps(model, x, labels, t)
+        b = fresh_eps(model, x, labels, t)
         npt.assert_array_equal(a, b)
 
     def test_same_bits_as_the_training_forward(self):
@@ -110,14 +116,57 @@ class TestPredictEps:
         t = rng.integers(1, 21, size=64)
         tape = gc.Tape()
         trained = dn.denoiser_forward(tape, tape.params(model.params), model.arch, x, labels, t)
-        assert dn.predict_eps(model, x, labels, t).tobytes() == trained.value.tobytes()
+        assert fresh_eps(model, x, labels, t).tobytes() == trained.value.tobytes()
+
+    def test_reused_tape_gives_a_fresh_tape_bits(self):
+        model = small_model(3)
+        rng = np.random.default_rng(4)
+        tape = gc.Tape(grad=False)
+        kept = []
+        for rows in (500, 7, 500):
+            x = 3.0 * rng.standard_normal((rows, 2))
+            labels = rng.integers(0, 4, size=rows)
+            t = rng.integers(1, 21, size=rows)
+            out = dn.predict_eps(model, x, labels, t, tape)
+            assert out.tobytes() == fresh_eps(model, x, labels, t).tobytes()
+            kept.append((out, out.copy()))
+        # every result is the caller's own; later calls leave it intact
+        assert all(out.tobytes() == copy.tobytes() for out, copy in kept)
+
+    def test_gradient_tape_rejected(self):
+        model = small_model(0)
+        with pytest.raises(ContractError, match="grad=False"):
+            dn.predict_eps(model, np.zeros((1, 2)), np.array([0]), np.array([1]), gc.Tape())
+
+    def test_reused_tape_allocates_no_layer(self):
+        """At 500 rows a reused tape's second call peaks below one hidden layer's buffer."""
+        model = small_model(1, width=128, depth=3, embed=16, T=100)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((500, 2))
+        labels = rng.integers(0, 4, size=500)
+        t = rng.integers(1, 101, size=500)
+        layer_bytes = 500 * 128 * 8
+        tape = gc.Tape(grad=False)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                dn.predict_eps(model, x, labels, t, tape)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        first_peak, second_peak = peaks
+        # the first call builds the workspace, so the trace does see layer buffers
+        assert second_peak < layer_bytes < first_peak
 
     def test_class_conditioning_changes_output(self):
         model = small_model(4)
         x = np.zeros((1, 2))
         t = np.array([3])
-        out0 = dn.predict_eps(model, x, np.array([0]), t)
-        out1 = dn.predict_eps(model, x, np.array([1]), t)
+        out0 = fresh_eps(model, x, np.array([0]), t)
+        out1 = fresh_eps(model, x, np.array([1]), t)
         assert np.linalg.norm(out0 - out1) > 0
 
     def test_rows_are_independent(self):
@@ -126,25 +175,25 @@ class TestPredictEps:
         x = rng.standard_normal((2, 2))
         labels = np.array([1, 2])
         t = np.array([4, 9])
-        full = dn.predict_eps(model, x, labels, t)
-        first = dn.predict_eps(model, x[:1], labels[:1], t[:1])
+        full = fresh_eps(model, x, labels, t)
+        first = fresh_eps(model, x[:1], labels[:1], t[:1])
         # same row through different batch shapes: equal up to BLAS summation order
         npt.assert_allclose(full[0], first[0], rtol=1e-12, atol=1e-14)
 
     def test_label_out_of_range(self):
         model = small_model(0)
         with pytest.raises(DomainError):
-            dn.predict_eps(model, np.zeros((1, 2)), np.array([4]), np.array([1]))
+            fresh_eps(model, np.zeros((1, 2)), np.array([4]), np.array([1]))
 
     def test_step_out_of_range(self):
         model = small_model(0)
         with pytest.raises(DomainError):
-            dn.predict_eps(model, np.zeros((1, 2)), np.array([0]), np.array([21]))
+            fresh_eps(model, np.zeros((1, 2)), np.array([0]), np.array([21]))
 
     def test_wrong_feature_count(self):
         model = small_model(0)
         with pytest.raises(DimensionError):
-            dn.predict_eps(model, np.zeros((1, 3)), np.array([0]), np.array([1]))
+            fresh_eps(model, np.zeros((1, 3)), np.array([0]), np.array([1]))
 
 
 class TestTrainStep:
@@ -197,7 +246,8 @@ class TestGraphLifetime:
         collector.disable()
         try:
             dn.train_step(model, batch, gc.SGD(0.01, momentum=0.9))
-            dn.predict_eps(model, batch.x_t, batch.labels, batch.t)
+            dn.predict_eps(model, batch.x_t, batch.labels, batch.t,
+                           recording_tape(grad=False))
             assert len(tapes) == 2
             assert [ref() for ref in tapes] == [None, None]
         finally:

@@ -178,7 +178,7 @@ class TestAncestralSample:
     def test_zero_stub_model_stays_finite(self, monkeypatch):
         import safemax_lab.denoiser as dn
         monkeypatch.setattr(dn, "predict_eps",
-                            lambda model, x, labels, t: np.zeros_like(x))
+                            lambda model, x, labels, t, tape: np.zeros_like(x))
         sched = df.build_schedule(100, 1e-4, 0.2)
         out = df.ancestral_sample(_ZeroModel(), 0, sched, 50, np.random.default_rng(0))
         assert out.shape == (50, 2)
@@ -187,7 +187,7 @@ class TestAncestralSample:
     def test_empty_request(self, monkeypatch):
         import safemax_lab.denoiser as dn
         monkeypatch.setattr(dn, "predict_eps",
-                            lambda model, x, labels, t: np.zeros_like(x))
+                            lambda model, x, labels, t, tape: np.zeros_like(x))
         sched = df.build_schedule(10, 0.1, 0.2)
         out = df.ancestral_sample(_ZeroModel(), 1, sched, 0, np.random.default_rng(0))
         assert out.shape == (0, 2)
@@ -196,6 +196,47 @@ class TestAncestralSample:
         sched = df.build_schedule(10, 0.1, 0.2)
         with pytest.raises(DomainError):
             df.ancestral_sample(_ZeroModel(), 4, sched, 1, np.random.default_rng(0))
+
+    @staticmethod
+    def _reference_chain(model, c, schedule, n, rng):
+        """The reverse chain with a fresh gradient-free tape for every forward pass."""
+        from safemax_lab import denoiser as dn
+        from safemax_lab import gradcore as gc
+
+        x = rng.standard_normal((n, model.arch.d))
+        labels = np.full(n, c, dtype=np.int64)
+        for t in range(schedule.T, 0, -1):
+            eps_hat = dn.predict_eps(model, x, labels, np.full(n, t, dtype=np.int64),
+                                     gc.Tape(grad=False))
+            a_t = schedule.alpha[t - 1]
+            abar_t = schedule.alpha_bar[t - 1]
+            x = (x - ((1.0 - a_t) / np.sqrt(1.0 - abar_t)) * eps_hat) / np.sqrt(a_t)
+            if t > 1:
+                x = x + np.sqrt(schedule.beta[t - 1]) * rng.standard_normal(x.shape)
+        return x
+
+    @pytest.mark.parametrize("n", [500, 7])
+    def test_one_tape_per_chain_matches_the_reference_chain(self, monkeypatch, n):
+        import safemax_lab.denoiser as dn
+
+        model = dn.init_model(2, 4, 32, 2, 8, 20, np.random.default_rng(n))
+        sched = df.build_schedule(20, 1e-3, 0.2)
+        expected = [self._reference_chain(model, c, sched, n, np.random.default_rng(c))
+                    for c in (0, 3)]
+        tapes = []
+        predict_eps = dn.predict_eps
+
+        def recording(model, x, labels, t, tape):
+            tapes.append(tape)
+            return predict_eps(model, x, labels, t, tape)
+
+        monkeypatch.setattr(dn, "predict_eps", recording)
+        for c, reference in zip((0, 3), expected):
+            got = df.ancestral_sample(model, c, sched, n, np.random.default_rng(c))
+            assert got.tobytes() == reference.tobytes()
+        chains = [tapes[:sched.T], tapes[sched.T:]]
+        assert all(tape is chain[0] and not tape.grad for chain in chains for tape in chain)
+        assert chains[0][0] is not chains[1][0]
 
 
 class TestLatentEntropyEstimate:

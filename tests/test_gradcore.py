@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -294,6 +296,91 @@ class TestTape:
         other = gc.Tape()
         with pytest.raises(ContractError, match="different tapes"):
             gc.dense(h, other.constant([[1.0]]), other.constant([0.0]))
+
+
+class TestInferenceWorkspace:
+    """A rewound gradient-free tape reuses its buffers and gives a fresh tape's bits."""
+
+    @staticmethod
+    def _values(tape, parts, layers):
+        """Copies of a column concat of ``parts`` and of each ``(w, b, kind)`` dense after it."""
+        node = gc.concat_cols([tape.constant(p) for p in parts])
+        values = [node.value.copy()]
+        for w, b, kind in layers:
+            node = gc.dense(node, tape.constant(w), tape.constant(b), kind)
+            values.append(node.value.copy())
+        return values
+
+    def _check_passes(self, passes):
+        """Run each ``(parts, layers)`` on one rewound tape and on a fresh gradient tape."""
+        tape = gc.Tape(grad=False)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for parts, layers in passes:
+                tape.rewind()
+                got = self._values(tape, parts, layers)
+                expected = self._values(gc.Tape(), parts, layers)
+                assert len(got) == len(expected)
+                for value, ref in zip(got, expected):
+                    _assert_same_bits(value, ref)
+        return tape
+
+    @staticmethod
+    def _layers(rng, kind):
+        return [(rng.standard_normal((5, 32)) / np.sqrt(5), rng.standard_normal(32), kind),
+                (rng.standard_normal((32, 32)) / np.sqrt(32), rng.standard_normal(32), kind)]
+
+    @pytest.mark.parametrize("kind", gc.DENSE_KINDS)
+    @pytest.mark.parametrize("rows", [1, 64, 500])
+    def test_reused_tape_matches_a_fresh_one(self, rows, kind):
+        rng = np.random.default_rng(rows)
+        layers = self._layers(rng, kind)
+        passes = [([3.0 * rng.standard_normal((rows, 2)), rng.standard_normal((rows, 3))], layers)
+                  for _ in range(3)]
+        tape = self._check_passes(passes)
+        # the concat, each layer's product and, for silu, its two scratch buffers
+        assert len(tape._slots) == (7 if kind == "silu" else 3)
+        slots = list(tape._slots)
+        tape.rewind()
+        self._values(tape, passes[0][0], layers)
+        assert all(a is b for a, b in zip(slots, tape._slots))
+
+    def test_shape_change_between_passes(self):
+        rng = np.random.default_rng(7)
+        layers = self._layers(rng, "silu")
+        passes = [([rng.standard_normal((rows, 2)), rng.standard_normal((rows, 3))], layers)
+                  for rows in (500, 7, 500)]
+        self._check_passes(passes)
+
+    def test_tape_never_rewound_frees_each_layer(self):
+        """Until it is rewound a gradient-free tape keeps no buffer of its own."""
+        rng = np.random.default_rng(3)
+        layer_bytes = 500 * 128 * 8
+        tape = gc.Tape(grad=False)
+        w = tape.constant(rng.standard_normal((128, 128)) / np.sqrt(128))
+        b = tape.constant(rng.standard_normal(128))
+        node = tape.constant(rng.standard_normal((500, 128)))
+        tracemalloc.start()
+        try:
+            for _ in range(8):
+                node = gc.dense(node, w, b, "silu")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tape._slots is None
+        # a layer's input, its product and silu's two scratch buffers; not all eight layers
+        assert peak < 5 * layer_bytes
+
+    @pytest.mark.parametrize("kind", gc.DENSE_KINDS)
+    def test_edge_values(self, kind):
+        rng = np.random.default_rng(5)
+        edges = np.array([0.0, np.inf, 745.0, 800.0, 5e-324, 1e308])
+        x = np.concatenate([edges, -edges, [np.nan]]).reshape(-1, 1)
+        # a unit layer with bias -0.0 keeps every input's bits, -0.0 included
+        through_input = ([x], [(np.array([[1.0]]), np.array([-0.0]), kind)])
+        bias = np.concatenate([edges, -edges, [np.nan], 40.0 * rng.standard_normal(19)])
+        through_bias = ([3.0 * rng.standard_normal((64, 8))],
+                        [(rng.standard_normal((8, 32)), bias, kind)])
+        self._check_passes([through_input, through_bias, through_input])
 
 
 class TestMseLoss:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from safemax_lab import denoiser as dn
 from safemax_lab import unlearn as ul
 from safemax_lab.errors import (CheckpointIntegrityError, CheckpointVersionError,
-                                ConfigError, DimensionError, DomainError, StageError)
+                                ConfigError, DimensionError, DomainError, NumericError,
+                                StageError)
 from safemax_lab.harness import checkpoints as ck
 from safemax_lab.harness import config as cf
 from safemax_lab.harness import experiment as ex
@@ -213,14 +214,43 @@ class TestCheckpoints:
         lambda h: h["params"][1].update(name=7),
         lambda h: h["params"][1].update(name="w"),
         lambda h: h["params"].append("w"),
+        lambda h: h["params"][0].update(shape=[2**32, 2**32]),
+        lambda h: h["params"][0].update(shape=[2**62, 4]),
+        lambda h: h["params"][0].update(shape=[0, 2**62]),
+        lambda h: h["params"][0].update(shape=[0, 2**64]),
+        lambda h: h["params"][0].update(shape=[1] * 65),
     ], ids=["no_params", "no_provenance", "beta_len_str", "no_shape", "negative_dim",
-            "float_dim", "name_not_str", "duplicate_name", "entry_not_object"])
+            "float_dim", "name_not_str", "duplicate_name", "entry_not_object",
+            "shape_2e32_by_2e32", "shape_2e62_by_4", "shape_0_by_2e62", "shape_0_by_2e64",
+            "rank_65"])
     def test_checksummed_malformed_header_raises_integrity_error(self, tmp_path, corrupt):
         path = tmp_path / "model.ckpt"
         ck.save_checkpoint(path, _dummy_checkpoint())
         _rewrite_header(path, corrupt)
         with pytest.raises(CheckpointIntegrityError):
             ck.load_checkpoint(path)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_byte_flip_or_truncation_raises_a_checkpoint_error(self, saved_checkpoint, data):
+        path, blob = saved_checkpoint
+        if data.draw(st.booleans(), label="flip"):
+            damaged = bytearray(blob)
+            damaged[data.draw(st.integers(0, len(blob) - 1), label="index")] ^= data.draw(
+                st.integers(1, 255), label="mask")
+        else:
+            damaged = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        path.write_bytes(bytes(damaged))
+        with pytest.raises((CheckpointIntegrityError, CheckpointVersionError)):
+            ck.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """A path to overwrite and the bytes of a valid checkpoint."""
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    ck.save_checkpoint(path, _dummy_checkpoint())
+    return path, path.read_bytes()
 
 
 def _rewrite_header(path, edit) -> None:
@@ -436,6 +466,41 @@ class TestRunExperiment:
         assert (result.outdir / "report.json").exists()
         assert not status.exists()
 
+    def test_rerun_after_a_crash_in_unlearning_matches_a_clean_run(self, tmp_path,
+                                                                   monkeypatch):
+        cfg = replace(tiny_config(tmp_path), output_dir="run")
+        monkeypatch.setenv(ex.OUTPUT_ROOT_ENV, str(tmp_path / "clean"))
+        (tmp_path / "clean").mkdir()
+        out = ex.run_experiment(cfg, clock=FakeClock()).outdir
+        clean = {name: (out / name).read_bytes() for name in RUN_ARTIFACTS}
+
+        monkeypatch.setenv(ex.OUTPUT_ROOT_ENV, str(tmp_path / "crashed"))
+        (tmp_path / "crashed").mkdir()
+        out = tmp_path / "crashed" / "run"
+        step = ul.safemax_step
+        steps = []
+
+        def dies_midway(*args):
+            steps.append(1)
+            if len(steps) == 10:
+                raise RuntimeError("killed")
+            return step(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ul, "safemax_step", dies_midway)
+            with pytest.raises(StageError) as err:
+                ex.run_experiment(cfg, clock=FakeClock())
+        assert err.value.stage == "unlearn"
+        assert json.loads((out / "status.json").read_text())["stage"] == "unlearn"
+        assert not (out / "unlearned.ckpt").exists()
+
+        train_calls = count_calls(monkeypatch, dn, "train")
+        ex.run_experiment(cfg, clock=FakeClock())
+        assert train_calls == []
+        assert not (out / "status.json").exists()
+        for name in RUN_ARTIFACTS:
+            assert (out / name).read_bytes() == clean[name], name
+
     def test_second_run_reuses_classifier_and_pretrained_samples(self, tmp_path, monkeypatch):
         eps_calls = count_calls(monkeypatch, dn, "predict_eps")
         clf_calls = count_calls(monkeypatch, ex, "train_classifier")
@@ -547,7 +612,25 @@ class TestSweep:
                                         classifier_learning_rate=1e-9))
         path = ex.sweep(cfg, [1.0], members=2, clock=FakeClock())
         data = path.read_text().splitlines()[1:]
-        assert [row.split(",")[2] for row in data] == ["failed", "failed"]
+        assert [row.split(",")[2] for row in data] == ["failed:classifier", "failed:classifier"]
+
+    def test_unlearn_failure_names_its_stage_and_spares_other_values(self, tmp_path,
+                                                                      monkeypatch):
+        runner = ul.METHODS["safemax"]
+
+        def diverging(model, dataset, schedule, config):
+            if config.lam == 2.0:
+                raise NumericError("non-finite unlearning objective")
+            return runner(model, dataset, schedule, config)
+
+        cfg = tiny_config(tmp_path)
+        clean = ex.sweep(cfg, [1.0], members=1, clock=FakeClock()).read_text().splitlines()
+        monkeypatch.setitem(ul.METHODS, "safemax", diverging)
+        rows = ex.sweep(cfg, [1.0, 2.0], members=1, clock=FakeClock()).read_text().splitlines()
+        assert [row.split(",")[:3] for row in rows[1:]] == [
+            ["1.0", "2", "ok"], ["2.0", "2", "failed:unlearn"], ["1.0", "median", "ok"]]
+        assert rows[1] == clean[1] and rows[3] == clean[2]
+        assert rows[2] == "2.0,2,failed:unlearn,,,,"
 
     def test_duplicate_values_rejected(self, tmp_path):
         with pytest.raises(DomainError):
