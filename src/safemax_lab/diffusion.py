@@ -142,6 +142,8 @@ def sample_latent_batch(dataset: LabeledDataset, schedule: NoiseSchedule,
         rows = rng.integers(0, dataset.n, size=batch_size)
     else:
         classes = list(classes)
+        if not classes:
+            raise DomainError("classes must name at least one class")
         pools = []
         for c in classes:
             idx = dataset.class_indices(int(c))

@@ -247,11 +247,15 @@ def _silu(z: Array, ex: Array | None = None, sig: Array | None = None,
     ``ex`` and ``sig`` are buffers for ``e^-|z|`` and the sigmoid, fresh
     arrays when omitted; the value lands in ``out``, or else in ``ex``.
     """
-    # The sigmoid's numerator is 1 for z >= 0 and e^z below.
+    # The sigmoid's numerator is 1 for z >= 0 and e^z below; the mask z >= 0
+    # is written into the sigmoid's own buffer as 1.0 or 0.0.
     ex = np.abs(z, out=ex)
     np.negative(ex, out=ex)
     np.exp(ex, out=ex)
-    sig = np.maximum(ex, z >= 0, out=sig)
+    if sig is None:
+        sig = np.empty_like(z)
+    np.greater_equal(z, 0.0, out=sig)
+    np.maximum(ex, sig, out=sig)
     ex += 1.0
     sig /= ex
     return np.multiply(z, sig, out=ex if out is None else out), sig
@@ -345,6 +349,21 @@ def concat_cols(parts: list[Node]) -> Node:
             offset += width
 
     return tape._record("concat", list(parts), value, backward)
+
+
+def rows(a: Node, start: int, stop: int) -> Node:
+    """Rows ``start:stop`` of ``a``; the gradient lands in those rows of a zero array."""
+    if a.value.ndim == 0:
+        raise DimensionError("rows needs at least one axis")
+    if not 0 <= start < stop <= a.shape[0]:
+        raise DimensionError(f"rows {start}:{stop} outside a node of {a.shape[0]} rows")
+
+    def backward(g: Array) -> None:
+        full = np.zeros_like(a.value)
+        full[start:stop] = g
+        a.accumulate(full)
+
+    return a.tape._record("rows", [a], a.value[start:stop], backward)
 
 
 def embedding(table: Node, ids) -> Node:

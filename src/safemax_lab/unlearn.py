@@ -117,38 +117,22 @@ def _single_class(batch: LatentBatch) -> int:
     return int(classes[0])
 
 
-def forget_loss(model: DenoiserModel, forget_batch: LatentBatch, schedule: NoiseSchedule,
-                lam: float, epsT_mode: str, rng: np.random.Generator,
-                tape: Tape | None = None,
-                pnodes: dict[str, Node] | None = None) -> tuple[Node, Array]:
-    """Decay-weighted regression of the forget-conditioned output onto terminal noise.
+def forget_loss(pred: Node, forget_batch: LatentBatch, schedule: NoiseSchedule,
+                lam: float, epsT_mode: str, rng: np.random.Generator) -> tuple[Node, Array]:
+    """Decay-weighted regression of ``pred``, the forget-conditioned output, onto terminal noise.
 
     Returns the loss node and the per-row decay weights it applied."""
     _single_class(forget_batch)
-    if tape is None:
-        tape = Tape()
-    if pnodes is None:
-        pnodes = tape.params(model.params)
     weights = np.asarray(psi(forget_batch.t, schedule.T, lam), dtype=np.float64)
     target = epsT_target(forget_batch.x0, forget_batch.x_t, forget_batch.t,
                          schedule, epsT_mode, rng)
-    pred = denoiser_forward(tape, pnodes, model.arch,
-                            forget_batch.x_t, forget_batch.labels, forget_batch.t)
     return gc.mse_loss(pred, target, weights=weights), weights
 
 
-def retain_loss(model: DenoiserModel, retain_batch: LatentBatch,
-                tape: Tape | None = None, pnodes: dict[str, Node] | None = None,
-                forget_class: int | None = None) -> Node:
-    """Ordinary noise regression on retained classes (regular fine-tuning)."""
+def retain_loss(pred: Node, retain_batch: LatentBatch, forget_class: int | None = None) -> Node:
+    """Ordinary noise regression of ``pred``, the retained rows' prediction (fine-tuning)."""
     if forget_class is not None and np.any(retain_batch.labels == forget_class):
         raise ContractError(f"retain batch contains forget class {forget_class}")
-    if tape is None:
-        tape = Tape()
-    if pnodes is None:
-        pnodes = tape.params(model.params)
-    pred = denoiser_forward(tape, pnodes, model.arch,
-                            retain_batch.x_t, retain_batch.labels, retain_batch.t)
     return gc.mse_loss(pred, retain_batch.eps)
 
 
@@ -167,20 +151,26 @@ def _retained_classes(dataset: LabeledDataset, forget_class: int) -> list[int]:
 def _update(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedule,
             config: UnlearnConfig, rng: np.random.Generator, optimizer: SGD,
             source_class: int, forget_objective) -> StepRecord:
-    """One combined update: ``forget_objective(batch, tape, pnodes)`` gives the forget
-    loss node and row weights for a ``source_class`` batch; retained classes fine-tune.
+    """One combined update on a ``source_class`` batch and a retained-class batch.
 
-    The rng is drawn in a fixed order: forget batch, retain batch, then any
-    draw inside ``forget_objective``."""
+    Both batches go through one denoiser pass, the forget rows first and
+    conditioned on the forget class. ``forget_objective(batch, pred)`` gives
+    the forget loss node and row weights from the forget rows' prediction;
+    the retain rows fine-tune. The rng is drawn in a fixed order: forget
+    batch, retain batch, then any draw inside ``forget_objective``."""
     retained = _retained_classes(dataset, config.forget_class)
     f_batch = sample_latent_batch(dataset, schedule, config.batch_size_forget, rng,
                                   classes=[source_class])
     r_batch = sample_latent_batch(dataset, schedule, config.batch_size_retain, rng,
                                   classes=retained)
+    n_f = f_batch.size
+    labels = np.concatenate([np.full(n_f, config.forget_class, dtype=np.int64), r_batch.labels])
     tape = Tape()
-    pnodes = tape.params(model.params)
-    f_loss, weights = forget_objective(f_batch, tape, pnodes)
-    r_loss = retain_loss(model, r_batch, tape=tape, pnodes=pnodes,
+    pred = denoiser_forward(tape, tape.params(model.params), model.arch,
+                            np.concatenate([f_batch.x_t, r_batch.x_t]), labels,
+                            np.concatenate([f_batch.t, r_batch.t]))
+    f_loss, weights = forget_objective(f_batch, gc.rows(pred, 0, n_f))
+    r_loss = retain_loss(gc.rows(pred, n_f, pred.shape[0]), r_batch,
                          forget_class=config.forget_class)
     # Separate rates fold into one update: step with lr_forget on
     # f + (lr_retain / lr_forget) * r. Equal rates give the plain unit sum.
@@ -211,9 +201,8 @@ def _run(model: DenoiserModel, config: UnlearnConfig, step) -> tuple[DenoiserMod
 def safemax_step(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedule,
                  config: UnlearnConfig, rng: np.random.Generator, optimizer: SGD) -> StepRecord:
     """One combined update: forget batch on the terminal-noise target, retain batch on regular fine-tuning."""
-    def objective(batch: LatentBatch, tape: Tape, pnodes: dict[str, Node]):
-        return forget_loss(model, batch, schedule, config.lam, config.epsT_mode, rng,
-                           tape=tape, pnodes=pnodes)
+    def objective(batch: LatentBatch, pred: Node):
+        return forget_loss(pred, batch, schedule, config.lam, config.epsT_mode, rng)
 
     return _update(model, dataset, schedule, config, rng, optimizer, config.forget_class, objective)
 
@@ -239,9 +228,8 @@ def baseline_relabel_step(model: DenoiserModel, dataset: LabeledDataset,
     if not 0 <= target_class < dataset.K:
         raise DomainError(f"target_class {target_class} outside [0, {dataset.K})")
 
-    def objective(donor: LatentBatch, tape: Tape, pnodes: dict[str, Node]):
-        labels = np.full(donor.size, config.forget_class, dtype=np.int64)
-        pred = denoiser_forward(tape, pnodes, model.arch, donor.x_t, labels, donor.t)
+    def objective(donor: LatentBatch, pred: Node):
+        # ``pred`` is the donor rows' prediction under the forget-class condition.
         return gc.mse_loss(pred, donor.eps), 1.0
 
     return _update(model, dataset, schedule, config, rng, optimizer, target_class, objective)

@@ -134,6 +134,11 @@ class TestSampleLatentBatch:
             df.sample_latent_batch(toy_dataset, sched, 8, np.random.default_rng(0),
                                    classes=[1, 9])
 
+    def test_no_classes_rejected(self, toy_dataset):
+        sched = df.build_schedule(10, 0.1, 0.2)
+        with pytest.raises(DomainError):
+            df.sample_latent_batch(toy_dataset, sched, 8, np.random.default_rng(0), classes=[])
+
     def test_batch_size_zero_rejected(self, toy_dataset):
         sched = df.build_schedule(10, 0.1, 0.2)
         with pytest.raises(DomainError):

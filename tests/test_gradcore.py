@@ -257,6 +257,56 @@ class TestAccumulate:
         npt.assert_array_equal(joined.grad, 2.0 * np.concatenate([x, x], axis=1))
 
 
+class TestRows:
+    def test_value_is_the_row_range(self):
+        x = np.arange(12.0).reshape(4, 3)
+        out = gc.rows(gc.Tape().constant(x), 1, 3)
+        npt.assert_array_equal(out.value, x[1:3])
+
+    def test_gradient_only_in_its_rows(self):
+        x = np.random.default_rng(2).standard_normal((5, 3))
+        node = gc.Tape().params(make_store(x=x))["x"]
+        grads = gc.backward(gc.total(gc.square(gc.rows(node, 1, 3))))
+        expected = np.zeros_like(x)
+        expected[1:3] = 2.0 * x[1:3]
+        npt.assert_array_equal(grads["x"], expected)
+
+    def test_two_ranges_of_one_node_sum_their_gradients(self):
+        # disjoint ranges fill their own rows; overlapping ones add
+        x = np.random.default_rng(3).standard_normal((6, 2))
+        node = gc.Tape().params(make_store(x=x))["x"]
+        loss = gc.add(gc.total(gc.rows(node, 0, 4)), gc.total(gc.square(gc.rows(node, 2, 6))))
+        expected = np.ones_like(x)
+        expected[4:] = 0.0
+        expected[2:] += 2.0 * x[2:]
+        npt.assert_array_equal(gc.backward(loss)["x"], expected)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(12)
+        store = make_store(h=rng.standard_normal((7, 4)), w=rng.standard_normal((4, 3)) / 2.0,
+                           b=0.1 * rng.standard_normal(3))
+        t_a, t_b = rng.standard_normal((3, 3)), rng.standard_normal((4, 3))
+        weights = rng.uniform(0.1, 2.0, size=3)
+
+        def loss_fn(tape, params):
+            p = tape.params(params)
+            out = gc.dense(p["h"], p["w"], p["b"], "silu")
+            return gc.add(gc.mse_loss(gc.rows(out, 0, 3), t_a, weights=weights),
+                          gc.scale(gc.mse_loss(gc.rows(out, 3, 7), t_b), 0.5))
+
+        assert gc.grad_check(loss_fn, store, probes=60, rng=rng) < 1e-6
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (0, 5), (2, 2), (3, 1)])
+    def test_bad_range_rejected(self, start, stop):
+        node = gc.Tape().constant(np.zeros((4, 2)))
+        with pytest.raises(DimensionError):
+            gc.rows(node, start, stop)
+
+    def test_scalar_rejected(self):
+        with pytest.raises(DimensionError):
+            gc.rows(gc.Tape().constant(1.0), 0, 1)
+
+
 class TestTape:
     def test_wrapping_a_store_again_gives_the_same_leaves(self):
         store = make_store(a=np.ones(2), b=np.ones(3))

@@ -34,6 +34,13 @@ def forget_batch(dataset, schedule, n=16, seed=0, c=0):
                                   classes=[c])
 
 
+def prediction(model, batch, labels=None):
+    """The denoiser's prediction for ``batch`` on a fresh tape, as a node."""
+    tape = gc.Tape()
+    return dn.denoiser_forward(tape, tape.params(model.params), model.arch, batch.x_t,
+                               batch.labels if labels is None else labels, batch.t)
+
+
 def base_config(**overrides):
     kwargs = dict(forget_class=0, lam=1.0, steps=3, learning_rate_forget=0.01,
                   learning_rate_retain=0.01, batch_size_forget=8, batch_size_retain=8,
@@ -119,8 +126,8 @@ class TestForgetLoss:
     def test_no_decay_reduces_to_plain_mse(self, dataset, schedule):
         model = small_model()
         batch = forget_batch(dataset, schedule, n=8, seed=7)
-        loss_a, _ = ul.forget_loss(model, batch, schedule, 0.0, "independent",
-                                   np.random.default_rng(42))
+        loss_a, _ = ul.forget_loss(prediction(model, batch), batch, schedule, 0.0,
+                                   "independent", np.random.default_rng(42))
         target = ul.epsT_target(batch.x0, batch.x_t, batch.t, schedule, "independent",
                                 np.random.default_rng(42))
         tape = gc.Tape()
@@ -134,7 +141,7 @@ class TestForgetLoss:
         batch = df.sample_latent_batch(dataset, schedule, 16, np.random.default_rng(1))
         assert len(np.unique(batch.labels)) > 1
         with pytest.raises(ContractError):
-            ul.forget_loss(model, batch, schedule, 1.0, "independent",
+            ul.forget_loss(prediction(model, batch), batch, schedule, 1.0, "independent",
                            np.random.default_rng(0))
 
     def test_gradient_matches_finite_differences(self, dataset, schedule):
@@ -160,7 +167,7 @@ class TestRetainLoss:
         model = small_model(4)
         batch = df.sample_latent_batch(dataset, schedule, 16, np.random.default_rng(2),
                                        classes=[1, 2, 3])
-        loss = ul.retain_loss(model, batch)
+        loss = ul.retain_loss(prediction(model, batch), batch)
         tape = gc.Tape()
         pnodes = tape.params(model.params)
         pred = dn.denoiser_forward(tape, pnodes, model.arch, batch.x_t, batch.labels, batch.t)
@@ -172,7 +179,7 @@ class TestRetainLoss:
         model = small_model(4)
         batch = forget_batch(dataset, schedule, c=0)
         with pytest.raises(ContractError):
-            ul.retain_loss(model, batch, forget_class=0)
+            ul.retain_loss(prediction(model, batch), batch, forget_class=0)
 
 
 class TestSafemaxStep:
@@ -190,47 +197,101 @@ class TestSafemaxStep:
             ul.safemax_step(model, ds, schedule, base_config(forget_class=7),
                             np.random.default_rng(0), gc.SGD(0.01, momentum=0.0))
 
-    @pytest.mark.parametrize("retain_rate", [0.01, 0.02], ids=["equal", "retain2x"])
-    @pytest.mark.parametrize("method", ["safemax", "relabel"])
-    def test_update_is_one_step_on_summed_objective(self, dataset, schedule, method,
-                                                    retain_rate):
-        # the update equals one plain step on forget + (lr_retain / lr_forget) * retain
-        cfg = base_config(learning_rate_retain=retain_rate)
-        model_a = small_model(6)
-        model_b = model_a.copy()
+    @staticmethod
+    def _step(method, model, dataset, schedule, cfg, seed):
         opt = gc.SGD(cfg.learning_rate_forget, momentum=0.0)
         if method == "safemax":
-            ul.safemax_step(model_a, dataset, schedule, cfg, np.random.default_rng(33), opt)
-        else:
-            ul.baseline_relabel_step(model_a, dataset, schedule, cfg, 2,
-                                     np.random.default_rng(33), opt)
+            return ul.safemax_step(model, dataset, schedule, cfg, np.random.default_rng(seed), opt)
+        return ul.baseline_relabel_step(model, dataset, schedule, cfg, 2,
+                                        np.random.default_rng(seed), opt)
 
-        rng = np.random.default_rng(33)
-        retained = [1, 2, 3]
+    @staticmethod
+    def _batches(method, dataset, schedule, cfg, rng):
+        """The step's forget (or donor) and retain batches, drawn in its rng order."""
         source = 0 if method == "safemax" else 2
         f_batch = df.sample_latent_batch(dataset, schedule, cfg.batch_size_forget, rng,
                                          classes=[source])
         r_batch = df.sample_latent_batch(dataset, schedule, cfg.batch_size_retain, rng,
-                                         classes=retained)
-        tape = gc.Tape()
-        pnodes = tape.params(model_b.params)
+                                         classes=[1, 2, 3])
+        return f_batch, r_batch
+
+    @staticmethod
+    def _forget_loss(method, pred, f_batch, schedule, cfg, rng):
         if method == "safemax":
-            f_loss, _ = ul.forget_loss(model_b, f_batch, schedule, cfg.lam, cfg.epsT_mode, rng,
-                                       tape=tape, pnodes=pnodes)
-        else:
-            # donor rows from the target class, conditioned on the forget class
-            labels = np.full(f_batch.size, cfg.forget_class)
-            pred = dn.denoiser_forward(tape, pnodes, model_b.arch, f_batch.x_t, labels, f_batch.t)
-            f_loss = gc.mse_loss(pred, f_batch.eps)
-        r_loss = ul.retain_loss(model_b, r_batch, tape=tape, pnodes=pnodes)
-        if retain_rate == cfg.learning_rate_forget:
-            objective = gc.add(f_loss, r_loss)
-        else:
-            objective = gc.add(f_loss, gc.scale(r_loss, 2.0))
-        grads = gc.backward(objective)
+            return ul.forget_loss(pred, f_batch, schedule, cfg.lam, cfg.epsT_mode, rng)[0]
+        return gc.mse_loss(pred, f_batch.eps)  # donor rows regress their own noise
+
+    @staticmethod
+    def _summed(f_loss, r_loss, cfg):
+        ratio = cfg.learning_rate_retain / cfg.learning_rate_forget
+        return gc.add(f_loss, r_loss) if ratio == 1.0 else gc.add(f_loss, gc.scale(r_loss, ratio))
+
+    @pytest.mark.parametrize("retain_rate", [0.01, 0.02], ids=["equal", "retain2x"])
+    @pytest.mark.parametrize("method", ["safemax", "relabel"])
+    def test_update_is_one_step_on_summed_objective(self, dataset, schedule, method,
+                                                    retain_rate):
+        # the update equals one plain step on forget + (lr_retain / lr_forget) * retain,
+        # both read from one forward over the forget rows followed by the retain rows
+        cfg = base_config(learning_rate_retain=retain_rate)
+        model_a = small_model(6)
+        model_b = model_a.copy()
+        self._step(method, model_a, dataset, schedule, cfg, 33)
+
+        rng = np.random.default_rng(33)
+        f_batch, r_batch = self._batches(method, dataset, schedule, cfg, rng)
+        n_f = f_batch.size
+        # forget (or donor) rows are conditioned on the forget class
+        labels = np.concatenate([np.full(n_f, cfg.forget_class), r_batch.labels])
+        tape = gc.Tape()
+        pred = dn.denoiser_forward(tape, tape.params(model_b.params), model_b.arch,
+                                   np.concatenate([f_batch.x_t, r_batch.x_t]), labels,
+                                   np.concatenate([f_batch.t, r_batch.t]))
+        f_loss = self._forget_loss(method, gc.rows(pred, 0, n_f), f_batch, schedule, cfg, rng)
+        r_loss = ul.retain_loss(gc.rows(pred, n_f, pred.shape[0]), r_batch)
+        grads = gc.backward(self._summed(f_loss, r_loss, cfg))
         gc.sgd_step(model_b.params, grads, cfg.learning_rate_forget)
         for name, value in model_a.params.items():
             npt.assert_array_equal(value, model_b.params[name])
+
+    @pytest.mark.parametrize("retain_rate", [0.01, 0.02], ids=["equal", "retain2x"])
+    @pytest.mark.parametrize("method", ["safemax", "relabel"])
+    def test_update_matches_two_pass_objective(self, dataset, schedule, method, retain_rate):
+        # a separate forward and loss per batch differs from the one-pass step only by
+        # the summation order of the weight gradients
+        cfg = base_config(learning_rate_retain=retain_rate, batch_size_forget=64,
+                          batch_size_retain=64)
+        model_a = small_model(6)
+        model_b = model_a.copy()
+        self._step(method, model_a, dataset, schedule, cfg, 34)
+
+        rng = np.random.default_rng(34)
+        f_batch, r_batch = self._batches(method, dataset, schedule, cfg, rng)
+        tape = gc.Tape()
+        pnodes = tape.params(model_b.params)
+        f_pred = dn.denoiser_forward(tape, pnodes, model_b.arch, f_batch.x_t,
+                                     np.full(f_batch.size, cfg.forget_class), f_batch.t)
+        r_pred = dn.denoiser_forward(tape, pnodes, model_b.arch, r_batch.x_t, r_batch.labels,
+                                     r_batch.t)
+        f_loss = self._forget_loss(method, f_pred, f_batch, schedule, cfg, rng)
+        r_loss = ul.retain_loss(r_pred, r_batch)
+        grads = gc.backward(self._summed(f_loss, r_loss, cfg))
+        gc.sgd_step(model_b.params, grads, cfg.learning_rate_forget)
+        for name, value in model_a.params.items():
+            npt.assert_allclose(value, model_b.params[name], rtol=1e-12)
+
+    @pytest.mark.parametrize("method", ["safemax", "relabel"])
+    def test_logged_losses_equal_separate_batch_losses(self, dataset, schedule, method):
+        cfg = base_config(batch_size_forget=64, batch_size_retain=64)
+        model = small_model(10)
+        record = self._step(method, model.copy(), dataset, schedule, cfg, 35)
+
+        rng = np.random.default_rng(35)
+        f_batch, r_batch = self._batches(method, dataset, schedule, cfg, rng)
+        f_pred = prediction(model, f_batch, labels=np.full(f_batch.size, cfg.forget_class))
+        f_loss = self._forget_loss(method, f_pred, f_batch, schedule, cfg, rng)
+        r_loss = ul.retain_loss(prediction(model, r_batch), r_batch)
+        npt.assert_allclose(record.forget_loss, float(f_loss.value), rtol=1e-12)
+        npt.assert_allclose(record.retain_loss, float(r_loss.value), rtol=1e-12)
 
 
 class TestGraphLifetime:
