@@ -3,10 +3,10 @@
 __version__ = "0.1.0"
 
 from .diffusion import (LabeledDataset, LatentBatch, NoiseSchedule, ancestral_sample,
-                        build_schedule, forward_sample, interclass_distance,
-                        latent_entropy_estimate, sample_latent_batch)
-from .denoiser import (DenoiserArch, DenoiserModel, TrainConfig, init_model,
-                       predict_eps, timestep_embedding, train, train_step)
+                        build_schedule, interclass_distance, latent_entropy_estimate,
+                        sample_latent_batch)
+from .denoiser import (DenoiserArch, DenoiserModel, TrainConfig, init_model, predict_eps,
+                       train, train_step)
 from .evaluation import (Classifier, EvalReport, FanoDiagnostic, differential_entropy_gaussian,
                          differential_entropy_uniform, evaluate, fano_bound,
                          frechet_distance, prediction_entropy, train_classifier,

@@ -49,33 +49,20 @@ class TrainConfig:
             raise DomainError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise DomainError(f"learning_rate must be > 0, got {self.learning_rate}")
-
-
-def timestep_embedding(t: int, embed_dim: int) -> Array:
-    """Sinusoidal features for one step: interleaved sin/cos over geometric frequencies."""
-    if embed_dim < 2 or embed_dim % 2 != 0:
-        raise DomainError(f"embed_dim must be a positive even number, got {embed_dim}")
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    return _timestep_embedding_rows(np.asarray([t], dtype=np.int64), embed_dim)[0]
-
-
-def _timestep_embedding_rows(t: Array, embed_dim: int) -> Array:
-    half = embed_dim // 2
-    freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
-    angles = t[:, None].astype(np.float64) * freqs[None, :]
-    out = np.empty((len(t), embed_dim))
-    out[:, 0::2] = np.sin(angles)
-    out[:, 1::2] = np.cos(angles)
-    return out
 
 
 @functools.lru_cache(maxsize=8)
 def _timestep_embedding_table(T: int, embed_dim: int) -> Array:
-    """Read-only ``timestep_embedding`` rows for every step 0..T, indexed by step."""
-    table = _timestep_embedding_rows(np.arange(T + 1), embed_dim)
+    """Read-only sinusoidal features for every step 0..T, indexed by step:
+    interleaved sin/cos over geometric frequencies."""
+    half = embed_dim // 2
+    freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
+    angles = np.arange(T + 1)[:, None].astype(np.float64) * freqs[None, :]
+    table = np.empty((T + 1, embed_dim))
+    table[:, 0::2] = np.sin(angles)
+    table[:, 1::2] = np.cos(angles)
     table.setflags(write=False)
     return table
 

@@ -28,11 +28,6 @@ class NoiseSchedule:
     def T(self) -> int:
         return len(self.beta)
 
-    def alpha_bar_at(self, t: int) -> float:
-        if not 1 <= t <= self.T:
-            raise DomainError(f"step t={t} outside [1, {self.T}]")
-        return float(self.alpha_bar[t - 1])
-
 
 def build_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSchedule:
     """Linear beta schedule from beta_min to beta_max over T steps."""
@@ -109,18 +104,8 @@ class LatentBatch:
         return self.x_t.shape[0]
 
 
-def forward_sample(x0: Array, t: int, schedule: NoiseSchedule, eps: Array) -> Array:
-    """Noised latent at step t: sqrt(abar_t) * x0 + sqrt(1 - abar_t) * eps."""
-    x0 = as_array(x0)
-    eps = as_array(eps)
-    if eps.shape != x0.shape:
-        raise DimensionError(f"eps shape {eps.shape} != x0 shape {x0.shape}")
-    abar = schedule.alpha_bar_at(int(t))
-    return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
-
-
 def _forward_sample_rows(x0: Array, t: Array, schedule: NoiseSchedule, eps: Array) -> Array:
-    """Row-wise forward_sample for a vector of steps."""
+    """Noised latents, row i at step t[i]: sqrt(abar_t) * x0 + sqrt(1 - abar_t) * eps."""
     abar = schedule.alpha_bar[t - 1][:, None]
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
 

@@ -61,7 +61,7 @@ class FanoDiagnostic:
     pe_lower_bound: float
 
 
-def _classifier_logits(tape: Tape, pnodes, arch: ClassifierArch, x: Array):
+def _classifier_logits(tape: Tape, pnodes, x: Array):
     return mlp(tape.constant(x), pnodes, _CLASSIFIER_DEPTH, "relu")
 
 
@@ -72,7 +72,7 @@ def predict_proba(classifier: Classifier, samples: Array) -> Array:
         raise DimensionError(f"samples must have shape (n, {classifier.arch.d})")
     tape = Tape(grad=False)
     pnodes = tape.params(classifier.params)
-    logits = _classifier_logits(tape, pnodes, classifier.arch, samples).value
+    logits = _classifier_logits(tape, pnodes, samples).value
     shifted = logits - logits.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     return expd / expd.sum(axis=1, keepdims=True)
@@ -81,10 +81,6 @@ def predict_proba(classifier: Classifier, samples: Array) -> Array:
 def classify(classifier: Classifier, samples: Array) -> Array:
     """Argmax class per sample; ties resolve to the lowest class id."""
     return np.argmax(predict_proba(classifier, samples), axis=1)
-
-
-def _accuracy(classifier: Classifier, points: Array, labels: Array) -> float:
-    return float(np.mean(classify(classifier, points) == labels))
 
 
 def init_classifier(d: int, K: int, hidden_width: int, rng: np.random.Generator) -> Classifier:
@@ -114,7 +110,8 @@ def _init_and_split(dataset: LabeledDataset, hidden_width: int, seed: int):
 
 
 def _gate(classifier: Classifier, dataset: LabeledDataset, held_idx: Array) -> None:
-    held_acc = _accuracy(classifier, dataset.points[held_idx], dataset.labels[held_idx])
+    held_acc = float(np.mean(classify(classifier, dataset.points[held_idx])
+                             == dataset.labels[held_idx]))
     if held_acc < 0.98:
         raise EvaluatorQualityError(
             f"classifier held-out accuracy {held_acc:.3f} below the 0.98 gate")
@@ -128,14 +125,13 @@ def train_classifier(dataset: LabeledDataset, hidden_width: int, steps: int,
     evaluators from ever producing an unlearning-accuracy number.
     """
     clf, rng, train_idx, held_idx = _init_and_split(dataset, hidden_width, seed)
-    arch = clf.arch
     opt = SGD(lr, momentum=0.9)
     batch = min(128, train_idx.size)
     for _ in range(steps):
         rows = train_idx[rng.integers(0, train_idx.size, size=batch)]
         tape = Tape()
         pnodes = tape.params(clf.params)
-        logits = _classifier_logits(tape, pnodes, arch, dataset.points[rows])
+        logits = _classifier_logits(tape, pnodes, dataset.points[rows])
         loss = gc.softmax_cross_entropy(logits, dataset.labels[rows])
         if not np.isfinite(loss.value):
             raise NumericError("non-finite classifier loss")
@@ -154,7 +150,7 @@ def gate_classifier(classifier: Classifier, dataset: LabeledDataset, seed: int) 
 def classifier_loss_node(tape: Tape, classifier: Classifier, points: Array, labels: Array):
     """Cross-entropy loss node on given data; used for gradient validation."""
     pnodes = tape.params(classifier.params)
-    logits = _classifier_logits(tape, pnodes, classifier.arch, points)
+    logits = _classifier_logits(tape, pnodes, points)
     return gc.softmax_cross_entropy(logits, labels)
 
 

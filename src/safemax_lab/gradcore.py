@@ -123,9 +123,6 @@ class ParamStore:
         dup._bind_views()
         return dup
 
-    def total_size(self) -> int:
-        return self.flat.size
-
 
 Gradients = dict[str, Array]
 
@@ -312,21 +309,6 @@ def dense(h: Node, w: Node, b: Node, kind: str | None = None) -> Node:
         w.accumulate(h.value.T @ gz)
 
     return tape._record("dense", [h, w, b], value, backward)
-
-
-def square(a: Node) -> Node:
-    def backward(g: Array) -> None:
-        a.accumulate(g * (2.0 * a.value))
-
-    return a.tape._record("square", [a], a.value * a.value, backward)
-
-
-def total(a: Node) -> Node:
-    """Sum of all elements, as a scalar node."""
-    def backward(g: Array) -> None:
-        a.accumulate(np.full_like(a.value, float(g)))
-
-    return a.tape._record("total", [a], np.asarray(a.value.sum()), backward)
 
 
 def concat_cols(parts: list[Node]) -> Node:
@@ -532,7 +514,7 @@ class SGD:
     """
 
     def __init__(self, learning_rate: float, momentum: float = 0.9):
-        if learning_rate <= 0.0:
+        if not learning_rate > 0.0:
             raise DomainError(f"learning_rate must be positive, got {learning_rate}")
         if not (0.0 <= momentum < 1.0):
             raise DomainError(f"momentum must lie in [0, 1), got {momentum}")
@@ -543,9 +525,7 @@ class SGD:
     def step(self, params: ParamStore, grads: Gradients) -> ParamStore:
         # A fresh array, so the in-place updates below leave `grads` intact.
         g = np.concatenate([grads[name].reshape(-1) for name in params.names()])
-        if self.momentum == 0.0:
-            step = np.multiply(g, self.learning_rate, out=g)
-        elif self._velocity is None:
+        if self._velocity is None:
             self._velocity = g
             step = self.learning_rate * g
         else:  # rounds exactly as `momentum * v + g`

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CheckpointIntegrityError, CheckpointVersionError
-from ..gradcore import Array, ParamStore
+from ..gradcore import Array
 
 MAGIC = b"SMAXLAB\x00"
 FORMAT_VERSION = 1
@@ -143,19 +143,3 @@ def _check_header(header) -> None:
                 and entry["name"] not in names):
             raise CheckpointIntegrityError(f"malformed params entry {entry!r}")
         names.add(entry["name"])
-
-
-def param_store_from(params: dict[str, Array], like: ParamStore) -> ParamStore:
-    """``like``, overwritten with ``params``, whose names and shapes must match it.
-
-    ``like`` is a freshly initialized store of the architecture a checkpoint
-    header declares; a mismatch means the checkpoint is corrupt.
-    """
-    expected = {name: value.shape for name, value in like.items()}
-    found = {name: np.shape(value) for name, value in params.items()}
-    if found != expected:
-        raise CheckpointIntegrityError(
-            f"parameters {found} disagree with the architecture's {expected}")
-    for name in expected:
-        like[name] = params[name]
-    return like

@@ -12,7 +12,7 @@ import numpy as np
 
 from .. import unlearn
 from ..diffusion import ancestral_sample
-from ..errors import ConfigError
+from ..errors import ConfigError, DomainError
 from .checkpoints import load_checkpoint
 from .config import ExperimentConfig, default_config, parse_config
 from .experiment import (build_world, ensure_pretrained, model_from_checkpoint,
@@ -62,7 +62,10 @@ def _cmd_sample(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    values = [float(v) for v in args.lam.split(",") if v.strip() != ""]
+    try:
+        values = [float(v) for v in args.lam.split(",") if v.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"--lambda: cannot parse {args.lam!r} as numbers") from None
     path = sweep(config, values, members=args.members)
     print(f"sweep table at {path}")
     print(path.read_text(encoding="utf-8"))
@@ -74,13 +77,18 @@ def _cmd_report(args) -> int:
     if not report_path.exists():
         print(f"no report.json under {args.dir}", file=sys.stderr)
         return 1
-    report = json.loads(report_path.read_text(encoding="utf-8"))
-    pre, post = report["pretrained"], report["unlearned"]
-    print(f"method={report['method']} lambda={report['lambda']} seed={report['seed']}")
-    print(f"{'':14s}{'UA %':>10s}{'H (nats)':>12s}{'FD mean':>10s}{'RTE s':>10s}")
-    for name, r in (("pretrained", pre), ("unlearned", post)):
-        print(f"{name:14s}{r['ua_percent']:>10.2f}{r['mean_entropy_nats']:>12.4f}"
-              f"{r['frechet_mean']:>10.4f}{r['rte_seconds']:>10.2f}")
+    try:
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        lines = [f"method={report['method']} lambda={report['lambda']} seed={report['seed']}",
+                 f"{'':14s}{'UA %':>10s}{'H (nats)':>12s}{'FD mean':>10s}{'RTE s':>10s}"]
+        for name in ("pretrained", "unlearned"):
+            r = report[name]
+            lines.append(f"{name:14s}{r['ua_percent']:>10.2f}{r['mean_entropy_nats']:>12.4f}"
+                         f"{r['frechet_mean']:>10.4f}{r['rte_seconds']:>10.2f}")
+    except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not a run's report
+        print(f"unreadable report.json under {args.dir}: {exc!r}", file=sys.stderr)
+        return 1
+    print("\n".join(lines))
     return 0
 
 
@@ -129,6 +137,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DomainError as exc:
+        print(f"invalid value: {exc}", file=sys.stderr)
         return 2
 
 

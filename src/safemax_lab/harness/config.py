@@ -183,9 +183,8 @@ def render_config(config: ExperimentConfig) -> str:
 
 def config_sha256(config: ExperimentConfig) -> str:
     """Hash of the experiment-defining keys (the output location is excluded)."""
-    relevant = [line for line in render_config(config).splitlines()
-                if not line.startswith("output.")]
-    return hashlib.sha256("\n".join(relevant).encode("utf-8")).hexdigest()
+    return _keys_sha256(config, ("dataset.", "schedule.", "model.", "pretrain.", "unlearn.",
+                                 "eval."))
 
 
 def _keys_sha256(config: ExperimentConfig, prefixes: tuple[str, ...]) -> str:

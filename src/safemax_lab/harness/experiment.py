@@ -26,8 +26,8 @@ from ..evaluation import (Classifier, ClassifierArch, EvalReport, entropy_linkag
                           gate_classifier, init_classifier, sample_classes, score_samples,
                           train_classifier)
 from ..gradcore import Array
-from .checkpoints import (Checkpoint, FORMAT_VERSION, load_checkpoint, param_store_from,
-                          save_checkpoint, write_atomic)
+from .checkpoints import (Checkpoint, FORMAT_VERSION, load_checkpoint, save_checkpoint,
+                          write_atomic)
 from .config import (ExperimentConfig, classifier_sha256, config_sha256, pretrain_sha256,
                      render_config)
 from .datasets import generate_toy_dataset
@@ -129,16 +129,24 @@ def _params_for(ckpt: Checkpoint, arch_cls, init):
     """The architecture ``ckpt`` declares and its parameters, checked against that architecture.
 
     ``init(arch, rng)`` builds a model of ``arch`` whose ``params`` give the
-    expected names and shapes. Raises ``CheckpointIntegrityError`` when the
-    architecture entries are unusable or the parameters do not fit them.
+    expected names and shapes; the checkpoint's arrays are copied into that
+    store. Raises ``CheckpointIntegrityError`` when the architecture entries
+    are unusable or the parameters do not fit them.
     """
     try:
         arch = arch_cls(**{k: int(v) for k, v in ckpt.arch.items()})
-        layout = init(arch, np.random.default_rng(0)).params
+        params = init(arch, np.random.default_rng(0)).params
     except (TypeError, ValueError) as exc:
         raise CheckpointIntegrityError(f"checkpoint does not describe a {arch_cls.__name__}: "
                                        f"{exc!r}") from exc
-    return arch, param_store_from(ckpt.params, layout)
+    expected = {name: value.shape for name, value in params.items()}
+    found = {name: np.shape(value) for name, value in ckpt.params.items()}
+    if found != expected:
+        raise CheckpointIntegrityError(
+            f"parameters {found} disagree with the architecture's {expected}")
+    for name in expected:
+        params[name] = ckpt.params[name]
+    return arch, params
 
 
 def pretrain_model(config: ExperimentConfig, train_ds: LabeledDataset,
@@ -364,6 +372,8 @@ def sweep(config: ExperimentConfig, values, members: int = 3,
     values = [float(v) for v in values]
     if not values:
         raise DomainError("values must be non-empty")
+    if members < 1:
+        raise DomainError(f"members must be >= 1, got {members}")
     if len(set(values)) != len(values):
         raise DomainError(f"duplicate sweep values: {values}")
     for value in values:  # reject a bad value before any run starts

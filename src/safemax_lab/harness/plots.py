@@ -22,14 +22,10 @@ def _to_px(v: float) -> float:
 def render_scatter(samples_by_class, path, title: str = "") -> None:
     """Write one SVG scatter: one color per class, fixed [-8, 8]^2 axes, legend.
 
-    ``samples_by_class`` maps class id to an (n, 2) array (or is a sequence,
-    indexed by position). Points outside the axis box are dropped. Output
-    bytes are a pure function of the inputs.
+    ``samples_by_class`` maps class id to an (n, 2) array. Points outside
+    the axis box are dropped. Output bytes are a pure function of the inputs.
     """
-    if hasattr(samples_by_class, "items"):
-        groups = sorted(samples_by_class.items())
-    else:
-        groups = list(enumerate(samples_by_class))
+    groups = sorted(samples_by_class.items())
     size = CANVAS + 2 * MARGIN
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '

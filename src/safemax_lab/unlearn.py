@@ -39,11 +39,11 @@ class UnlearnConfig:
     def __post_init__(self):
         if self.forget_class < 0:
             raise DomainError(f"forget_class must be >= 0, got {self.forget_class}")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise DomainError(f"lambda must be >= 0, got {self.lam}")
         if self.steps < 0:
             raise DomainError(f"steps must be >= 0, got {self.steps}")
-        if min(self.learning_rate_forget, self.learning_rate_retain) <= 0.0:
+        if not (self.learning_rate_forget > 0.0 and self.learning_rate_retain > 0.0):
             raise DomainError("learning rates must be > 0")
         if min(self.batch_size_forget, self.batch_size_retain) < 1:
             raise DomainError("batch sizes must be >= 1")
@@ -73,7 +73,7 @@ class UnlearnLog:
 
 def psi(t, T: int, lam: float):
     """Decay weight exp(-lam * t / T); scalar in, scalar out (arrays pass through)."""
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise DomainError(f"lambda must be >= 0, got {lam}")
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0) or np.any(t_arr > T):
@@ -173,9 +173,9 @@ def _update(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedu
     r_loss = retain_loss(gc.rows(pred, n_f, pred.shape[0]), r_batch,
                          forget_class=config.forget_class)
     # Separate rates fold into one update: step with lr_forget on
-    # f + (lr_retain / lr_forget) * r. Equal rates give the plain unit sum.
+    # f + (lr_retain / lr_forget) * r; equal rates scale by 1.0, which is exact.
     ratio = config.learning_rate_retain / config.learning_rate_forget
-    objective = gc.add(f_loss, gc.scale(r_loss, ratio)) if ratio != 1.0 else gc.add(f_loss, r_loss)
+    objective = gc.add(f_loss, gc.scale(r_loss, ratio))
     if not np.isfinite(objective.value):
         raise NumericError("non-finite unlearning objective")
     optimizer.step(model.params, gc.backward(objective))

@@ -53,7 +53,7 @@ class TestInitModel:
                     + concat * width + width       # first hidden layer
                     + (depth - 1) * (width * width + width)
                     + width * d + d)               # output head
-        assert model.params.total_size() == expected
+        assert model.params.flat.size == expected
 
     def test_rejects_single_class(self):
         with pytest.raises(DomainError):
@@ -66,36 +66,28 @@ class TestInitModel:
 
 class TestTimestepEmbedding:
     def test_bounded_by_one(self):
-        for t in (1, 7, 100, 9999):
-            emb = dn.timestep_embedding(t, 12)
-            assert np.all(np.abs(emb) <= 1.0)
+        assert np.all(np.abs(dn._timestep_embedding_table(9999, 12)) <= 1.0)
 
     def test_zero_step_alternates(self):
-        emb = dn.timestep_embedding(0, 8)
+        emb = dn._timestep_embedding_table(1, 8)[0]
         npt.assert_array_equal(emb, [0, 1, 0, 1, 0, 1, 0, 1])
 
-    def test_adjacent_steps_differ(self):
-        a = dn.timestep_embedding(1, 16)
-        b = dn.timestep_embedding(2, 16)
-        assert np.linalg.norm(a - b) > 0
-
     def test_all_steps_distinct(self):
-        rows = np.stack([dn.timestep_embedding(t, 16) for t in range(1, 101)])
+        rows = dn._timestep_embedding_table(100, 16)[1:]
         # pairwise distinct up to T=100
         dists = np.linalg.norm(rows[:, None] - rows[None, :], axis=2)
         np.fill_diagonal(dists, np.inf)
         assert dists.min() > 1e-6
 
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(DomainError):
-            dn.timestep_embedding(1, 5)
-
     def test_cached_table_rows_match_single_steps(self):
         table = dn._timestep_embedding_table(100, 16)
         assert table is dn._timestep_embedding_table(100, 16)
         assert table.shape == (101, 16) and not table.flags.writeable
+        freqs = np.exp(-np.log(10000.0) * np.arange(8) / 8)
         for t in range(101):
-            assert table[t].tobytes() == dn.timestep_embedding(t, 16).tobytes()
+            expected = np.empty(16)
+            expected[0::2], expected[1::2] = np.sin(t * freqs), np.cos(t * freqs)
+            assert table[t].tobytes() == expected.tobytes()
 
 
 class TestPredictEps:
@@ -256,6 +248,11 @@ class TestGraphLifetime:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("rate", [0.0, -0.01, float("nan")])
+    def test_non_positive_or_nan_learning_rate_rejected(self, rate):
+        with pytest.raises(DomainError):
+            dn.TrainConfig(steps=1, batch_size=8, learning_rate=rate, seed=0)
+
     def test_zero_steps_is_identity(self, dataset, schedule):
         model = small_model(8)
         before = {name: value.copy() for name, value in model.params.items()}

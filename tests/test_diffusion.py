@@ -45,29 +45,21 @@ class TestForwardSample:
         self.sched = df.build_schedule(10, 0.1, 0.3)
 
     def test_zero_noise(self):
-        x0 = np.array([1.0, -2.0])
-        out = df.forward_sample(x0, 3, self.sched, np.zeros(2))
-        npt.assert_allclose(out, np.sqrt(self.sched.alpha_bar[2]) * x0)
+        x0 = np.array([[1.0, -2.0], [3.0, 0.5]])
+        out = df._forward_sample_rows(x0, np.array([3, 7]), self.sched, np.zeros((2, 2)))
+        npt.assert_allclose(out, np.sqrt(self.sched.alpha_bar[[2, 6]])[:, None] * x0)
 
     def test_zero_signal(self):
-        eps = np.array([0.5, 0.5])
-        out = df.forward_sample(np.zeros(2), 5, self.sched, eps)
+        eps = np.array([[0.5, 0.5]])
+        out = df._forward_sample_rows(np.zeros((1, 2)), np.array([5]), self.sched, eps)
         npt.assert_allclose(out, np.sqrt(1 - self.sched.alpha_bar[4]) * eps)
 
     def test_quarter_alpha_bar_arithmetic(self):
         # abar = 0.25 -> 0.5 * x0 + sqrt(0.75) * eps
         sched = df.build_schedule(2, 0.5, 0.5)
-        out = df.forward_sample(np.array([2.0]), 2, sched, np.array([1.0]))
-        npt.assert_allclose(out, [0.5 * 2.0 + np.sqrt(0.75)], atol=1e-12)
-        npt.assert_allclose(out, [1.8660], atol=1e-4)
-
-    def test_step_out_of_range(self):
-        with pytest.raises(DomainError):
-            df.forward_sample(np.zeros(2), 11, self.sched, np.zeros(2))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            df.forward_sample(np.zeros(2), 1, self.sched, np.zeros(3))
+        out = df._forward_sample_rows(np.array([[2.0]]), np.array([2]), sched, np.array([[1.0]]))
+        npt.assert_allclose(out, [[0.5 * 2.0 + np.sqrt(0.75)]], atol=1e-12)
+        npt.assert_allclose(out, [[1.8660]], atol=1e-4)
 
 
 class TestSampleLatentBatch:

@@ -15,6 +15,22 @@ def make_store(**arrays) -> gc.ParamStore:
     return store
 
 
+def _square(a):
+    """Elementwise square, a test-only op for building losses."""
+    def backward(g):
+        a.accumulate(g * (2.0 * a.value))
+
+    return a.tape._record("square", [a], a.value * a.value, backward)
+
+
+def _total(a):
+    """Sum of all elements as a scalar node, a test-only op for building losses."""
+    def backward(g):
+        a.accumulate(np.full_like(a.value, float(g)))
+
+    return a.tape._record("total", [a], np.asarray(a.value.sum()), backward)
+
+
 def _chain_matmul(a, b):
     """The product op ``dense`` replaced, kept as its reference."""
     def backward(g):
@@ -89,7 +105,7 @@ class TestDense:
                            c=np.array([0.5]))
         tape = gc.Tape()
         p = tape.params(store)
-        grads = gc.backward(gc.total(gc.dense(p["a"], p["b"], p["c"])))
+        grads = gc.backward(_total(gc.dense(p["a"], p["b"], p["c"])))
         npt.assert_allclose(grads["a"], [[3.0, 4.0], [3.0, 4.0]])
         npt.assert_allclose(grads["b"], [[6.0], [1.0]])
         npt.assert_allclose(grads["c"], [2.0])
@@ -110,8 +126,8 @@ class TestDense:
         store = make_store(x=np.array([[0.0]]))
 
         def loss_fn(tape, params):
-            return gc.total(gc.dense(tape.params(params)["x"], tape.constant([[1.0]]),
-                                     tape.constant([0.0]), "silu"))
+            return _total(gc.dense(tape.params(params)["x"], tape.constant([[1.0]]),
+                                   tape.constant([0.0]), "silu"))
 
         tape = gc.Tape()
         grads = gc.backward(loss_fn(tape, store))
@@ -159,7 +175,7 @@ class TestDense:
             store = make_store(h=h)
             tape = gc.Tape()
             out = gc.dense(tape.params(store)["h"], tape.constant(w), tape.constant(b), "silu")
-            grads = gc.backward(gc.total(out))
+            grads = gc.backward(_total(out))
             z = h @ w
             z += b
             value, slope = self._silu_reference(z)
@@ -232,7 +248,7 @@ class TestElementwise:
     def test_scale(self):
         store = make_store(x=np.array([2.0, -3.0]))
         tape = gc.Tape()
-        loss = gc.total(gc.scale(tape.params(store)["x"], -1.5))
+        loss = _total(gc.scale(tape.params(store)["x"], -1.5))
         npt.assert_allclose(loss.value, 1.5)
         npt.assert_allclose(gc.backward(loss)["x"], [-1.5, -1.5])
 
@@ -244,7 +260,7 @@ class TestAccumulate:
         store = make_store(x=np.array([[1.0, -2.0], [3.0, 0.5]]))
         node = gc.Tape().params(store)["x"]
         doubled = gc.add(node, node)
-        grads = gc.backward(gc.total(doubled))
+        grads = gc.backward(_total(doubled))
         npt.assert_array_equal(grads["x"], np.full((2, 2), 2.0))
         npt.assert_array_equal(doubled.grad, np.ones((2, 2)))
 
@@ -252,7 +268,7 @@ class TestAccumulate:
         x = np.array([[1.0, -2.0], [3.0, 0.5]])
         node = gc.Tape().params(make_store(x=x))["x"]
         joined = gc.concat_cols([node, node])
-        grads = gc.backward(gc.total(gc.square(joined)))
+        grads = gc.backward(_total(_square(joined)))
         npt.assert_array_equal(grads["x"], 4.0 * x)
         npt.assert_array_equal(joined.grad, 2.0 * np.concatenate([x, x], axis=1))
 
@@ -266,7 +282,7 @@ class TestRows:
     def test_gradient_only_in_its_rows(self):
         x = np.random.default_rng(2).standard_normal((5, 3))
         node = gc.Tape().params(make_store(x=x))["x"]
-        grads = gc.backward(gc.total(gc.square(gc.rows(node, 1, 3))))
+        grads = gc.backward(_total(_square(gc.rows(node, 1, 3))))
         expected = np.zeros_like(x)
         expected[1:3] = 2.0 * x[1:3]
         npt.assert_array_equal(grads["x"], expected)
@@ -275,7 +291,7 @@ class TestRows:
         # disjoint ranges fill their own rows; overlapping ones add
         x = np.random.default_rng(3).standard_normal((6, 2))
         node = gc.Tape().params(make_store(x=x))["x"]
-        loss = gc.add(gc.total(gc.rows(node, 0, 4)), gc.total(gc.square(gc.rows(node, 2, 6))))
+        loss = gc.add(_total(gc.rows(node, 0, 4)), _total(_square(gc.rows(node, 2, 6))))
         expected = np.ones_like(x)
         expected[4:] = 0.0
         expected[2:] += 2.0 * x[2:]
@@ -321,7 +337,7 @@ class TestTape:
         tape = gc.Tape()
         tape.params(store)  # both leaves die at once, unused
         a = tape.params(store)["a"]
-        grads = gc.backward(gc.total(gc.square(a)))
+        grads = gc.backward(_total(_square(a)))
         npt.assert_array_equal(grads["a"], [4.0])
         npt.assert_array_equal(grads["b"], np.zeros(3))
 
@@ -339,7 +355,7 @@ class TestTape:
         npt.assert_array_equal(out.value, [[2.0, 0.0]])
         assert out.inputs == [] and out._backward is None
         with pytest.raises(ContractError, match="grad=True"):
-            gc.backward(gc.total(out))
+            gc.backward(_total(out))
 
     def test_operands_from_different_tapes_rejected(self):
         h = gc.Tape().constant(np.ones((1, 1)))
@@ -482,7 +498,7 @@ class TestBackward:
         store = make_store(p=np.array([1.0, 2.0, 3.0]))
 
         tape = gc.Tape()
-        loss = gc.total(tape.params(store)["p"])
+        loss = _total(tape.params(store)["p"])
         grads = gc.backward(loss)
         npt.assert_array_equal(grads["p"], np.ones(3))
 
@@ -490,14 +506,14 @@ class TestBackward:
         store = make_store(p=np.array([3.0]))
         tape = gc.Tape()
         p = tape.params(store)["p"]
-        loss = gc.total(gc.square(p))
+        loss = _total(_square(p))
         npt.assert_allclose(gc.backward(loss)["p"], [6.0])
 
     def test_unreachable_param_gets_zeros(self):
         store = make_store(used=np.array([1.0]), unused=np.array([[1.0, 2.0]]))
         tape = gc.Tape()
         p = tape.params(store)
-        grads = gc.backward(gc.total(p["used"]))
+        grads = gc.backward(_total(p["used"]))
         npt.assert_array_equal(grads["unused"], np.zeros((1, 2)))
 
     def test_non_scalar_loss_rejected(self):
@@ -607,7 +623,7 @@ class TestGradCheck:
         store = make_store(p=rng.standard_normal(6))
 
         def loss_fn(tape, params):
-            return gc.total(gc.square(tape.params(params)["p"]))
+            return _total(_square(tape.params(params)["p"]))
 
         assert gc.grad_check(loss_fn, store, epsilon=1e-4, probes=12) < 1e-6
 
@@ -616,14 +632,14 @@ class TestGradCheck:
 
         def loss_fn(tape, params):
             tape.params(params)
-            return gc.total(tape.constant([0.0]))
+            return _total(tape.constant([0.0]))
 
         assert gc.grad_check(loss_fn, store, probes=4) == 0.0
 
     def test_epsilon_domain(self):
         store = make_store(p=np.array([1.0]))
         with pytest.raises(DomainError):
-            gc.grad_check(lambda t, p: gc.total(t.params(p)["p"]), store, epsilon=1e-2)
+            gc.grad_check(lambda t, p: _total(t.params(p)["p"]), store, epsilon=1e-2)
 
     def test_non_finite_loss_raises(self):
         store = make_store(p=np.array([0.0]))
@@ -639,6 +655,11 @@ class TestGradCheck:
 
 
 class TestSgd:
+    @pytest.mark.parametrize("rate", [0.0, float("nan")])
+    def test_non_positive_or_nan_learning_rate_rejected(self, rate):
+        with pytest.raises(DomainError):
+            gc.SGD(learning_rate=rate)
+
     def test_one_step(self):
         store = make_store(p=np.array([1.0]))
         gc.sgd_step(store, {"p": np.array([1.0])}, learning_rate=1.0)
@@ -675,13 +696,14 @@ class TestSgd:
         opt.step(store, {"p": np.array([1.0])})   # v=1.5, p=-2.5
         npt.assert_allclose(store["p"], [-2.5])
 
-    def test_momentum_steps_bit_identical_to_reference_formula(self):
+    @pytest.mark.parametrize("m", [0.0, 0.9])
+    def test_momentum_steps_bit_identical_to_reference_formula(self, m):
         rng = np.random.default_rng(7)
         start = {"w": rng.standard_normal((5, 3)), "b": rng.standard_normal(3)}
         grads = [{name: rng.standard_normal(a.shape) for name, a in start.items()}
                  for _ in range(3)]
         kept = [{name: g.copy() for name, g in step.items()} for step in grads]
-        lr, m = 0.05, 0.9
+        lr = 0.05
         store = make_store(**start)
         opt = gc.SGD(learning_rate=lr, momentum=m)
         expected = {name: a.copy() for name, a in start.items()}
@@ -732,7 +754,7 @@ class TestParamStore:
         a, b = np.arange(6.0).reshape(2, 3), np.array([6.0, 7.0])
         store = make_store(a=a, b=b, s=np.array(8.0))
         npt.assert_array_equal(store.flat, np.arange(9.0))
-        assert store.total_size() == 9
+        assert store.flat.size == 9
         assert store["a"].shape == (2, 3) and store["s"].shape == ()
         store.flat *= 2.0
         npt.assert_array_equal(store["a"], 2.0 * a)

@@ -85,6 +85,13 @@ class TestConfig:
         cfg = cf.default_config()
         assert cf.parse_config(cf.render_config(cfg)) == cfg
 
+    def test_shipped_default_file_is_the_rendered_defaults(self):
+        text = (Path(__file__).resolve().parent.parent / "configs" / "default.cfg").read_text(
+            encoding="utf-8")
+        assert cf.parse_config(text) == cf.default_config()
+        key_lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+        assert key_lines == cf.render_config(cf.default_config()).splitlines()
+
     @given(st.integers(min_value=2, max_value=9),
            st.floats(min_value=1e-6, max_value=0.5),
            st.floats(min_value=0.0, max_value=250.0),
@@ -698,3 +705,27 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("unlearn.lambda = -3\n")
         assert main(["train", str(bad)]) == 2
+
+    @pytest.mark.parametrize("args, named", [
+        (["unlearn", "--lambda", "nan"], "lambda"),
+        (["sweep", "--lambda", "nan"], "lambda"),
+        (["sweep", "--lambda", "1", "--members", "0"], "members"),
+        (["sweep", "--lambda", "abc"], "--lambda"),
+    ], ids=["unlearn_nan", "sweep_nan", "sweep_no_members", "sweep_not_a_number"])
+    def test_bad_value_exits_2_before_any_run(self, tmp_path, capsys, args, named):
+        from safemax_lab.harness.cli import main
+        cfg = tiny_config(tmp_path)
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(cf.render_config(cfg), encoding="utf-8")
+        assert main([args[0], str(cfg_path), *args[1:]]) == 2
+        assert named in capsys.readouterr().err
+        assert not Path(cfg.output_dir).exists()
+
+    @pytest.mark.parametrize("text", ["{not json", '{"method": "safemax"}', "[1, 2]"],
+                             ids=["not_json", "no_reports", "not_an_object"])
+    def test_unreadable_report_exits_1(self, tmp_path, capsys, text):
+        from safemax_lab.harness.cli import main
+        (tmp_path / "report.json").write_text(text, encoding="utf-8")
+        assert main(["report", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "report.json" in captured.err and captured.out == ""

@@ -62,9 +62,10 @@ class TestPsi:
         npt.assert_allclose(ul.psi(100, 100, 1.0), np.exp(-1.0))
         npt.assert_allclose(ul.psi(100, 100, 1.0), 0.367879, atol=1e-6)
 
-    def test_negative_lambda_rejected(self):
+    @pytest.mark.parametrize("lam", [-0.5, float("nan")])
+    def test_negative_or_nan_lambda_rejected(self, lam):
         with pytest.raises(DomainError):
-            ul.psi(1, 100, -0.5)
+            ul.psi(1, 100, lam)
 
     @given(st.integers(min_value=0, max_value=99),
            st.floats(min_value=0.01, max_value=50.0))
@@ -373,9 +374,16 @@ class TestRelabelBaseline:
 
 
 class TestUnlearnConfig:
-    def test_negative_lambda_rejected(self):
+    @pytest.mark.parametrize("lam", [-1.0, float("nan")])
+    def test_negative_or_nan_lambda_rejected(self, lam):
         with pytest.raises(DomainError):
-            base_config(lam=-1.0)
+            base_config(lam=lam)
+
+    @pytest.mark.parametrize("field", ["learning_rate_forget", "learning_rate_retain"])
+    @pytest.mark.parametrize("rate", [0.0, float("nan")])
+    def test_non_positive_or_nan_learning_rate_rejected(self, field, rate):
+        with pytest.raises(DomainError):
+            base_config(**{field: rate})
 
     def test_bad_mode_rejected(self):
         with pytest.raises(DomainError):
