@@ -49,8 +49,8 @@ class TrainConfig:
             raise DomainError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0.0:
-            raise DomainError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise DomainError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
 
 
 @functools.lru_cache(maxsize=8)
@@ -163,10 +163,11 @@ def train(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedule
     rng = np.random.default_rng(config.seed)
     opt = SGD(config.learning_rate, momentum=0.9)
     losses: list[float] = []
-    for step in range(config.steps):
-        batch = sample_latent_batch(dataset, schedule, config.batch_size, rng)
-        try:
-            losses.append(train_step(model, batch, opt))
-        except NumericError as exc:
-            raise NumericError(f"{exc} (at step {step})") from exc
+    with gc.one_blas_thread():
+        for step in range(config.steps):
+            batch = sample_latent_batch(dataset, schedule, config.batch_size, rng)
+            try:
+                losses.append(train_step(model, batch, opt))
+            except NumericError as exc:
+                raise NumericError(f"{exc} (at step {step})") from exc
     return model, losses

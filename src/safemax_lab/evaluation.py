@@ -127,15 +127,16 @@ def train_classifier(dataset: LabeledDataset, hidden_width: int, steps: int,
     clf, rng, train_idx, held_idx = _init_and_split(dataset, hidden_width, seed)
     opt = SGD(lr, momentum=0.9)
     batch = min(128, train_idx.size)
-    for _ in range(steps):
-        rows = train_idx[rng.integers(0, train_idx.size, size=batch)]
-        tape = Tape()
-        pnodes = tape.params(clf.params)
-        logits = _classifier_logits(tape, pnodes, dataset.points[rows])
-        loss = gc.softmax_cross_entropy(logits, dataset.labels[rows])
-        if not np.isfinite(loss.value):
-            raise NumericError("non-finite classifier loss")
-        opt.step(clf.params, gc.backward(loss))
+    with gc.one_blas_thread():
+        for _ in range(steps):
+            rows = train_idx[rng.integers(0, train_idx.size, size=batch)]
+            tape = Tape()
+            pnodes = tape.params(clf.params)
+            logits = _classifier_logits(tape, pnodes, dataset.points[rows])
+            loss = gc.softmax_cross_entropy(logits, dataset.labels[rows])
+            if not np.isfinite(loss.value):
+                raise NumericError("non-finite classifier loss")
+            opt.step(clf.params, gc.backward(loss))
     _gate(clf, dataset, held_idx)
     return clf
 

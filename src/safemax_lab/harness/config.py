@@ -8,6 +8,7 @@ canonical text that parses back to an equal config.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 from ..denoiser import TrainConfig
@@ -81,7 +82,8 @@ _FIELDS: dict[str, tuple] = {
     "dataset.n_per_class": ("dataset", "n_per_class", int, lambda v: v >= 2, ">= 2"),
     "dataset.geometry": ("dataset", "geometry", str, lambda v: v in GEOMETRIES,
                          f"one of {GEOMETRIES}"),
-    "dataset.noise_scale": ("dataset", "noise_scale", float, lambda v: v > 0, "> 0"),
+    "dataset.noise_scale": ("dataset", "noise_scale", float, lambda v: 0 < v < math.inf,
+                            "in (0, inf)"),
     "dataset.seed": ("dataset", "seed", int, lambda v: v >= 0, ">= 0"),
     "schedule.t": ("schedule", "t", int, lambda v: v >= 1, ">= 1"),
     "schedule.beta_min": ("schedule", "beta_min", float, lambda v: 0 < v < 1, "in (0, 1)"),
@@ -92,15 +94,16 @@ _FIELDS: dict[str, tuple] = {
                         lambda v: v >= 2 and v % 2 == 0, "even and >= 2"),
     "pretrain.steps": ("pretrain", "steps", int, lambda v: v >= 0, ">= 0"),
     "pretrain.batch_size": ("pretrain", "batch_size", int, lambda v: v >= 1, ">= 1"),
-    "pretrain.learning_rate": ("pretrain", "learning_rate", float, lambda v: v > 0, "> 0"),
+    "pretrain.learning_rate": ("pretrain", "learning_rate", float,
+                               lambda v: 0 < v < math.inf, "in (0, inf)"),
     "pretrain.seed": ("pretrain", "seed", int, lambda v: v >= 0, ">= 0"),
     "unlearn.forget_class": ("unlearn", "forget_class", int, lambda v: v >= 0, ">= 0"),
     "unlearn.lambda": ("unlearn", "lam", float, lambda v: v >= 0, ">= 0"),
     "unlearn.steps": ("unlearn", "steps", int, lambda v: v >= 0, ">= 0"),
     "unlearn.learning_rate_forget": ("unlearn", "learning_rate_forget", float,
-                                     lambda v: v > 0, "> 0"),
+                                     lambda v: 0 < v < math.inf, "in (0, inf)"),
     "unlearn.learning_rate_retain": ("unlearn", "learning_rate_retain", float,
-                                     lambda v: v > 0, "> 0"),
+                                     lambda v: 0 < v < math.inf, "in (0, inf)"),
     "unlearn.batch_size_forget": ("unlearn", "batch_size_forget", int, lambda v: v >= 1, ">= 1"),
     "unlearn.batch_size_retain": ("unlearn", "batch_size_retain", int, lambda v: v >= 1, ">= 1"),
     "unlearn.epst_mode": ("unlearn", "epsT_mode", str, lambda v: v in EPST_MODES,
@@ -111,7 +114,7 @@ _FIELDS: dict[str, tuple] = {
                                      lambda v: v >= 1, ">= 1"),
     "eval.classifier_steps": ("eval", "classifier_steps", int, lambda v: v >= 1, ">= 1"),
     "eval.classifier_learning_rate": ("eval", "classifier_learning_rate", float,
-                                      lambda v: v > 0, "> 0"),
+                                      lambda v: 0 < v < math.inf, "in (0, inf)"),
     "eval.classifier_seed": ("eval", "classifier_seed", int, lambda v: v >= 0, ">= 0"),
     "eval.seed": ("eval", "seed", int, lambda v: v >= 0, ">= 0"),
     "output.dir": ("output", "dir", str, lambda v: len(v) > 0, "non-empty"),

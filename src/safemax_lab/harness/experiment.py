@@ -4,6 +4,7 @@ Every artifact lands under the config's output directory (overridable with
 the ``SAFEMAX_LAB_OUT`` environment variable for relative paths). Given the
 same config and seeds, reruns produce byte-identical CSV/JSON/SVG artifacts;
 the runtime column is the one measurement and is injectable for tests.
+``env.json``, which describes the interpreter and BLAS, is outside that set.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import platform
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -25,7 +27,7 @@ from ..errors import CheckpointIntegrityError, CheckpointVersionError, DomainErr
 from ..evaluation import (Classifier, ClassifierArch, EvalReport, entropy_linkage_holds, evaluate,
                           gate_classifier, init_classifier, sample_classes, score_samples,
                           train_classifier)
-from ..gradcore import Array
+from ..gradcore import Array, blas_threads, one_blas_thread
 from .checkpoints import (Checkpoint, FORMAT_VERSION, load_checkpoint, save_checkpoint,
                           write_atomic)
 from .config import (ExperimentConfig, classifier_sha256, config_sha256, pretrain_sha256,
@@ -251,6 +253,16 @@ def _score_pretrained(config: ExperimentConfig, cache_dir: Path, model: denoiser
     return _load_or_build(cache_dir / "samples_pretrained.ckpt", key, build, use)
 
 
+def _environment() -> dict:
+    """The Python, numpy and BLAS a run used, and BLAS's default and training thread counts."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    with one_blas_thread():
+        training = blas_threads()
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads_default": blas_threads(), "blas_threads_training": training}
+
+
 def _fmt(value) -> str:
     return repr(float(value))
 
@@ -301,6 +313,7 @@ def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.MET
     cache_dir = pretrained_dir or outdir
     (outdir / "status.json").unlink(missing_ok=True)  # a failure record of an earlier run
     write_atomic(outdir / "config.txt", render_config(config))
+    write_atomic(outdir / "env.json", json.dumps(_environment(), sort_keys=True) + "\n")
 
     with _stage("dataset", outdir):
         train_ds, held_ds, schedule = build_world(config)

@@ -43,8 +43,9 @@ class UnlearnConfig:
             raise DomainError(f"lambda must be >= 0, got {self.lam}")
         if self.steps < 0:
             raise DomainError(f"steps must be >= 0, got {self.steps}")
-        if not (self.learning_rate_forget > 0.0 and self.learning_rate_retain > 0.0):
-            raise DomainError("learning rates must be > 0")
+        if not (0.0 < self.learning_rate_forget < np.inf
+                and 0.0 < self.learning_rate_retain < np.inf):
+            raise DomainError("learning rates must be > 0 and finite")
         if min(self.batch_size_forget, self.batch_size_retain) < 1:
             raise DomainError("batch sizes must be >= 1")
         if self.epsT_mode not in EPST_MODES:
@@ -189,12 +190,13 @@ def _run(model: DenoiserModel, config: UnlearnConfig, step) -> tuple[DenoiserMod
     rng = np.random.default_rng(config.seed)
     opt = SGD(config.learning_rate_forget, momentum=0.9)
     log = UnlearnLog()
-    for i in range(config.steps):
-        try:
-            record = step(model, rng, opt)
-        except NumericError as exc:
-            raise NumericError(f"{exc} (at step {i})") from exc
-        log.records.append(replace(record, step=i))
+    with gc.one_blas_thread():
+        for i in range(config.steps):
+            try:
+                record = step(model, rng, opt)
+            except NumericError as exc:
+                raise NumericError(f"{exc} (at step {i})") from exc
+            log.records.append(replace(record, step=i))
     return model, log
 
 

@@ -9,8 +9,11 @@ import pytest
 from safemax_lab import denoiser as dn
 from safemax_lab import diffusion as df
 from safemax_lab import gradcore as gc
-from safemax_lab.errors import ContractError, DimensionError, DomainError
+from safemax_lab.errors import ContractError, DimensionError, DomainError, NumericError
 from safemax_lab.harness import generate_toy_dataset
+
+
+needs_openblas = pytest.mark.skipif(gc.blas_threads() is None, reason="no OpenBLAS loaded")
 
 
 def small_model(seed=0, d=2, K=4, width=16, depth=2, embed=8, T=20):
@@ -252,6 +255,48 @@ class TestTrain:
     def test_non_positive_or_nan_learning_rate_rejected(self, rate):
         with pytest.raises(DomainError):
             dn.TrainConfig(steps=1, batch_size=8, learning_rate=rate, seed=0)
+
+    @pytest.mark.parametrize("rate", [float("inf"), float("-inf")])
+    def test_infinite_learning_rate_rejected(self, rate):
+        with pytest.raises(DomainError, match="learning_rate"):
+            dn.TrainConfig(steps=1, batch_size=8, learning_rate=rate, seed=0)
+
+    @needs_openblas
+    def test_steps_run_on_one_blas_thread_and_restore_the_count(self, dataset, schedule,
+                                                               monkeypatch):
+        seen = []
+        step = dn.train_step
+
+        def probe(*args):
+            seen.append(gc.blas_threads())
+            if len(seen) == 5:
+                raise NumericError("stop here")
+            return step(*args)
+
+        monkeypatch.setattr(dn, "train_step", probe)
+        before = gc.blas_threads()
+        cfg = dn.TrainConfig(steps=3, batch_size=8, learning_rate=0.01, seed=0)
+        dn.train(small_model(3), dataset, schedule, cfg)
+        assert seen == [1, 1, 1]
+        assert gc.blas_threads() == before
+        with pytest.raises(NumericError, match="at step 1"):
+            dn.train(small_model(3), dataset, schedule, cfg)
+        assert gc.blas_threads() == before
+
+    @needs_openblas
+    def test_pinned_pretrain_bit_identical_to_default_threads(self, dataset, schedule,
+                                                              monkeypatch):
+        # the default width and batch, whose products OpenBLAS would split across threads
+        cfg = dn.TrainConfig(steps=300, batch_size=128, learning_rate=0.02, seed=1)
+
+        def pretrain():
+            model = dn.init_model(2, 4, 128, 3, 16, schedule.T, np.random.default_rng(0))
+            _, losses = dn.train(model, dataset, schedule, cfg)
+            return model.params.flat.tobytes(), losses
+
+        pinned = pretrain()
+        monkeypatch.setattr(gc, "_openblas", lambda: None)
+        assert pretrain() == pinned
 
     def test_zero_steps_is_identity(self, dataset, schedule):
         model = small_model(8)

@@ -10,6 +10,9 @@ from safemax_lab.errors import DomainError, EvaluatorQualityError, NumericError
 from safemax_lab.harness import generate_toy_dataset
 
 
+needs_openblas = pytest.mark.skipif(gc.blas_threads() is None, reason="no OpenBLAS loaded")
+
+
 @pytest.fixture(scope="module")
 def dataset():
     return generate_toy_dataset(4, 400, "ring", 0.35, seed=0)
@@ -37,6 +40,28 @@ class TestTrainClassifier:
         probs = ev.predict_proba(classifier, dataset.points[:100])
         npt.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(probs >= 0.0)
+
+    @needs_openblas
+    def test_steps_run_on_one_blas_thread_and_the_gate_on_the_default(self, dataset,
+                                                                      monkeypatch):
+        seen = []
+        logits = ev._classifier_logits
+
+        def probe(tape, pnodes, x):
+            seen.append((tape.grad, gc.blas_threads()))
+            if len(seen) == 6:
+                raise NumericError("stop here")
+            return logits(tape, pnodes, x)
+
+        monkeypatch.setattr(ev, "_classifier_logits", probe)
+        before = gc.blas_threads()
+        with pytest.raises(EvaluatorQualityError):  # three steps cannot pass the gate
+            ev.train_classifier(dataset, 16, 3, 1e-5, seed=5)
+        assert seen == [(True, 1)] * 3 + [(False, before)]
+        assert gc.blas_threads() == before
+        with pytest.raises(NumericError):
+            ev.train_classifier(dataset, 16, 3, 1e-5, seed=5)
+        assert gc.blas_threads() == before
 
     def test_gate_failure_raises(self):
         # one training step cannot reach the accuracy gate

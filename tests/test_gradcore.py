@@ -660,6 +660,11 @@ class TestSgd:
         with pytest.raises(DomainError):
             gc.SGD(learning_rate=rate)
 
+    @pytest.mark.parametrize("rate", [float("inf"), float("-inf")])
+    def test_infinite_learning_rate_rejected(self, rate):
+        with pytest.raises(DomainError, match="learning_rate"):
+            gc.SGD(learning_rate=rate)
+
     def test_one_step(self):
         store = make_store(p=np.array([1.0]))
         gc.sgd_step(store, {"p": np.array([1.0])}, learning_rate=1.0)
@@ -776,3 +781,53 @@ class TestParamStore:
         with pytest.raises(ContractError):
             store["missing"] = np.zeros(2)
         npt.assert_array_equal(store["a"], [0.0, 0.0])
+
+
+class FakeBlas:
+    """A get/set thread-count pair over a plain counter, in place of OpenBLAS."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.calls = []
+
+    def get(self):
+        return self.threads
+
+    def set(self, n):
+        self.calls.append(n)
+        self.threads = n
+
+
+class TestOneBlasThread:
+    def test_pins_one_thread_and_restores_the_count_after_a_normal_exit(self, monkeypatch):
+        blas = FakeBlas(3)
+        monkeypatch.setattr(gc, "_openblas", lambda: (blas.get, blas.set))
+        with gc.one_blas_thread():
+            assert gc.blas_threads() == 1
+        assert gc.blas_threads() == 3
+        assert blas.calls == [1, 3]
+
+    def test_restores_the_count_after_an_exception(self, monkeypatch):
+        blas = FakeBlas(3)
+        monkeypatch.setattr(gc, "_openblas", lambda: (blas.get, blas.set))
+        with pytest.raises(NumericError):
+            with gc.one_blas_thread():
+                raise NumericError("inside the block")
+        assert blas.threads == 3
+
+    def test_without_openblas_does_nothing(self, monkeypatch):
+        monkeypatch.setattr(gc, "_openblas", lambda: None)
+        ran = []
+        with gc.one_blas_thread():
+            ran.append(gc.blas_threads())
+        assert ran == [None]
+
+    def test_loaded_library_pinned_and_restored(self):
+        before = gc.blas_threads()
+        if before is None:
+            pytest.skip("no OpenBLAS loaded")
+        with pytest.raises(RuntimeError):
+            with gc.one_blas_thread():
+                assert gc.blas_threads() == 1
+                raise RuntimeError("leave the block")
+        assert gc.blas_threads() == before

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safemax_lab import denoiser as dn
+from safemax_lab import gradcore as gc
 from safemax_lab import unlearn as ul
 from safemax_lab.errors import (CheckpointIntegrityError, CheckpointVersionError,
                                 ConfigError, DimensionError, DomainError, NumericError,
@@ -64,6 +65,18 @@ class TestConfig:
     def test_negative_lambda_names_key(self):
         with pytest.raises(ConfigError, match="unlearn.lambda"):
             cf.parse_config("unlearn.lambda = -1")
+
+    @pytest.mark.parametrize("key", ["dataset.noise_scale", "pretrain.learning_rate",
+                                     "unlearn.learning_rate_forget",
+                                     "unlearn.learning_rate_retain",
+                                     "eval.classifier_learning_rate"])
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_rate_or_scale_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            cf.parse_config(f"{key} = {value}")
+
+    def test_infinite_lambda_accepted(self):
+        assert cf.parse_config("unlearn.lambda = inf").unlearn.lam == float("inf")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -423,6 +436,15 @@ class TestRunExperiment:
         # forget-class distance cell is empty
         assert rows[0].split(",")[7] == ""
         assert result.rte_seconds == 0.5
+
+    def test_env_json_records_versions_and_blas_threads(self, tmp_path):
+        out = ex.run_experiment(tiny_config(tmp_path), clock=FakeClock()).outdir
+        env = json.loads((out / "env.json").read_text())
+        assert sorted(env) == ["blas", "blas_threads_default", "blas_threads_training",
+                               "numpy", "python"]
+        assert env["numpy"] == np.__version__
+        assert env["blas_threads_default"] == gc.blas_threads()
+        assert env["blas_threads_training"] == (None if gc.blas_threads() is None else 1)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_a = tiny_config(tmp_path / "a")

@@ -11,8 +11,11 @@ from safemax_lab import denoiser as dn
 from safemax_lab import diffusion as df
 from safemax_lab import gradcore as gc
 from safemax_lab import unlearn as ul
-from safemax_lab.errors import ContractError, DomainError
+from safemax_lab.errors import ContractError, DomainError, NumericError
 from safemax_lab.harness import generate_toy_dataset
+
+
+needs_openblas = pytest.mark.skipif(gc.blas_threads() is None, reason="no OpenBLAS loaded")
 
 
 @pytest.fixture(scope="module")
@@ -385,6 +388,17 @@ class TestUnlearnConfig:
         with pytest.raises(DomainError):
             base_config(**{field: rate})
 
+    @pytest.mark.parametrize("field", ["learning_rate_forget", "learning_rate_retain"])
+    @pytest.mark.parametrize("rate", [float("inf"), float("-inf")])
+    def test_infinite_learning_rate_rejected(self, field, rate):
+        with pytest.raises(DomainError, match="finite"):
+            base_config(**{field: rate})
+
+    def test_infinite_lambda_accepted_with_zero_weights(self):
+        assert base_config(lam=float("inf")).lam == float("inf")
+        weights = ul.psi(np.arange(1, 51), 50, float("inf"))
+        npt.assert_array_equal(weights, np.zeros(50))
+
     def test_bad_mode_rejected(self):
         with pytest.raises(DomainError):
             base_config(epsT_mode="fresh")
@@ -392,3 +406,48 @@ class TestUnlearnConfig:
     def test_zero_batch_rejected(self):
         with pytest.raises(DomainError):
             base_config(batch_size_forget=0)
+
+
+class TestBlasPin:
+    @needs_openblas
+    @pytest.mark.parametrize("runner, step_name", [
+        (ul.run_unlearning, "safemax_step"),
+        (lambda m, d, s, c: ul.run_relabel_unlearning(m, d, s, c, target_class=1),
+         "baseline_relabel_step"),
+    ], ids=["safemax", "relabel"])
+    def test_steps_run_on_one_blas_thread_and_restore_the_count(self, dataset, schedule,
+                                                               monkeypatch, runner,
+                                                               step_name):
+        seen = []
+        step = getattr(ul, step_name)
+
+        def probe(*args):
+            seen.append(gc.blas_threads())
+            if len(seen) == 5:
+                raise NumericError("stop here")
+            return step(*args)
+
+        monkeypatch.setattr(ul, step_name, probe)
+        before = gc.blas_threads()
+        runner(small_model(4), dataset, schedule, base_config(steps=3))
+        assert seen == [1, 1, 1]
+        assert gc.blas_threads() == before
+        with pytest.raises(NumericError, match="at step 1"):
+            runner(small_model(4), dataset, schedule, base_config(steps=3))
+        assert gc.blas_threads() == before
+
+    @needs_openblas
+    @pytest.mark.parametrize("method", list(ul.METHODS))
+    def test_pinned_logs_bit_identical_to_default_threads(self, dataset, schedule,
+                                                          monkeypatch, method):
+        # the default width and batches, whose products OpenBLAS would split across threads
+        model = dn.init_model(2, 4, 128, 3, 16, schedule.T, np.random.default_rng(0))
+        config = base_config(steps=60, batch_size_forget=64, batch_size_retain=64)
+
+        def unlearn():
+            out, log = ul.METHODS[method](model, dataset, schedule, config)
+            return out.params.flat.tobytes(), log.csv_rows()
+
+        pinned = unlearn()
+        monkeypatch.setattr(gc, "_openblas", lambda: None)
+        assert unlearn() == pinned
