@@ -12,7 +12,7 @@ import numpy as np
 
 from .. import unlearn
 from ..diffusion import ancestral_sample
-from ..errors import ConfigError, DomainError
+from ..errors import CheckpointIntegrityError, CheckpointVersionError, ConfigError, DomainError
 from .checkpoints import load_checkpoint
 from .config import ExperimentConfig, default_config, parse_config
 from .experiment import (build_world, ensure_pretrained, model_from_checkpoint,
@@ -141,6 +141,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"invalid value: {exc}", file=sys.stderr)
         return 2
+    except (OSError, CheckpointIntegrityError, CheckpointVersionError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from ..denoiser import TrainConfig
 from ..errors import ConfigError
-from ..unlearn import EPST_MODES, UnlearnConfig
+from ..unlearn import UnlearnConfig
 from .datasets import GEOMETRIES
 
 
@@ -69,8 +69,7 @@ def default_config() -> ExperimentConfig:
         pretrain=TrainConfig(steps=20000, batch_size=128, learning_rate=0.02, seed=1),
         unlearn=UnlearnConfig(forget_class=0, lam=1.0, steps=500,
                               learning_rate_forget=0.025, learning_rate_retain=0.025,
-                              batch_size_forget=64, batch_size_retain=64,
-                              epsT_mode="independent", seed=2),
+                              batch_size_forget=64, batch_size_retain=64, seed=2),
         eval=EvalSpec(),
         output_dir="runs/default",
     )
@@ -106,10 +105,8 @@ _FIELDS: dict[str, tuple] = {
                                      lambda v: 0 < v < math.inf, "in (0, inf)"),
     "unlearn.batch_size_forget": ("unlearn", "batch_size_forget", int, lambda v: v >= 1, ">= 1"),
     "unlearn.batch_size_retain": ("unlearn", "batch_size_retain", int, lambda v: v >= 1, ">= 1"),
-    "unlearn.epst_mode": ("unlearn", "epsT_mode", str, lambda v: v in EPST_MODES,
-                          f"one of {EPST_MODES}"),
     "unlearn.seed": ("unlearn", "seed", int, lambda v: v >= 0, ">= 0"),
-    "eval.n_samples": ("eval", "n_samples", int, lambda v: v >= 1, ">= 1"),
+    "eval.n_samples": ("eval", "n_samples", int, lambda v: v >= 3, ">= 3"),
     "eval.classifier_hidden_width": ("eval", "classifier_hidden_width", int,
                                      lambda v: v >= 1, ">= 1"),
     "eval.classifier_steps": ("eval", "classifier_steps", int, lambda v: v >= 1, ">= 1"),

@@ -21,8 +21,6 @@ from .diffusion import LabeledDataset, LatentBatch, NoiseSchedule, sample_latent
 from .errors import ContractError, DomainError, NumericError
 from .gradcore import Array, Node, SGD, Tape
 
-EPST_MODES = ("independent", "trajectory")
-
 
 @dataclass(frozen=True)
 class UnlearnConfig:
@@ -33,7 +31,6 @@ class UnlearnConfig:
     learning_rate_retain: float
     batch_size_forget: int
     batch_size_retain: int
-    epsT_mode: str
     seed: int
 
     def __post_init__(self):
@@ -48,8 +45,6 @@ class UnlearnConfig:
             raise DomainError("learning rates must be > 0 and finite")
         if min(self.batch_size_forget, self.batch_size_retain) < 1:
             raise DomainError("batch sizes must be >= 1")
-        if self.epsT_mode not in EPST_MODES:
-            raise DomainError(f"epsT_mode must be one of {EPST_MODES}, got {self.epsT_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -79,36 +74,18 @@ def psi(t, T: int, lam: float):
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0) or np.any(t_arr > T):
         raise DomainError(f"t must lie in [0, {T}]")
-    out = np.exp(-lam * t_arr / float(T))
+    if lam == np.inf:  # the limit, since -inf * 0 is nan: weight 1 at t = 0, else 0
+        out = np.where(t_arr == 0, 1.0, 0.0)
+    else:
+        out = np.exp(-lam * t_arr / float(T))
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def epsT_target(x0: Array, x_t: Array, t, schedule: NoiseSchedule, mode: str,
-                rng: np.random.Generator) -> Array:
-    """Terminal-state noise target for the forget objective.
-
-    independent: a fresh standard normal draw, unrelated to the noise in
-    x_t (the terminal latent carries no trace of the data when the signal
-    fraction has decayed to ~0).
-
-    trajectory: extend the chain that produced x_t out to the final step,
-    then solve for the cumulative noise that final latent implies.
-    """
-    if mode not in EPST_MODES:
-        raise DomainError(f"mode must be one of {EPST_MODES}, got {mode!r}")
-    x0 = gc.as_array(x0)
-    x_t = gc.as_array(x_t)
-    abar_T = float(schedule.alpha_bar[-1])
-    if abar_T >= 1.0:
-        raise DomainError("degenerate schedule: terminal signal fraction is 1")
-    if mode == "independent":
-        return rng.standard_normal(x0.shape)
-    t = np.asarray(t, dtype=np.int64)
-    abar_t = schedule.alpha_bar[t - 1][:, None]
-    ratio = abar_T / abar_t
-    noise = rng.standard_normal(x0.shape)
-    x_T = np.sqrt(ratio) * x_t + np.sqrt(1.0 - ratio) * noise
-    return (x_T - np.sqrt(abar_T) * x0) / np.sqrt(1.0 - abar_T)
+def epsT_target(x_t: Array, rng: np.random.Generator) -> Array:
+    """Terminal-state noise target for the forget objective: a fresh standard
+    normal draw, unrelated to the noise in x_t (the terminal latent carries no
+    trace of the data when the signal fraction has decayed to ~0)."""
+    return rng.standard_normal(x_t.shape)
 
 
 def _single_class(batch: LatentBatch) -> int:
@@ -119,14 +96,13 @@ def _single_class(batch: LatentBatch) -> int:
 
 
 def forget_loss(pred: Node, forget_batch: LatentBatch, schedule: NoiseSchedule,
-                lam: float, epsT_mode: str, rng: np.random.Generator) -> tuple[Node, Array]:
+                lam: float, rng: np.random.Generator) -> tuple[Node, Array]:
     """Decay-weighted regression of ``pred``, the forget-conditioned output, onto terminal noise.
 
     Returns the loss node and the per-row decay weights it applied."""
     _single_class(forget_batch)
     weights = np.asarray(psi(forget_batch.t, schedule.T, lam), dtype=np.float64)
-    target = epsT_target(forget_batch.x0, forget_batch.x_t, forget_batch.t,
-                         schedule, epsT_mode, rng)
+    target = epsT_target(forget_batch.x_t, rng)
     return gc.mse_loss(pred, target, weights=weights), weights
 
 
@@ -204,7 +180,7 @@ def safemax_step(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseS
                  config: UnlearnConfig, rng: np.random.Generator, optimizer: SGD) -> StepRecord:
     """One combined update: forget batch on the terminal-noise target, retain batch on regular fine-tuning."""
     def objective(batch: LatentBatch, pred: Node):
-        return forget_loss(pred, batch, schedule, config.lam, config.epsT_mode, rng)
+        return forget_loss(pred, batch, schedule, config.lam, rng)
 
     return _update(model, dataset, schedule, config, rng, optimizer, config.forget_class, objective)
 

@@ -57,8 +57,7 @@ def test_criterion_1_gradient_oracle():
 
         model = dn.init_model(2, 4, 128, 3, 16, 100, np.random.default_rng(1))
         batch = df.sample_latent_batch(ds, sched, 16, np.random.default_rng(2))
-        target = ul.epsT_target(batch.x0, batch.x_t, batch.t, sched, "independent",
-                                np.random.default_rng(3))
+        target = ul.epsT_target(batch.x_t, np.random.default_rng(3))
         weights = ul.psi(batch.t, sched.T, 1.0)
 
         def denoiser_train_loss(tape, params):

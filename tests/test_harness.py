@@ -82,6 +82,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             cf.parse_config("dataset.radius = 2")
 
+    def test_retired_epst_mode_key_rejected(self):
+        # the forget target is chosen by the method alone; old configs drop this line
+        with pytest.raises(ConfigError, match="unknown key 'unlearn.epst_mode'"):
+            cf.parse_config("unlearn.epst_mode = independent")
+
+    def test_eval_samples_below_three_name_key(self):
+        # a Frechet fit in d = 2 needs d + 1 points per class
+        for n in (0, 1, 2):
+            with pytest.raises(ConfigError, match="eval.n_samples"):
+                cf.parse_config(f"eval.n_samples = {n}")
+        assert cf.parse_config("eval.n_samples = 3").eval.n_samples == 3
+
+    def test_readme_config_example_parses(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        blocks = readme.split("```ini\n")[1:]
+        assert len(blocks) == 1
+        cfg = cf.parse_config(blocks[0].split("```", 1)[0])
+        assert cfg.output_dir == "runs/demo"
+
     def test_type_mismatch_names_key(self):
         with pytest.raises(ConfigError, match="dataset.k"):
             cf.parse_config("dataset.k = ring")
@@ -109,16 +129,14 @@ class TestConfig:
            st.floats(min_value=1e-6, max_value=0.5),
            st.floats(min_value=0.0, max_value=250.0),
            st.sampled_from(["ring", "grid"]),
-           st.sampled_from(["independent", "trajectory"]),
            st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=60, deadline=None)
-    def test_round_trip_random_configs(self, k, noise, lam, geometry, mode, seed):
+    def test_round_trip_random_configs(self, k, noise, lam, geometry, seed):
         cfg = cf.default_config()
         cfg = replace(cfg,
                       dataset=replace(cfg.dataset, k=k, noise_scale=noise,
                                       geometry=geometry, seed=seed),
-                      unlearn=replace(cfg.unlearn, lam=lam, epsT_mode=mode,
-                                      forget_class=k - 1))
+                      unlearn=replace(cfg.unlearn, lam=lam, forget_class=k - 1))
         rendered = cf.render_config(cfg)
         assert cf.parse_config(rendered) == cfg
         assert cf.render_config(cf.parse_config(rendered)) == rendered
@@ -727,6 +745,52 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("unlearn.lambda = -3\n")
         assert main(["train", str(bad)]) == 2
+
+    def _assert_one_error_line(self, capsys, named):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and named in captured.err
+
+    def test_missing_config_file_exits_1(self, tmp_path, capsys):
+        from safemax_lab.harness.cli import main
+        assert main(["train", str(tmp_path / "missing.cfg")]) == 1
+        self._assert_one_error_line(capsys, "missing.cfg")
+
+    def test_sample_on_missing_checkpoint_exits_1(self, tmp_path, capsys):
+        from safemax_lab.harness.cli import main
+        out_svg = tmp_path / "samples.svg"
+        assert main(["sample", str(tmp_path / "missing.ckpt"), "--class", "0",
+                     "--out", str(out_svg)]) == 1
+        self._assert_one_error_line(capsys, "missing.ckpt")
+        assert not out_svg.exists()
+
+    @pytest.mark.parametrize("damage, named", [
+        ("flip", "CheckpointIntegrityError"), ("version", "CheckpointVersionError"),
+    ], ids=["corrupt", "wrong_version"])
+    def test_sample_on_unloadable_checkpoint_exits_1(self, tmp_path, capsys, damage, named):
+        from safemax_lab.harness.cli import main
+        path = tmp_path / "model.ckpt"
+        ckpt = _dummy_checkpoint()
+        if damage == "version":
+            ckpt.format_version = 99
+        ck.save_checkpoint(path, ckpt)
+        if damage == "flip":
+            blob = bytearray(path.read_bytes())
+            blob[-1] ^= 0xFF
+            path.write_bytes(bytes(blob))
+        out_svg = tmp_path / "samples.svg"
+        assert main(["sample", str(path), "--class", "0", "--out", str(out_svg)]) == 1
+        self._assert_one_error_line(capsys, named)
+        assert not out_svg.exists()
+
+    def test_output_dir_without_parent_exits_1(self, tmp_path, capsys):
+        from safemax_lab.harness.cli import main
+        cfg = replace(tiny_config(tmp_path), output_dir=str(tmp_path / "no" / "run"))
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(cf.render_config(cfg), encoding="utf-8")
+        assert main(["unlearn", str(cfg_path)]) == 1
+        self._assert_one_error_line(capsys, str(tmp_path / "no"))
+        assert not (tmp_path / "no").exists()
 
     @pytest.mark.parametrize("args, named", [
         (["unlearn", "--lambda", "nan"], "lambda"),

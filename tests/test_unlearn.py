@@ -47,7 +47,7 @@ def prediction(model, batch, labels=None):
 def base_config(**overrides):
     kwargs = dict(forget_class=0, lam=1.0, steps=3, learning_rate_forget=0.01,
                   learning_rate_retain=0.01, batch_size_forget=8, batch_size_retain=8,
-                  epsT_mode="independent", seed=0)
+                  seed=0)
     kwargs.update(overrides)
     return ul.UnlearnConfig(**kwargs)
 
@@ -60,6 +60,22 @@ class TestPsi:
     def test_step_zero(self):
         for lam in (0.0, 0.5, 10.0):
             assert ul.psi(0, 100, lam) == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_lambda_is_the_limit(self):
+        # lambda -> inf: all weight on t = 0; exp(-inf * 0) alone would give nan
+        assert ul.psi(0, 100, float("inf")) == 1.0
+        assert ul.psi(np.int64(7), 100, float("inf")) == 0.0
+        npt.assert_array_equal(ul.psi([0, 1], 100, float("inf")), [1.0, 0.0])
+        npt.assert_array_equal(ul.psi(np.arange(0, 101), 100, float("inf")),
+                               np.r_[1.0, np.zeros(100)])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1e3])
+    def test_finite_lambda_is_the_plain_exponential(self, lam):
+        t = np.arange(0, 101)
+        npt.assert_array_equal(ul.psi(t, 100, lam), np.exp(-lam * t / 100.0))
+        assert ul.psi(37, 100, lam) == float(np.exp(-lam * 37 / 100.0))
 
     def test_terminal_value(self):
         npt.assert_allclose(ul.psi(100, 100, 1.0), np.exp(-1.0))
@@ -92,38 +108,18 @@ class TestPsi:
 
 
 class TestEpsTTarget:
-    def test_trajectory_at_terminal_step_recovers_eps(self, dataset, schedule):
+    def test_is_one_standard_normal_draw_of_the_latent_shape(self, dataset, schedule):
         batch = forget_batch(dataset, schedule, n=32, seed=1)
-        batch.t[:] = schedule.T
-        abar_T = schedule.alpha_bar[-1]
-        batch.x_t[:] = (np.sqrt(abar_T) * batch.x0
-                        + np.sqrt(1 - abar_T) * batch.eps)
-        out = ul.epsT_target(batch.x0, batch.x_t, batch.t, schedule, "trajectory",
-                             np.random.default_rng(0))
-        npt.assert_allclose(out, batch.eps, atol=1e-12)
+        rng, plain = np.random.default_rng(0), np.random.default_rng(0)
+        npt.assert_array_equal(ul.epsT_target(batch.x_t, rng), plain.standard_normal((32, 2)))
+        assert rng.random() == plain.random()  # the stream advanced by exactly that draw
 
     def test_independent_uncorrelated_with_batch_noise(self, dataset, schedule):
         batch = forget_batch(dataset, schedule, n=100_000, seed=2)
-        out = ul.epsT_target(batch.x0, batch.x_t, batch.t, schedule, "independent",
-                             np.random.default_rng(3))
+        out = ul.epsT_target(batch.x_t, np.random.default_rng(3))
         for j in range(2):
             r = np.corrcoef(out[:, j], batch.eps[:, j])[0, 1]
             assert abs(r) < 0.02
-
-    def test_trajectory_output_is_standard_normal(self, dataset, schedule):
-        batch = forget_batch(dataset, schedule, n=100_000, seed=4)
-        out = ul.epsT_target(batch.x0, batch.x_t, batch.t, schedule, "trajectory",
-                             np.random.default_rng(5))
-        var = out.var(axis=0, ddof=1)
-        se = np.sqrt(2.0 / (len(out) - 1))
-        assert np.all(np.abs(var - 1.0) < 4 * se)
-        assert np.all(np.abs(out.mean(axis=0)) < 0.02)
-
-    def test_unknown_mode(self, dataset, schedule):
-        batch = forget_batch(dataset, schedule)
-        with pytest.raises(DomainError):
-            ul.epsT_target(batch.x0, batch.x_t, batch.t, schedule, "exact",
-                           np.random.default_rng(0))
 
 
 class TestForgetLoss:
@@ -131,9 +127,8 @@ class TestForgetLoss:
         model = small_model()
         batch = forget_batch(dataset, schedule, n=8, seed=7)
         loss_a, _ = ul.forget_loss(prediction(model, batch), batch, schedule, 0.0,
-                                   "independent", np.random.default_rng(42))
-        target = ul.epsT_target(batch.x0, batch.x_t, batch.t, schedule, "independent",
-                                np.random.default_rng(42))
+                                   np.random.default_rng(42))
+        target = ul.epsT_target(batch.x_t, np.random.default_rng(42))
         tape = gc.Tape()
         pnodes = tape.params(model.params)
         pred = dn.denoiser_forward(tape, pnodes, model.arch, batch.x_t, batch.labels, batch.t)
@@ -145,14 +140,13 @@ class TestForgetLoss:
         batch = df.sample_latent_batch(dataset, schedule, 16, np.random.default_rng(1))
         assert len(np.unique(batch.labels)) > 1
         with pytest.raises(ContractError):
-            ul.forget_loss(prediction(model, batch), batch, schedule, 1.0, "independent",
+            ul.forget_loss(prediction(model, batch), batch, schedule, 1.0,
                            np.random.default_rng(0))
 
     def test_gradient_matches_finite_differences(self, dataset, schedule):
         model = small_model(3)
         batch = forget_batch(dataset, schedule, n=8, seed=9)
-        target = ul.epsT_target(batch.x0, batch.x_t, batch.t, schedule, "independent",
-                                np.random.default_rng(11))
+        target = ul.epsT_target(batch.x_t, np.random.default_rng(11))
         weights = ul.psi(batch.t, schedule.T, 1.0)
 
         def loss_fn(tape, params):
@@ -222,7 +216,7 @@ class TestSafemaxStep:
     @staticmethod
     def _forget_loss(method, pred, f_batch, schedule, cfg, rng):
         if method == "safemax":
-            return ul.forget_loss(pred, f_batch, schedule, cfg.lam, cfg.epsT_mode, rng)[0]
+            return ul.forget_loss(pred, f_batch, schedule, cfg.lam, rng)[0]
         return gc.mse_loss(pred, f_batch.eps)  # donor rows regress their own noise
 
     @staticmethod
@@ -398,10 +392,6 @@ class TestUnlearnConfig:
         assert base_config(lam=float("inf")).lam == float("inf")
         weights = ul.psi(np.arange(1, 51), 50, float("inf"))
         npt.assert_array_equal(weights, np.zeros(50))
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(DomainError):
-            base_config(epsT_mode="fresh")
 
     def test_zero_batch_rejected(self):
         with pytest.raises(DomainError):
