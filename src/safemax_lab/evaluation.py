@@ -117,6 +117,13 @@ def _gate(classifier: Classifier, dataset: LabeledDataset, held_idx: Array) -> N
             f"classifier held-out accuracy {held_acc:.3f} below the 0.98 gate")
 
 
+def classifier_loss_node(tape: Tape, classifier: Classifier, points: Array, labels: Array):
+    """Cross-entropy loss node on given data: the training loss, checked by finite differences."""
+    pnodes = tape.params(classifier.params)
+    logits = _classifier_logits(tape, pnodes, points)
+    return gc.softmax_cross_entropy(logits, labels)
+
+
 def train_classifier(dataset: LabeledDataset, hidden_width: int, steps: int,
                      lr: float, seed: int) -> Classifier:
     """Train the evaluation MLP and gate it on held-out accuracy >= 98%.
@@ -130,10 +137,7 @@ def train_classifier(dataset: LabeledDataset, hidden_width: int, steps: int,
     with gc.one_blas_thread():
         for _ in range(steps):
             rows = train_idx[rng.integers(0, train_idx.size, size=batch)]
-            tape = Tape()
-            pnodes = tape.params(clf.params)
-            logits = _classifier_logits(tape, pnodes, dataset.points[rows])
-            loss = gc.softmax_cross_entropy(logits, dataset.labels[rows])
+            loss = classifier_loss_node(Tape(), clf, dataset.points[rows], dataset.labels[rows])
             if not np.isfinite(loss.value):
                 raise NumericError("non-finite classifier loss")
             opt.step(clf.params, gc.backward(loss))
@@ -146,13 +150,6 @@ def gate_classifier(classifier: Classifier, dataset: LabeledDataset, seed: int) 
     from ``dataset`` and ``seed``, on the same held-out quarter."""
     *_, held_idx = _init_and_split(dataset, classifier.arch.hidden_width, seed)
     _gate(classifier, dataset, held_idx)
-
-
-def classifier_loss_node(tape: Tape, classifier: Classifier, points: Array, labels: Array):
-    """Cross-entropy loss node on given data; used for gradient validation."""
-    pnodes = tape.params(classifier.params)
-    logits = _classifier_logits(tape, pnodes, points)
-    return gc.softmax_cross_entropy(logits, labels)
 
 
 def unlearning_accuracy(classifier: Classifier, samples: Array, c_f: int) -> float:

@@ -230,18 +230,6 @@ def add(a: Node, b: Node) -> Node:
     return tape._record("add", [a, b], a.value + b.value, backward)
 
 
-def scale(a: Node, s: float) -> Node:
-    """Multiply every element by the scalar ``s``."""
-    s = float(s)
-    if not np.isfinite(s):
-        raise DomainError(f"scale factor must be finite, got {s}")
-
-    def backward(g: Array) -> None:
-        a.accumulate(s * g)
-
-    return a.tape._record("scale", [a], s * a.value, backward)
-
-
 def _silu(z: Array, ex: Array | None = None, sig: Array | None = None,
           out: Array | None = None) -> tuple[Array, Array]:
     """silu's value ``z * sigmoid(z)`` and the sigmoid, without overflow.

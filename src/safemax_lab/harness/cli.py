@@ -12,7 +12,8 @@ import numpy as np
 
 from .. import unlearn
 from ..diffusion import ancestral_sample
-from ..errors import CheckpointIntegrityError, CheckpointVersionError, ConfigError, DomainError
+from ..errors import (CheckpointIntegrityError, CheckpointVersionError, ConfigError, DomainError,
+                      StageError)
 from .checkpoints import load_checkpoint
 from .config import ExperimentConfig, default_config, parse_config
 from .experiment import (build_world, ensure_pretrained, model_from_checkpoint,
@@ -141,7 +142,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"invalid value: {exc}", file=sys.stderr)
         return 2
-    except (OSError, CheckpointIntegrityError, CheckpointVersionError) as exc:
+    except (OSError, CheckpointIntegrityError, CheckpointVersionError, StageError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

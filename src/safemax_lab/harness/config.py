@@ -67,9 +67,8 @@ def default_config() -> ExperimentConfig:
         schedule=ScheduleSpec(),
         model=ModelSpec(),
         pretrain=TrainConfig(steps=20000, batch_size=128, learning_rate=0.02, seed=1),
-        unlearn=UnlearnConfig(forget_class=0, lam=1.0, steps=500,
-                              learning_rate_forget=0.025, learning_rate_retain=0.025,
-                              batch_size_forget=64, batch_size_retain=64, seed=2),
+        unlearn=UnlearnConfig(forget_class=0, lam=1.0, steps=500, learning_rate=0.025,
+                              batch_size=64, seed=2),
         eval=EvalSpec(),
         output_dir="runs/default",
     )
@@ -99,12 +98,9 @@ _FIELDS: dict[str, tuple] = {
     "unlearn.forget_class": ("unlearn", "forget_class", int, lambda v: v >= 0, ">= 0"),
     "unlearn.lambda": ("unlearn", "lam", float, lambda v: v >= 0, ">= 0"),
     "unlearn.steps": ("unlearn", "steps", int, lambda v: v >= 0, ">= 0"),
-    "unlearn.learning_rate_forget": ("unlearn", "learning_rate_forget", float,
-                                     lambda v: 0 < v < math.inf, "in (0, inf)"),
-    "unlearn.learning_rate_retain": ("unlearn", "learning_rate_retain", float,
-                                     lambda v: 0 < v < math.inf, "in (0, inf)"),
-    "unlearn.batch_size_forget": ("unlearn", "batch_size_forget", int, lambda v: v >= 1, ">= 1"),
-    "unlearn.batch_size_retain": ("unlearn", "batch_size_retain", int, lambda v: v >= 1, ">= 1"),
+    "unlearn.learning_rate": ("unlearn", "learning_rate", float,
+                              lambda v: 0 < v < math.inf, "in (0, inf)"),
+    "unlearn.batch_size": ("unlearn", "batch_size", int, lambda v: v >= 1, ">= 1"),
     "unlearn.seed": ("unlearn", "seed", int, lambda v: v >= 0, ">= 0"),
     "eval.n_samples": ("eval", "n_samples", int, lambda v: v >= 3, ">= 3"),
     "eval.classifier_hidden_width": ("eval", "classifier_hidden_width", int,

@@ -27,10 +27,8 @@ class UnlearnConfig:
     forget_class: int
     lam: float
     steps: int
-    learning_rate_forget: float
-    learning_rate_retain: float
-    batch_size_forget: int
-    batch_size_retain: int
+    learning_rate: float
+    batch_size: int
     seed: int
 
     def __post_init__(self):
@@ -40,11 +38,10 @@ class UnlearnConfig:
             raise DomainError(f"lambda must be >= 0, got {self.lam}")
         if self.steps < 0:
             raise DomainError(f"steps must be >= 0, got {self.steps}")
-        if not (0.0 < self.learning_rate_forget < np.inf
-                and 0.0 < self.learning_rate_retain < np.inf):
-            raise DomainError("learning rates must be > 0 and finite")
-        if min(self.batch_size_forget, self.batch_size_retain) < 1:
-            raise DomainError("batch sizes must be >= 1")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise DomainError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -136,10 +133,9 @@ def _update(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedu
     the retain rows fine-tune. The rng is drawn in a fixed order: forget
     batch, retain batch, then any draw inside ``forget_objective``."""
     retained = _retained_classes(dataset, config.forget_class)
-    f_batch = sample_latent_batch(dataset, schedule, config.batch_size_forget, rng,
+    f_batch = sample_latent_batch(dataset, schedule, config.batch_size, rng,
                                   classes=[source_class])
-    r_batch = sample_latent_batch(dataset, schedule, config.batch_size_retain, rng,
-                                  classes=retained)
+    r_batch = sample_latent_batch(dataset, schedule, config.batch_size, rng, classes=retained)
     n_f = f_batch.size
     labels = np.concatenate([np.full(n_f, config.forget_class, dtype=np.int64), r_batch.labels])
     tape = Tape()
@@ -149,10 +145,7 @@ def _update(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedu
     f_loss, weights = forget_objective(f_batch, gc.rows(pred, 0, n_f))
     r_loss = retain_loss(gc.rows(pred, n_f, pred.shape[0]), r_batch,
                          forget_class=config.forget_class)
-    # Separate rates fold into one update: step with lr_forget on
-    # f + (lr_retain / lr_forget) * r; equal rates scale by 1.0, which is exact.
-    ratio = config.learning_rate_retain / config.learning_rate_forget
-    objective = gc.add(f_loss, gc.scale(r_loss, ratio))
+    objective = gc.add(f_loss, r_loss)
     if not np.isfinite(objective.value):
         raise NumericError("non-finite unlearning objective")
     optimizer.step(model.params, gc.backward(objective))
@@ -164,7 +157,7 @@ def _run(model: DenoiserModel, config: UnlearnConfig, step) -> tuple[DenoiserMod
     """Run config.steps updates ``step(model, rng, optimizer)`` on a copy of the model."""
     model = model.copy()
     rng = np.random.default_rng(config.seed)
-    opt = SGD(config.learning_rate_forget, momentum=0.9)
+    opt = SGD(config.learning_rate, momentum=0.9)
     log = UnlearnLog()
     with gc.one_blas_thread():
         for i in range(config.steps):

@@ -245,13 +245,6 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             gc.add(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros(other)))
 
-    def test_scale(self):
-        store = make_store(x=np.array([2.0, -3.0]))
-        tape = gc.Tape()
-        loss = _total(gc.scale(tape.params(store)["x"], -1.5))
-        npt.assert_allclose(loss.value, 1.5)
-        npt.assert_allclose(gc.backward(loss)["x"], [-1.5, -1.5])
-
 
 class TestAccumulate:
     """A node's grad may be handed on as-is; later sums must not write into it."""
@@ -308,7 +301,7 @@ class TestRows:
             p = tape.params(params)
             out = gc.dense(p["h"], p["w"], p["b"], "silu")
             return gc.add(gc.mse_loss(gc.rows(out, 0, 3), t_a, weights=weights),
-                          gc.scale(gc.mse_loss(gc.rows(out, 3, 7), t_b), 0.5))
+                          gc.mse_loss(gc.rows(out, 3, 7), t_b, weights=np.full(4, 0.5)))
 
         assert gc.grad_check(loss_fn, store, probes=60, rng=rng) < 1e-6
 
@@ -646,7 +639,7 @@ class TestGradCheck:
 
         def loss_fn(tape, params):
             node = tape.params(params)["p"]
-            bad = gc.scale(node, 1.0)
+            bad = gc.add(node, node)
             bad.value = np.asarray(np.nan)
             return bad
 

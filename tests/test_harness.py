@@ -67,8 +67,7 @@ class TestConfig:
             cf.parse_config("unlearn.lambda = -1")
 
     @pytest.mark.parametrize("key", ["dataset.noise_scale", "pretrain.learning_rate",
-                                     "unlearn.learning_rate_forget",
-                                     "unlearn.learning_rate_retain",
+                                     "unlearn.learning_rate",
                                      "eval.classifier_learning_rate"])
     @pytest.mark.parametrize("value", ["inf", "-inf"])
     def test_infinite_rate_or_scale_names_key(self, key, value):
@@ -82,10 +81,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             cf.parse_config("dataset.radius = 2")
 
-    def test_retired_epst_mode_key_rejected(self):
-        # the forget target is chosen by the method alone; old configs drop this line
-        with pytest.raises(ConfigError, match="unknown key 'unlearn.epst_mode'"):
-            cf.parse_config("unlearn.epst_mode = independent")
+    @pytest.mark.parametrize("key", ["unlearn.epst_mode", "unlearn.learning_rate_forget",
+                                     "unlearn.learning_rate_retain", "unlearn.batch_size_forget",
+                                     "unlearn.batch_size_retain"])
+    def test_retired_epst_mode_key_rejected(self, key):
+        # the forget target is chosen by the method alone, and one rate and one batch
+        # size serve both batches; old configs drop these lines
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            cf.parse_config(f"{key} = 1")
 
     def test_eval_samples_below_three_name_key(self):
         # a Frechet fit in d = 2 needs d + 1 points per class
@@ -124,6 +127,21 @@ class TestConfig:
         assert cf.parse_config(text) == cf.default_config()
         key_lines = [line for line in text.splitlines() if line and not line.startswith("#")]
         assert key_lines == cf.render_config(cf.default_config()).splitlines()
+
+    @pytest.mark.parametrize("line", [line for line in
+                                      cf.render_config(cf.default_config()).splitlines()
+                                      if line.startswith("unlearn.")],
+                             ids=lambda line: line.split(" = ")[0])
+    def test_unlearn_keys_leave_model_and_classifier_hashes(self, line):
+        # the pretrained model and the classifier are cached under their own hashes, so a
+        # run directory keeps both when only unlearning changes
+        key, value = line.split(" = ")
+        bumped = str(int(value) + 1) if value.isdigit() else repr(float(value) + 1.0)
+        base, changed = cf.default_config(), cf.parse_config(f"{key} = {bumped}")
+        assert changed.unlearn != base.unlearn
+        assert cf.pretrain_sha256(changed) == cf.pretrain_sha256(base)
+        assert cf.classifier_sha256(changed) == cf.classifier_sha256(base)
+        assert cf.config_sha256(changed) != cf.config_sha256(base)
 
     @given(st.integers(min_value=2, max_value=9),
            st.floats(min_value=1e-6, max_value=0.5),
@@ -750,6 +768,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and named in captured.err
+
+    def test_failed_stage_exits_1(self, tmp_path, capsys):
+        # one classifier step cannot pass the 98% held-out gate
+        from safemax_lab.harness.cli import main
+        cfg = tiny_config(tmp_path)
+        cfg = replace(cfg, eval=replace(cfg.eval, classifier_steps=1))
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(cf.render_config(cfg), encoding="utf-8")
+        assert main(["unlearn", str(cfg_path)]) == 1
+        self._assert_one_error_line(capsys, "StageError: stage 'classifier' failed")
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         from safemax_lab.harness.cli import main

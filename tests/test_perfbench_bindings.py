@@ -76,9 +76,8 @@ def test_loops_call_the_patched_step_functions(tracer_module, run_both):
     schedule = df.build_schedule(20, 1e-3, 0.2)
     dataset = generate_toy_dataset(4, 50, "ring", 0.35, seed=0)
     model = dn.init_model(2, 4, 8, 1, 4, 20, np.random.default_rng(0))
-    config = ul.UnlearnConfig(forget_class=0, lam=1.0, steps=2, learning_rate_forget=0.01,
-                              learning_rate_retain=0.01, batch_size_forget=4,
-                              batch_size_retain=4, seed=0)
+    config = ul.UnlearnConfig(forget_class=0, lam=1.0, steps=2, learning_rate=0.01,
+                              batch_size=4, seed=0)
     tracer = tracer_module.Tracer()
     tracer.install()
     try:

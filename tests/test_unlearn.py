@@ -45,9 +45,7 @@ def prediction(model, batch, labels=None):
 
 
 def base_config(**overrides):
-    kwargs = dict(forget_class=0, lam=1.0, steps=3, learning_rate_forget=0.01,
-                  learning_rate_retain=0.01, batch_size_forget=8, batch_size_retain=8,
-                  seed=0)
+    kwargs = dict(forget_class=0, lam=1.0, steps=3, learning_rate=0.01, batch_size=8, seed=0)
     kwargs.update(overrides)
     return ul.UnlearnConfig(**kwargs)
 
@@ -197,7 +195,7 @@ class TestSafemaxStep:
 
     @staticmethod
     def _step(method, model, dataset, schedule, cfg, seed):
-        opt = gc.SGD(cfg.learning_rate_forget, momentum=0.0)
+        opt = gc.SGD(cfg.learning_rate, momentum=0.0)
         if method == "safemax":
             return ul.safemax_step(model, dataset, schedule, cfg, np.random.default_rng(seed), opt)
         return ul.baseline_relabel_step(model, dataset, schedule, cfg, 2,
@@ -207,9 +205,9 @@ class TestSafemaxStep:
     def _batches(method, dataset, schedule, cfg, rng):
         """The step's forget (or donor) and retain batches, drawn in its rng order."""
         source = 0 if method == "safemax" else 2
-        f_batch = df.sample_latent_batch(dataset, schedule, cfg.batch_size_forget, rng,
+        f_batch = df.sample_latent_batch(dataset, schedule, cfg.batch_size, rng,
                                          classes=[source])
-        r_batch = df.sample_latent_batch(dataset, schedule, cfg.batch_size_retain, rng,
+        r_batch = df.sample_latent_batch(dataset, schedule, cfg.batch_size, rng,
                                          classes=[1, 2, 3])
         return f_batch, r_batch
 
@@ -219,18 +217,11 @@ class TestSafemaxStep:
             return ul.forget_loss(pred, f_batch, schedule, cfg.lam, rng)[0]
         return gc.mse_loss(pred, f_batch.eps)  # donor rows regress their own noise
 
-    @staticmethod
-    def _summed(f_loss, r_loss, cfg):
-        ratio = cfg.learning_rate_retain / cfg.learning_rate_forget
-        return gc.add(f_loss, r_loss) if ratio == 1.0 else gc.add(f_loss, gc.scale(r_loss, ratio))
-
-    @pytest.mark.parametrize("retain_rate", [0.01, 0.02], ids=["equal", "retain2x"])
     @pytest.mark.parametrize("method", ["safemax", "relabel"])
-    def test_update_is_one_step_on_summed_objective(self, dataset, schedule, method,
-                                                    retain_rate):
-        # the update equals one plain step on forget + (lr_retain / lr_forget) * retain,
-        # both read from one forward over the forget rows followed by the retain rows
-        cfg = base_config(learning_rate_retain=retain_rate)
+    def test_update_is_one_step_on_summed_objective(self, dataset, schedule, method):
+        # the update equals one plain step on forget + retain, both read from one
+        # forward over the forget rows followed by the retain rows
+        cfg = base_config()
         model_a = small_model(6)
         model_b = model_a.copy()
         self._step(method, model_a, dataset, schedule, cfg, 33)
@@ -246,18 +237,16 @@ class TestSafemaxStep:
                                    np.concatenate([f_batch.t, r_batch.t]))
         f_loss = self._forget_loss(method, gc.rows(pred, 0, n_f), f_batch, schedule, cfg, rng)
         r_loss = ul.retain_loss(gc.rows(pred, n_f, pred.shape[0]), r_batch)
-        grads = gc.backward(self._summed(f_loss, r_loss, cfg))
-        gc.sgd_step(model_b.params, grads, cfg.learning_rate_forget)
+        grads = gc.backward(gc.add(f_loss, r_loss))
+        gc.sgd_step(model_b.params, grads, cfg.learning_rate)
         for name, value in model_a.params.items():
             npt.assert_array_equal(value, model_b.params[name])
 
-    @pytest.mark.parametrize("retain_rate", [0.01, 0.02], ids=["equal", "retain2x"])
     @pytest.mark.parametrize("method", ["safemax", "relabel"])
-    def test_update_matches_two_pass_objective(self, dataset, schedule, method, retain_rate):
+    def test_update_matches_two_pass_objective(self, dataset, schedule, method):
         # a separate forward and loss per batch differs from the one-pass step only by
         # the summation order of the weight gradients
-        cfg = base_config(learning_rate_retain=retain_rate, batch_size_forget=64,
-                          batch_size_retain=64)
+        cfg = base_config(batch_size=64)
         model_a = small_model(6)
         model_b = model_a.copy()
         self._step(method, model_a, dataset, schedule, cfg, 34)
@@ -272,14 +261,14 @@ class TestSafemaxStep:
                                      r_batch.t)
         f_loss = self._forget_loss(method, f_pred, f_batch, schedule, cfg, rng)
         r_loss = ul.retain_loss(r_pred, r_batch)
-        grads = gc.backward(self._summed(f_loss, r_loss, cfg))
-        gc.sgd_step(model_b.params, grads, cfg.learning_rate_forget)
+        grads = gc.backward(gc.add(f_loss, r_loss))
+        gc.sgd_step(model_b.params, grads, cfg.learning_rate)
         for name, value in model_a.params.items():
             npt.assert_allclose(value, model_b.params[name], rtol=1e-12)
 
     @pytest.mark.parametrize("method", ["safemax", "relabel"])
     def test_logged_losses_equal_separate_batch_losses(self, dataset, schedule, method):
-        cfg = base_config(batch_size_forget=64, batch_size_retain=64)
+        cfg = base_config(batch_size=64)
         model = small_model(10)
         record = self._step(method, model.copy(), dataset, schedule, cfg, 35)
 
@@ -376,17 +365,15 @@ class TestUnlearnConfig:
         with pytest.raises(DomainError):
             base_config(lam=lam)
 
-    @pytest.mark.parametrize("field", ["learning_rate_forget", "learning_rate_retain"])
     @pytest.mark.parametrize("rate", [0.0, float("nan")])
-    def test_non_positive_or_nan_learning_rate_rejected(self, field, rate):
+    def test_non_positive_or_nan_learning_rate_rejected(self, rate):
         with pytest.raises(DomainError):
-            base_config(**{field: rate})
+            base_config(learning_rate=rate)
 
-    @pytest.mark.parametrize("field", ["learning_rate_forget", "learning_rate_retain"])
     @pytest.mark.parametrize("rate", [float("inf"), float("-inf")])
-    def test_infinite_learning_rate_rejected(self, field, rate):
+    def test_infinite_learning_rate_rejected(self, rate):
         with pytest.raises(DomainError, match="finite"):
-            base_config(**{field: rate})
+            base_config(learning_rate=rate)
 
     def test_infinite_lambda_accepted_with_zero_weights(self):
         assert base_config(lam=float("inf")).lam == float("inf")
@@ -395,7 +382,7 @@ class TestUnlearnConfig:
 
     def test_zero_batch_rejected(self):
         with pytest.raises(DomainError):
-            base_config(batch_size_forget=0)
+            base_config(batch_size=0)
 
 
 class TestBlasPin:
@@ -432,7 +419,7 @@ class TestBlasPin:
                                                           monkeypatch, method):
         # the default width and batches, whose products OpenBLAS would split across threads
         model = dn.init_model(2, 4, 128, 3, 16, schedule.T, np.random.default_rng(0))
-        config = base_config(steps=60, batch_size_forget=64, batch_size_retain=64)
+        config = base_config(steps=60, batch_size=64)
 
         def unlearn():
             out, log = ul.METHODS[method](model, dataset, schedule, config)
