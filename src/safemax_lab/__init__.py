@@ -12,6 +12,5 @@ from .evaluation import (Classifier, EvalReport, FanoDiagnostic, differential_en
                          frechet_distance, prediction_entropy, train_classifier,
                          unlearning_accuracy)
 from .gradcore import SGD, ParamStore, Tape, backward, grad_check, sgd_step
-from .unlearn import (UnlearnConfig, UnlearnLog, baseline_relabel_step, epsT_target,
-                      forget_loss, psi, retain_loss, run_relabel_unlearning,
-                      run_unlearning, safemax_step)
+from .unlearn import (UnlearnConfig, UnlearnLog, baseline_relabel_step, epsT_target, psi,
+                      run_relabel_unlearning, run_unlearning, safemax_step)

@@ -52,6 +52,8 @@ def _cmd_unlearn(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {args.seed}")
     model, schedule = model_from_checkpoint(load_checkpoint(args.checkpoint))
     rng = np.random.default_rng(args.seed)
     samples = ancestral_sample(model, args.class_id, schedule, args.n, rng)

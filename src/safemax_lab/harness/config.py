@@ -166,11 +166,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def render_config(config: ExperimentConfig) -> str:
-    """Canonical text form; parse_config(render_config(c)) == c."""
+    """Canonical text form; parse_config(render_config(c)) == c, else ConfigError."""
     lines = []
     for key, (section, attr, parser, _, _) in _FIELDS.items():
         if section == "output":
             value = config.output_dir
+            if value.split("#", 1)[0].strip().splitlines() != [value]:
+                raise ConfigError(f"{key}: {value!r} holds '#', a line break or edge space")
         else:
             value = getattr(getattr(config, section), attr)
         lines.append(f"{key} = {value!r}" if parser is float else f"{key} = {value}")

@@ -309,10 +309,11 @@ def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.MET
         config = replace(config, unlearn=replace(config.unlearn, lam=float(lam)))
     ucfg = config.unlearn
 
+    config_text = render_config(config)  # before any directory: it may reject output_dir
     outdir = _ensure_dir(resolve_outdir(config))
     cache_dir = pretrained_dir or outdir
     (outdir / "status.json").unlink(missing_ok=True)  # a failure record of an earlier run
-    write_atomic(outdir / "config.txt", render_config(config))
+    write_atomic(outdir / "config.txt", config_text)
     write_atomic(outdir / "env.json", json.dumps(_environment(), sort_keys=True) + "\n")
 
     with _stage("dataset", outdir):

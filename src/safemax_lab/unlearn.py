@@ -1,25 +1,27 @@
 """Entropy-maximization unlearning for the conditional denoiser.
 
-The forget objective regresses the model, when conditioned on the forget
-class, onto terminal-state noise instead of the noise that actually formed
-each latent, weighted by an exponential decay over the step index so early
-(semantically rich) steps dominate. Retained classes keep training on the
-ordinary noise-regression objective. A fixed-relabel baseline is included
-for contrast: it redirects the forget condition onto one retained class.
+A step is a list of row groups (x_t, condition labels, t, target, row
+weights) run through one denoiser pass, each scored by weighted noise
+regression onto its target. SAFEMax's forget group is conditioned on the
+forget class and regresses terminal-state noise, weighted by a decay over the
+step index so early (semantically rich) steps dominate; the retained group
+regresses its own noise. The fixed-relabel baseline's forget group is one
+retained class's data, regressing its own noise.
 ``METHODS`` is the one table of methods the harness can run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
 from . import gradcore as gc
 from .denoiser import DenoiserModel, denoiser_forward
-from .diffusion import LabeledDataset, LatentBatch, NoiseSchedule, sample_latent_batch
-from .errors import ContractError, DomainError, NumericError
-from .gradcore import Array, Node, SGD, Tape
+from .diffusion import LabeledDataset, NoiseSchedule, sample_latent_batch
+from .errors import DomainError, NumericError
+from .gradcore import Array, SGD, Tape
 
 
 @dataclass(frozen=True)
@@ -85,31 +87,6 @@ def epsT_target(x_t: Array, rng: np.random.Generator) -> Array:
     return rng.standard_normal(x_t.shape)
 
 
-def _single_class(batch: LatentBatch) -> int:
-    classes = np.unique(batch.labels)
-    if classes.size != 1:
-        raise ContractError(f"forget batch mixes classes {classes.tolist()}")
-    return int(classes[0])
-
-
-def forget_loss(pred: Node, forget_batch: LatentBatch, schedule: NoiseSchedule,
-                lam: float, rng: np.random.Generator) -> tuple[Node, Array]:
-    """Decay-weighted regression of ``pred``, the forget-conditioned output, onto terminal noise.
-
-    Returns the loss node and the per-row decay weights it applied."""
-    _single_class(forget_batch)
-    weights = np.asarray(psi(forget_batch.t, schedule.T, lam), dtype=np.float64)
-    target = epsT_target(forget_batch.x_t, rng)
-    return gc.mse_loss(pred, target, weights=weights), weights
-
-
-def retain_loss(pred: Node, retain_batch: LatentBatch, forget_class: int | None = None) -> Node:
-    """Ordinary noise regression of ``pred``, the retained rows' prediction (fine-tuning)."""
-    if forget_class is not None and np.any(retain_batch.labels == forget_class):
-        raise ContractError(f"retain batch contains forget class {forget_class}")
-    return gc.mse_loss(pred, retain_batch.eps)
-
-
 def _retained_classes(dataset: LabeledDataset, forget_class: int) -> list[int]:
     if forget_class >= dataset.K:
         raise DomainError(f"forget_class {forget_class} outside [0, {dataset.K})")
@@ -122,35 +99,38 @@ def _retained_classes(dataset: LabeledDataset, forget_class: int) -> list[int]:
     return retained
 
 
-def _update(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedule,
-            config: UnlearnConfig, rng: np.random.Generator, optimizer: SGD,
-            source_class: int, forget_objective) -> StepRecord:
-    """One combined update on a ``source_class`` batch and a retained-class batch.
+# A row group: (x_t, condition labels, t, regression target, row weights or None for 1).
+Group = tuple[Array, Array, Array, Array, Array | None]
 
-    Both batches go through one denoiser pass, the forget rows first and
-    conditioned on the forget class. ``forget_objective(batch, pred)`` gives
-    the forget loss node and row weights from the forget rows' prediction;
-    the retain rows fine-tune. The rng is drawn in a fixed order: forget
-    batch, retain batch, then any draw inside ``forget_objective``."""
+
+def _groups(dataset: LabeledDataset, schedule: NoiseSchedule, config: UnlearnConfig,
+            rng: np.random.Generator, source_class: int) -> list[Group]:
+    """A ``source_class`` batch conditioned on the forget class, then a retained-class
+    batch, each regressing its own noise; drawn from ``rng`` in that order."""
     retained = _retained_classes(dataset, config.forget_class)
-    f_batch = sample_latent_batch(dataset, schedule, config.batch_size, rng,
-                                  classes=[source_class])
-    r_batch = sample_latent_batch(dataset, schedule, config.batch_size, rng, classes=retained)
-    n_f = f_batch.size
-    labels = np.concatenate([np.full(n_f, config.forget_class, dtype=np.int64), r_batch.labels])
+    f = sample_latent_batch(dataset, schedule, config.batch_size, rng, classes=[source_class])
+    r = sample_latent_batch(dataset, schedule, config.batch_size, rng, classes=retained)
+    return [(f.x_t, np.full(f.size, config.forget_class, dtype=np.int64), f.t, f.eps, None),
+            (r.x_t, r.labels, r.t, r.eps, None)]
+
+
+def _update(model: DenoiserModel, optimizer: SGD, groups: list[Group]) -> StepRecord:
+    """One step on the summed ``mse_loss`` of each group's rows of one denoiser pass;
+    logs group 0 as the forget loss, with its weights' mean and min, group 1 as the retain loss."""
+    x_t, labels, t, targets, weights = zip(*groups)
     tape = Tape()
-    pred = denoiser_forward(tape, tape.params(model.params), model.arch,
-                            np.concatenate([f_batch.x_t, r_batch.x_t]), labels,
-                            np.concatenate([f_batch.t, r_batch.t]))
-    f_loss, weights = forget_objective(f_batch, gc.rows(pred, 0, n_f))
-    r_loss = retain_loss(gc.rows(pred, n_f, pred.shape[0]), r_batch,
-                         forget_class=config.forget_class)
-    objective = gc.add(f_loss, r_loss)
+    pred = denoiser_forward(tape, tape.params(model.params), model.arch, np.concatenate(x_t),
+                            np.concatenate(labels), np.concatenate(t))
+    bounds = np.cumsum([0, *map(len, x_t)]).tolist()
+    losses = [gc.mse_loss(gc.rows(pred, a, b), target, weights=w)
+              for a, b, target, w in zip(bounds, bounds[1:], targets, weights)]
+    objective = reduce(gc.add, losses)
     if not np.isfinite(objective.value):
         raise NumericError("non-finite unlearning objective")
     optimizer.step(model.params, gc.backward(objective))
-    return StepRecord(step=-1, forget_loss=float(f_loss.value), retain_loss=float(r_loss.value),
-                      psi_mean=float(np.mean(weights)), psi_min=float(np.min(weights)))
+    w0 = 1.0 if weights[0] is None else weights[0]
+    return StepRecord(step=-1, forget_loss=float(losses[0].value), retain_loss=float(losses[1].value),
+                      psi_mean=float(np.mean(w0)), psi_min=float(np.min(w0)))
 
 
 def _run(model: DenoiserModel, config: UnlearnConfig, step) -> tuple[DenoiserModel, UnlearnLog]:
@@ -172,10 +152,9 @@ def _run(model: DenoiserModel, config: UnlearnConfig, step) -> tuple[DenoiserMod
 def safemax_step(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedule,
                  config: UnlearnConfig, rng: np.random.Generator, optimizer: SGD) -> StepRecord:
     """One combined update: forget batch on the terminal-noise target, retain batch on regular fine-tuning."""
-    def objective(batch: LatentBatch, pred: Node):
-        return forget_loss(pred, batch, schedule, config.lam, rng)
-
-    return _update(model, dataset, schedule, config, rng, optimizer, config.forget_class, objective)
+    (x_t, labels, t, _, _), retain = _groups(dataset, schedule, config, rng, config.forget_class)
+    forget = (x_t, labels, t, epsT_target(x_t, rng), psi(t, schedule.T, config.lam))
+    return _update(model, optimizer, [forget, retain])
 
 
 def run_unlearning(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedule,
@@ -198,12 +177,7 @@ def baseline_relabel_step(model: DenoiserModel, dataset: LabeledDataset,
         raise DomainError("target_class must differ from forget_class")
     if not 0 <= target_class < dataset.K:
         raise DomainError(f"target_class {target_class} outside [0, {dataset.K})")
-
-    def objective(donor: LatentBatch, pred: Node):
-        # ``pred`` is the donor rows' prediction under the forget-class condition.
-        return gc.mse_loss(pred, donor.eps), 1.0
-
-    return _update(model, dataset, schedule, config, rng, optimizer, target_class, objective)
+    return _update(model, optimizer, _groups(dataset, schedule, config, rng, target_class))
 
 
 def run_relabel_unlearning(model: DenoiserModel, dataset: LabeledDataset,

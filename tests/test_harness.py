@@ -90,6 +90,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             cf.parse_config(f"{key} = 1")
 
+    @pytest.mark.parametrize("output_dir", ["runs/try#2", "runs/a\nb", "runs/a\r", " runs"])
+    def test_output_dir_the_text_cannot_hold_rejected_at_render(self, output_dir):
+        # the parser cuts '#' comments, splits lines and strips edges, so such a
+        # config.txt would read back naming another directory
+        with pytest.raises(ConfigError, match="output.dir"):
+            cf.render_config(replace(cf.default_config(), output_dir=output_dir))
+
     def test_eval_samples_below_three_name_key(self):
         # a Frechet fit in d = 2 needs d + 1 points per class
         for n in (0, 1, 2):
@@ -500,6 +507,12 @@ class TestRunExperiment:
         with pytest.raises(FileNotFoundError):
             ex.run_experiment(cfg, clock=FakeClock())
 
+    def test_output_dir_the_text_cannot_hold_creates_nothing(self, tmp_path):
+        cfg = replace(tiny_config(tmp_path), output_dir=str(tmp_path / "try#2"))
+        with pytest.raises(ConfigError, match="output.dir"):
+            ex.run_experiment(cfg, clock=FakeClock())
+        assert not (tmp_path / "try#2").exists()
+
     def test_output_root_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ex.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
         cfg = replace(tiny_config(tmp_path), output_dir="nested")
@@ -825,7 +838,9 @@ class TestCli:
         (["sweep", "--lambda", "nan"], "lambda"),
         (["sweep", "--lambda", "1", "--members", "0"], "members"),
         (["sweep", "--lambda", "abc"], "--lambda"),
-    ], ids=["unlearn_nan", "sweep_nan", "sweep_no_members", "sweep_not_a_number"])
+        (["sample", "--class", "0", "--out", "never.svg", "--seed", "-1"], "seed"),
+    ], ids=["unlearn_nan", "sweep_nan", "sweep_no_members", "sweep_not_a_number",
+            "sample_negative_seed"])
     def test_bad_value_exits_2_before_any_run(self, tmp_path, capsys, args, named):
         from safemax_lab.harness.cli import main
         cfg = tiny_config(tmp_path)

@@ -90,5 +90,6 @@ def test_loops_call_the_patched_step_functions(tracer_module, run_both):
     assert calls["unlearn.run_relabel_unlearning"] == 1
     assert calls["unlearn.step"] == 4
     assert calls["unlearn.psi"] == 2  # once per safemax step
+    assert calls["unlearn.epsT_target"] == 2  # once per safemax step
     assert calls["denoiser.train_step"] == 3
     assert calls["gradcore.optimizer"] == 7

@@ -11,7 +11,7 @@ from safemax_lab import denoiser as dn
 from safemax_lab import diffusion as df
 from safemax_lab import gradcore as gc
 from safemax_lab import unlearn as ul
-from safemax_lab.errors import ContractError, DomainError, NumericError
+from safemax_lab.errors import DomainError, NumericError
 from safemax_lab.harness import generate_toy_dataset
 
 
@@ -121,26 +121,6 @@ class TestEpsTTarget:
 
 
 class TestForgetLoss:
-    def test_no_decay_reduces_to_plain_mse(self, dataset, schedule):
-        model = small_model()
-        batch = forget_batch(dataset, schedule, n=8, seed=7)
-        loss_a, _ = ul.forget_loss(prediction(model, batch), batch, schedule, 0.0,
-                                   np.random.default_rng(42))
-        target = ul.epsT_target(batch.x_t, np.random.default_rng(42))
-        tape = gc.Tape()
-        pnodes = tape.params(model.params)
-        pred = dn.denoiser_forward(tape, pnodes, model.arch, batch.x_t, batch.labels, batch.t)
-        loss_b = gc.mse_loss(pred, target)
-        npt.assert_allclose(float(loss_a.value), float(loss_b.value), rtol=1e-12)
-
-    def test_mixed_labels_rejected(self, dataset, schedule):
-        model = small_model()
-        batch = df.sample_latent_batch(dataset, schedule, 16, np.random.default_rng(1))
-        assert len(np.unique(batch.labels)) > 1
-        with pytest.raises(ContractError):
-            ul.forget_loss(prediction(model, batch), batch, schedule, 1.0,
-                           np.random.default_rng(0))
-
     def test_gradient_matches_finite_differences(self, dataset, schedule):
         model = small_model(3)
         batch = forget_batch(dataset, schedule, n=8, seed=9)
@@ -156,26 +136,6 @@ class TestForgetLoss:
         err = gc.grad_check(loss_fn, model.params, epsilon=1e-5, probes=40,
                             rng=np.random.default_rng(1))
         assert err < 1e-4
-
-
-class TestRetainLoss:
-    def test_matches_train_step_loss_formula(self, dataset, schedule):
-        model = small_model(4)
-        batch = df.sample_latent_batch(dataset, schedule, 16, np.random.default_rng(2),
-                                       classes=[1, 2, 3])
-        loss = ul.retain_loss(prediction(model, batch), batch)
-        tape = gc.Tape()
-        pnodes = tape.params(model.params)
-        pred = dn.denoiser_forward(tape, pnodes, model.arch, batch.x_t, batch.labels, batch.t)
-        ref = gc.mse_loss(pred, batch.eps)
-        npt.assert_allclose(float(loss.value), float(ref.value), rtol=1e-12)
-        assert float(loss.value) >= 0.0
-
-    def test_forget_rows_rejected(self, dataset, schedule):
-        model = small_model(4)
-        batch = forget_batch(dataset, schedule, c=0)
-        with pytest.raises(ContractError):
-            ul.retain_loss(prediction(model, batch), batch, forget_class=0)
 
 
 class TestSafemaxStep:
@@ -213,8 +173,9 @@ class TestSafemaxStep:
 
     @staticmethod
     def _forget_loss(method, pred, f_batch, schedule, cfg, rng):
-        if method == "safemax":
-            return ul.forget_loss(pred, f_batch, schedule, cfg.lam, rng)[0]
+        if method == "safemax":  # psi-weighted regression onto a fresh terminal-noise draw
+            weights = ul.psi(f_batch.t, schedule.T, cfg.lam)
+            return gc.mse_loss(pred, ul.epsT_target(f_batch.x_t, rng), weights=weights)
         return gc.mse_loss(pred, f_batch.eps)  # donor rows regress their own noise
 
     @pytest.mark.parametrize("method", ["safemax", "relabel"])
@@ -236,7 +197,7 @@ class TestSafemaxStep:
                                    np.concatenate([f_batch.x_t, r_batch.x_t]), labels,
                                    np.concatenate([f_batch.t, r_batch.t]))
         f_loss = self._forget_loss(method, gc.rows(pred, 0, n_f), f_batch, schedule, cfg, rng)
-        r_loss = ul.retain_loss(gc.rows(pred, n_f, pred.shape[0]), r_batch)
+        r_loss = gc.mse_loss(gc.rows(pred, n_f, pred.shape[0]), r_batch.eps)
         grads = gc.backward(gc.add(f_loss, r_loss))
         gc.sgd_step(model_b.params, grads, cfg.learning_rate)
         for name, value in model_a.params.items():
@@ -260,7 +221,7 @@ class TestSafemaxStep:
         r_pred = dn.denoiser_forward(tape, pnodes, model_b.arch, r_batch.x_t, r_batch.labels,
                                      r_batch.t)
         f_loss = self._forget_loss(method, f_pred, f_batch, schedule, cfg, rng)
-        r_loss = ul.retain_loss(r_pred, r_batch)
+        r_loss = gc.mse_loss(r_pred, r_batch.eps)
         grads = gc.backward(gc.add(f_loss, r_loss))
         gc.sgd_step(model_b.params, grads, cfg.learning_rate)
         for name, value in model_a.params.items():
@@ -276,7 +237,7 @@ class TestSafemaxStep:
         f_batch, r_batch = self._batches(method, dataset, schedule, cfg, rng)
         f_pred = prediction(model, f_batch, labels=np.full(f_batch.size, cfg.forget_class))
         f_loss = self._forget_loss(method, f_pred, f_batch, schedule, cfg, rng)
-        r_loss = ul.retain_loss(prediction(model, r_batch), r_batch)
+        r_loss = gc.mse_loss(prediction(model, r_batch), r_batch.eps)
         npt.assert_allclose(record.forget_loss, float(f_loss.value), rtol=1e-12)
         npt.assert_allclose(record.retain_loss, float(r_loss.value), rtol=1e-12)
 
@@ -349,6 +310,13 @@ class TestRelabelBaseline:
                                           optimizer=gc.SGD(0.01, momentum=0.0))
         assert record.forget_loss >= 0.0
         assert record.retain_loss >= 0.0
+
+    def test_logged_weights_are_exactly_one(self, dataset, schedule):
+        # donor rows are unweighted: the decay columns read 1.0 on every step
+        _, log = ul.run_relabel_unlearning(small_model(9), dataset, schedule,
+                                           base_config(steps=3), target_class=2)
+        assert [(r.psi_mean, r.psi_min) for r in log.records] == [(1.0, 1.0)] * 3
+        assert all(row.endswith(",1.0,1.0") for row in log.csv_rows()[1:])
 
     def test_run_is_deterministic(self, dataset, schedule):
         model = small_model(9)
