@@ -1,4 +1,4 @@
-"""Class-conditional noise-prediction MLP and its training loop.
+"""Class-conditional noise-prediction MLP, its one update ``regress`` and its training loop.
 
 The network sees ``[x_t || class embedding || projected timestep features]``
 and regresses the noise that produced ``x_t``. Conditioning by concatenation
@@ -51,6 +51,8 @@ class TrainConfig:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.learning_rate < np.inf:
             raise DomainError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @functools.lru_cache(maxsize=8)
@@ -110,6 +112,8 @@ def _validate_batch_inputs(arch: DenoiserArch, x_t: Array, labels: Array, t: Arr
     rows = x_t.shape[0]
     if labels.shape != (rows,) or t.shape != (rows,):
         raise DimensionError("labels and t must have one entry per row")
+    if labels.dtype.kind not in "iu" or t.dtype.kind not in "iu":
+        raise DomainError(f"labels and t must be integer arrays, got {labels.dtype}, {t.dtype}")
     if rows and (labels.min() < 0 or labels.max() >= arch.K):
         raise DomainError(f"label out of range [0, {arch.K})")
     if rows and (t.min() < 1 or t.max() > arch.T):
@@ -120,8 +124,7 @@ def denoiser_forward(tape: Tape, pnodes: dict[str, Node], arch: DenoiserArch,
                      x_t: Array, labels: Array, t: Array) -> Node:
     """Predicted noise as a tape node, for building differentiable losses."""
     x_t = gc.as_array(x_t)
-    labels = np.asarray(labels, dtype=np.int64)
-    t = np.asarray(t, dtype=np.int64)
+    labels, t = np.asarray(labels), np.asarray(t)
     _validate_batch_inputs(arch, x_t, labels, t)
     sinusoid = tape.constant(_timestep_embedding_table(arch.T, arch.embed_dim)[t])
     temb = gc.dense(sinusoid, pnodes["time_w"], pnodes["time_b"])
@@ -143,16 +146,30 @@ def predict_eps(model: DenoiserModel, x_t: Array, labels: Array, t: Array,
     return denoiser_forward(tape, pnodes, model.arch, x_t, labels, t).value.copy()
 
 
+# A row group: (x_t, condition labels, t, regression target, row weights or None for 1).
+Group = tuple[Array, Array, Array, Array, Array | None]
+
+
+def regress(model: DenoiserModel, optimizer: SGD, groups: list[Group]) -> list[float]:
+    """One step on the summed weighted ``mse_loss`` of each group's rows of one
+    denoiser pass; returns each group's pre-step loss."""
+    x_t, labels, t, targets, weights = zip(*groups)
+    tape = Tape()
+    pred = denoiser_forward(tape, tape.params(model.params), model.arch, np.concatenate(x_t),
+                            np.concatenate(labels), np.concatenate(t))
+    bounds = np.cumsum([0, *map(len, x_t)]).tolist()
+    losses = [gc.mse_loss(gc.rows(pred, a, b), target, weights=w)
+              for a, b, target, w in zip(bounds, bounds[1:], targets, weights)]
+    objective = functools.reduce(gc.add, losses)
+    if not np.isfinite(objective.value):
+        raise NumericError("non-finite training loss")
+    optimizer.step(model.params, gc.backward(objective))
+    return [float(loss.value) for loss in losses]
+
+
 def train_step(model: DenoiserModel, batch: LatentBatch, optimizer: SGD) -> float:
     """One update on the noise-regression loss; returns the pre-step loss."""
-    tape = Tape()
-    pnodes = tape.params(model.params)
-    pred = denoiser_forward(tape, pnodes, model.arch, batch.x_t, batch.labels, batch.t)
-    loss = gc.mse_loss(pred, batch.eps)
-    if not np.isfinite(loss.value):
-        raise NumericError("non-finite training loss")
-    optimizer.step(model.params, gc.backward(loss))
-    return float(loss.value)
+    return regress(model, optimizer, [(batch.x_t, batch.labels, batch.t, batch.eps, None)])[0]
 
 
 def train(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedule,
@@ -161,13 +178,6 @@ def train(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedule
     if dataset.K != model.arch.K:
         raise DomainError(f"dataset has {dataset.K} classes, model expects {model.arch.K}")
     rng = np.random.default_rng(config.seed)
-    opt = SGD(config.learning_rate, momentum=0.9)
-    losses: list[float] = []
-    with gc.one_blas_thread():
-        for step in range(config.steps):
-            batch = sample_latent_batch(dataset, schedule, config.batch_size, rng)
-            try:
-                losses.append(train_step(model, batch, opt))
-            except NumericError as exc:
-                raise NumericError(f"{exc} (at step {step})") from exc
+    losses = gc.fit(config.steps, config.learning_rate, lambda opt: train_step(
+        model, sample_latent_batch(dataset, schedule, config.batch_size, rng), opt))
     return model, losses

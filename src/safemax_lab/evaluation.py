@@ -13,7 +13,7 @@ from . import gradcore as gc
 from .denoiser import init_mlp, mlp
 from .diffusion import LabeledDataset, NoiseSchedule, ancestral_sample
 from .errors import DimensionError, DomainError, EvaluatorQualityError, NumericError
-from .gradcore import Array, ParamStore, SGD, Tape
+from .gradcore import Array, ParamStore, Tape
 
 log = logging.getLogger(__name__)
 
@@ -97,6 +97,8 @@ def _init_and_split(dataset: LabeledDataset, hidden_width: int, seed: int):
     A quarter of each class is held out. Both draws come from ``seed``, so
     the split can be replayed for a classifier trained elsewhere.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     clf = init_classifier(dataset.d, dataset.K, hidden_width, rng)
     train_idx, held_idx = [], []
@@ -132,15 +134,15 @@ def train_classifier(dataset: LabeledDataset, hidden_width: int, steps: int,
     evaluators from ever producing an unlearning-accuracy number.
     """
     clf, rng, train_idx, held_idx = _init_and_split(dataset, hidden_width, seed)
-    opt = SGD(lr, momentum=0.9)
-    batch = min(128, train_idx.size)
-    with gc.one_blas_thread():
-        for _ in range(steps):
-            rows = train_idx[rng.integers(0, train_idx.size, size=batch)]
-            loss = classifier_loss_node(Tape(), clf, dataset.points[rows], dataset.labels[rows])
-            if not np.isfinite(loss.value):
-                raise NumericError("non-finite classifier loss")
-            opt.step(clf.params, gc.backward(loss))
+
+    def step(opt):
+        rows = train_idx[rng.integers(0, train_idx.size, size=min(128, train_idx.size))]
+        loss = classifier_loss_node(Tape(), clf, dataset.points[rows], dataset.labels[rows])
+        if not np.isfinite(loss.value):
+            raise NumericError("non-finite classifier loss")
+        opt.step(clf.params, gc.backward(loss))
+
+    gc.fit(steps, lr, step)
     _gate(clf, dataset, held_idx)
     return clf
 

@@ -15,7 +15,7 @@ All math is 64-bit. The only broadcast is ``dense``'s bias row; every
 other op demands exact shape agreement, which keeps the gradient
 code small enough to verify by finite differences.
 
-``one_blas_thread`` runs a training loop with the loaded OpenBLAS on one thread.
+``fit`` is the one training loop: momentum SGD, on one OpenBLAS thread.
 """
 
 from __future__ import annotations
@@ -579,6 +579,22 @@ def one_blas_thread() -> Iterator[None]:
         yield
     finally:
         put(before)
+
+
+def fit(steps: int, learning_rate: float, step: Callable[[SGD], object]) -> list:
+    """Call ``step(optimizer)`` ``steps`` times on one momentum ``SGD`` inside ``one_blas_thread``;
+    returns the results in order. A ``NumericError`` is re-raised naming its step."""
+    if steps < 0:
+        raise DomainError(f"steps must be >= 0, got {steps}")
+    optimizer = SGD(learning_rate)
+    results = []
+    with one_blas_thread():
+        for i in range(steps):
+            try:
+                results.append(step(optimizer))
+            except NumericError as exc:
+                raise NumericError(f"{exc} (at step {i})") from exc
+    return results
 
 
 def _first_non_finite(params: ParamStore, flat: Array) -> str:

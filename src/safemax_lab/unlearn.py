@@ -1,8 +1,7 @@
 """Entropy-maximization unlearning for the conditional denoiser.
 
-A step is a list of row groups (x_t, condition labels, t, target, row
-weights) run through one denoiser pass, each scored by weighted noise
-regression onto its target. SAFEMax's forget group is conditioned on the
+A step is one ``denoiser.regress`` over row groups (x_t, condition labels, t,
+target, row weights). SAFEMax's forget group is conditioned on the
 forget class and regresses terminal-state noise, weighted by a decay over the
 step index so early (semantically rich) steps dominate; the retained group
 regresses its own noise. The fixed-relabel baseline's forget group is one
@@ -13,37 +12,27 @@ retained class's data, regressing its own noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 import numpy as np
 
 from . import gradcore as gc
-from .denoiser import DenoiserModel, denoiser_forward
+from .denoiser import DenoiserModel, Group, TrainConfig, regress
 from .diffusion import LabeledDataset, NoiseSchedule, sample_latent_batch
-from .errors import DomainError, NumericError
-from .gradcore import Array, SGD, Tape
+from .errors import DomainError
+from .gradcore import Array, SGD
 
 
 @dataclass(frozen=True)
-class UnlearnConfig:
+class UnlearnConfig(TrainConfig):
     forget_class: int
     lam: float
-    steps: int
-    learning_rate: float
-    batch_size: int
-    seed: int
 
     def __post_init__(self):
+        super().__post_init__()
         if self.forget_class < 0:
             raise DomainError(f"forget_class must be >= 0, got {self.forget_class}")
         if not self.lam >= 0.0:
             raise DomainError(f"lambda must be >= 0, got {self.lam}")
-        if self.steps < 0:
-            raise DomainError(f"steps must be >= 0, got {self.steps}")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise DomainError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +60,8 @@ def psi(t, T: int, lam: float):
     if not lam >= 0.0:
         raise DomainError(f"lambda must be >= 0, got {lam}")
     t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0) or np.any(t_arr > T):
-        raise DomainError(f"t must lie in [0, {T}]")
+    if T < 1 or np.any(t_arr < 0) or np.any(t_arr > T):
+        raise DomainError(f"T must be >= 1 and t must lie in [0, T], got T = {T}")
     if lam == np.inf:  # the limit, since -inf * 0 is nan: weight 1 at t = 0, else 0
         out = np.where(t_arr == 0, 1.0, 0.0)
     else:
@@ -99,10 +88,6 @@ def _retained_classes(dataset: LabeledDataset, forget_class: int) -> list[int]:
     return retained
 
 
-# A row group: (x_t, condition labels, t, regression target, row weights or None for 1).
-Group = tuple[Array, Array, Array, Array, Array | None]
-
-
 def _groups(dataset: LabeledDataset, schedule: NoiseSchedule, config: UnlearnConfig,
             rng: np.random.Generator, source_class: int) -> list[Group]:
     """A ``source_class`` batch conditioned on the forget class, then a retained-class
@@ -115,21 +100,10 @@ def _groups(dataset: LabeledDataset, schedule: NoiseSchedule, config: UnlearnCon
 
 
 def _update(model: DenoiserModel, optimizer: SGD, groups: list[Group]) -> StepRecord:
-    """One step on the summed ``mse_loss`` of each group's rows of one denoiser pass;
-    logs group 0 as the forget loss, with its weights' mean and min, group 1 as the retain loss."""
-    x_t, labels, t, targets, weights = zip(*groups)
-    tape = Tape()
-    pred = denoiser_forward(tape, tape.params(model.params), model.arch, np.concatenate(x_t),
-                            np.concatenate(labels), np.concatenate(t))
-    bounds = np.cumsum([0, *map(len, x_t)]).tolist()
-    losses = [gc.mse_loss(gc.rows(pred, a, b), target, weights=w)
-              for a, b, target, w in zip(bounds, bounds[1:], targets, weights)]
-    objective = reduce(gc.add, losses)
-    if not np.isfinite(objective.value):
-        raise NumericError("non-finite unlearning objective")
-    optimizer.step(model.params, gc.backward(objective))
-    w0 = 1.0 if weights[0] is None else weights[0]
-    return StepRecord(step=-1, forget_loss=float(losses[0].value), retain_loss=float(losses[1].value),
+    """One ``regress`` step, logged as group 0's loss and weights and group 1's loss."""
+    forget_loss, retain_loss, *_ = regress(model, optimizer, groups)
+    w0 = 1.0 if groups[0][4] is None else groups[0][4]
+    return StepRecord(step=-1, forget_loss=forget_loss, retain_loss=retain_loss,
                       psi_mean=float(np.mean(w0)), psi_min=float(np.min(w0)))
 
 
@@ -137,16 +111,8 @@ def _run(model: DenoiserModel, config: UnlearnConfig, step) -> tuple[DenoiserMod
     """Run config.steps updates ``step(model, rng, optimizer)`` on a copy of the model."""
     model = model.copy()
     rng = np.random.default_rng(config.seed)
-    opt = SGD(config.learning_rate, momentum=0.9)
-    log = UnlearnLog()
-    with gc.one_blas_thread():
-        for i in range(config.steps):
-            try:
-                record = step(model, rng, opt)
-            except NumericError as exc:
-                raise NumericError(f"{exc} (at step {i})") from exc
-            log.records.append(replace(record, step=i))
-    return model, log
+    records = gc.fit(config.steps, config.learning_rate, lambda opt: step(model, rng, opt))
+    return model, UnlearnLog([replace(r, step=i) for i, r in enumerate(records)])
 
 
 def safemax_step(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedule,

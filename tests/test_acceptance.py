@@ -235,6 +235,7 @@ def matrix():
     return outcomes
 
 
+@pytest.mark.slow
 def test_criterion_6_unlearning_efficacy(matrix):
     with criterion(6, "unlearning efficacy (UA + entropy)"):
         ua = [o.by_lambda[1.0].ua_percent for o in matrix]
@@ -257,6 +258,7 @@ def test_criterion_6_unlearning_efficacy(matrix):
             f"into near-equal angular cells at every radius.")
 
 
+@pytest.mark.slow
 def test_criterion_7_retention(matrix):
     with criterion(7, "retention quality"):
         ratios = [o.by_lambda[1.0].frechet_mean / o.pre.frechet_mean for o in matrix]
@@ -269,6 +271,7 @@ def test_criterion_7_retention(matrix):
         assert median(fd1) <= median(fd0)
 
 
+@pytest.mark.slow
 def test_criterion_8_decay_rate_ablation(matrix):
     with criterion(8, "decay-rate ablation direction"):
         ua_1 = [o.by_lambda[1.0].ua_percent for o in matrix]
@@ -277,6 +280,7 @@ def test_criterion_8_decay_rate_ablation(matrix):
         assert median(ua_100) <= median(ua_1)
 
 
+@pytest.mark.slow
 def test_criterion_9_baseline_contrast(matrix):
     with criterion(9, "relabel baseline contrast"):
         relabel_h = [o.relabel.mean_entropy_nats for o in matrix]

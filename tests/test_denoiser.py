@@ -190,6 +190,15 @@ class TestPredictEps:
         with pytest.raises(DimensionError):
             fresh_eps(model, np.zeros((1, 3)), np.array([0]), np.array([1]))
 
+    @pytest.mark.parametrize("labels, t", [
+        (np.zeros(2, int), np.array([1.7, 2.2])),  # would truncate to steps 1 and 2
+        (np.array([0.0, 1.0]), np.array([1, 2])),
+        (np.zeros(2, int), np.array([True, True])),
+    ], ids=["float_steps", "float_labels", "bool_steps"])
+    def test_non_integer_labels_or_steps_rejected(self, labels, t):
+        with pytest.raises(DomainError, match="integer"):
+            fresh_eps(small_model(0), np.zeros((2, 2)), labels, t)
+
 
 class TestTrainStep:
     def test_loss_non_negative(self, dataset, schedule):
@@ -260,6 +269,11 @@ class TestTrain:
     def test_infinite_learning_rate_rejected(self, rate):
         with pytest.raises(DomainError, match="learning_rate"):
             dn.TrainConfig(steps=1, batch_size=8, learning_rate=rate, seed=0)
+
+    def test_negative_seed_rejected(self):
+        # numpy would reject it only at the first draw, with a bare ValueError
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            dn.TrainConfig(steps=1, batch_size=4, learning_rate=0.1, seed=-1)
 
     @needs_openblas
     def test_steps_run_on_one_blas_thread_and_restore_the_count(self, dataset, schedule,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from safemax_lab import evaluation as ev
 from safemax_lab import gradcore as gc
+from safemax_lab.diffusion import LabeledDataset
 from safemax_lab.errors import DomainError, EvaluatorQualityError, NumericError
 from safemax_lab.harness import generate_toy_dataset
 
@@ -62,6 +63,23 @@ class TestTrainClassifier:
         with pytest.raises(NumericError):
             ev.train_classifier(dataset, 16, 3, 1e-5, seed=5)
         assert gc.blas_threads() == before
+
+    @pytest.mark.parametrize("steps, seed, match", [(1, -1, "seed"), (-1, 0, "steps")])
+    def test_negative_seed_or_steps_rejected(self, dataset, steps, seed, match):
+        # a negative step count used to train nothing and then fail the gate
+        with pytest.raises(DomainError, match=f"{match} must be >= 0, got -1"):
+            ev.train_classifier(dataset, 8, steps, 0.1, seed)
+
+    def test_gate_with_negative_seed_rejected(self, classifier, dataset):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            ev.gate_classifier(classifier, dataset, -1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_overflowing_loss_names_its_step(self):
+        ring = generate_toy_dataset(2, 50, "ring", 0.2, seed=1)
+        ds = LabeledDataset(points=ring.points * 1e300, labels=ring.labels, K=2)  # logits overflow
+        with pytest.raises(NumericError, match=r"non-finite classifier loss \(at step \d+\)$"):
+            ev.train_classifier(ds, 8, 3, 0.05, seed=0)
 
     def test_gate_failure_raises(self):
         # one training step cannot reach the accuracy gate

@@ -84,6 +84,13 @@ class TestPsi:
         with pytest.raises(DomainError):
             ul.psi(1, 100, lam)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_horizon_below_one_rejected(self, T):
+        # T = 0 would divide by zero; it fails before any arithmetic
+        with pytest.raises(DomainError, match="T must be >= 1"):
+            ul.psi(0, T, 1.0)
+
     @given(st.integers(min_value=0, max_value=99),
            st.floats(min_value=0.01, max_value=50.0))
     @settings(max_examples=100, deadline=None)
@@ -252,7 +259,7 @@ class TestGraphLifetime:
             tapes.append(weakref.ref(tape))
             return tape
 
-        monkeypatch.setattr(ul, "Tape", recording_tape)
+        monkeypatch.setattr(dn, "Tape", recording_tape)  # the tape of ``dn.regress``
         collector_was_on = collector.isenabled()
         collector.disable()
         try:
@@ -351,6 +358,19 @@ class TestUnlearnConfig:
     def test_zero_batch_rejected(self):
         with pytest.raises(DomainError):
             base_config(batch_size=0)
+
+    @pytest.mark.parametrize("field, value", [("steps", -1), ("batch_size", 0),
+                                              ("learning_rate", 0.0), ("seed", -1)])
+    def test_is_a_train_config_with_its_checks(self, field, value):
+        # the four shared fields are TrainConfig's, checked once with one message
+        assert issubclass(ul.UnlearnConfig, dn.TrainConfig)
+        assert isinstance(base_config(), dn.TrainConfig)
+        shared = {**dict(steps=3, batch_size=8, learning_rate=0.01, seed=0), field: value}
+        with pytest.raises(DomainError) as train_exc:
+            dn.TrainConfig(**shared)
+        with pytest.raises(DomainError) as unlearn_exc:
+            ul.UnlearnConfig(forget_class=0, lam=1.0, **shared)
+        assert str(unlearn_exc.value) == str(train_exc.value)
 
 
 class TestBlasPin:
