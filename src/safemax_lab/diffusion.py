@@ -56,6 +56,8 @@ class LabeledDataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.points.ndim != 2:
             raise DimensionError(f"points must be rank-2, got {self.points.shape}")
+        if not np.all(np.isfinite(self.points)):
+            raise DomainError("points must be finite")
         if self.labels.shape != (self.points.shape[0],):
             raise DimensionError("labels must align with points")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.K):

@@ -33,25 +33,21 @@ class Classifier:
     arch: ClassifierArch
 
 
+# An EvalReport's headline fields, in the column order of metrics.csv and sweep.csv.
+SUMMARY = ("ua_percent", "mean_entropy_nats", "frechet_mean")
+
+
 @dataclass
 class EvalReport:
     ua_percent: float
     mean_entropy_nats: float
     frechet_per_class: dict[int, float]
     frechet_mean: float
-    rte_seconds: float
-    steps_executed: int
     samples: dict[int, Array]  # the generated samples scored above, per class; not in JSON
 
     def to_json_dict(self) -> dict:
-        return {
-            "ua_percent": self.ua_percent,
-            "mean_entropy_nats": self.mean_entropy_nats,
-            "frechet_per_class": {str(c): v for c, v in sorted(self.frechet_per_class.items())},
-            "frechet_mean": self.frechet_mean,
-            "rte_seconds": self.rte_seconds,
-            "steps_executed": self.steps_executed,
-        }
+        return {**{name: getattr(self, name) for name in SUMMARY},
+                "frechet_per_class": {str(c): v for c, v in sorted(self.frechet_per_class.items())}}
 
 
 @dataclass(frozen=True)
@@ -262,12 +258,11 @@ def sample_classes(model, schedule: NoiseSchedule, k: int, n_samples: int,
 
 
 def score_samples(classifier: Classifier, samples: dict[int, Array], dataset: LabeledDataset,
-                  c_f: int, rte_seconds: float = 0.0, steps_executed: int = 0) -> EvalReport:
+                  c_f: int) -> EvalReport:
     """Score forgetting on ``samples[c_f]`` and retention on every other class.
 
     ``dataset`` should be held-out data (not what the model trained on) so
     the retention distances measure generalization, not memorization.
-    ``rte_seconds`` is supplied by the caller that timed the unlearning loop.
     """
     if not 0 <= c_f < dataset.K:
         raise DomainError(f"forget class {c_f} outside [0, {dataset.K})")
@@ -291,14 +286,12 @@ def score_samples(classifier: Classifier, samples: dict[int, Array], dataset: La
     frechet_mean = float(np.mean(list(frechet_per_class.values())))
     return EvalReport(ua_percent=ua, mean_entropy_nats=entropy,
                       frechet_per_class=frechet_per_class, frechet_mean=frechet_mean,
-                      rte_seconds=rte_seconds, steps_executed=steps_executed,
                       samples=samples)
 
 
 def evaluate(model, classifier: Classifier, dataset: LabeledDataset,
              schedule: NoiseSchedule, c_f: int, n_samples: int,
-             rng: np.random.Generator, rte_seconds: float = 0.0,
-             steps_executed: int = 0) -> EvalReport:
+             rng: np.random.Generator) -> EvalReport:
     """Full protocol: ``sample_classes`` from ``model``, then ``score_samples``."""
     samples = sample_classes(model, schedule, dataset.K, n_samples, rng)
-    return score_samples(classifier, samples, dataset, c_f, rte_seconds, steps_executed)
+    return score_samples(classifier, samples, dataset, c_f)

@@ -24,9 +24,9 @@ import numpy as np
 from .. import denoiser, unlearn
 from ..diffusion import LabeledDataset, NoiseSchedule, build_schedule
 from ..errors import CheckpointIntegrityError, CheckpointVersionError, DomainError, StageError
-from ..evaluation import (Classifier, ClassifierArch, EvalReport, entropy_linkage_holds, evaluate,
-                          gate_classifier, init_classifier, sample_classes, score_samples,
-                          train_classifier)
+from ..evaluation import (SUMMARY, Classifier, ClassifierArch, EvalReport, entropy_linkage_holds,
+                          evaluate, gate_classifier, init_classifier, sample_classes,
+                          score_samples, train_classifier)
 from ..gradcore import Array, blas_threads, one_blas_thread
 from .checkpoints import (Checkpoint, FORMAT_VERSION, load_checkpoint, save_checkpoint,
                           write_atomic)
@@ -70,16 +70,15 @@ def _ensure_dir(outdir: Path) -> Path:
 
 
 @contextmanager
-def _stage(name: str, outdir: Path | None):
+def _stage(name: str, outdir: Path):
     try:
         yield
     except Exception as exc:
-        if outdir is not None:
-            try:
-                write_atomic(outdir / "status.json",
-                             json.dumps({"stage": name, "error": str(exc)}, sort_keys=True) + "\n")
-            except OSError:
-                pass
+        try:
+            write_atomic(outdir / "status.json",
+                         json.dumps({"stage": name, "error": str(exc)}, sort_keys=True) + "\n")
+        except OSError:
+            pass
         raise StageError(name, str(exc)) from exc
 
 
@@ -96,13 +95,8 @@ def build_world(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
 
 def _model_checkpoint(model: denoiser.DenoiserModel, config: ExperimentConfig,
                       seed: int, steps: int, schedule: NoiseSchedule) -> Checkpoint:
-    arch = model.arch
     return Checkpoint(
-        format_version=FORMAT_VERSION,
-        arch={"d": arch.d, "K": arch.K, "hidden_width": arch.hidden_width,
-              "hidden_depth": arch.hidden_depth, "embed_dim": arch.embed_dim, "T": arch.T},
-        schedule={"t": config.schedule.t, "beta_min": config.schedule.beta_min,
-                  "beta_max": config.schedule.beta_max},
+        format_version=FORMAT_VERSION, arch=asdict(model.arch), schedule=asdict(config.schedule),
         beta=schedule.beta,
         params=dict(model.params.items()),
         provenance={"config_sha256": config_sha256(config),
@@ -214,9 +208,7 @@ def _ensure_classifier(config: ExperimentConfig, cache_dir: Path,
     def build():
         clf = train_classifier(train_ds, ev.classifier_hidden_width, ev.classifier_steps,
                                ev.classifier_learning_rate, ev.classifier_seed)
-        arch = clf.arch
-        return _arrays_checkpoint(dict(clf.params.items()),
-                                  {"d": arch.d, "K": arch.K, "hidden_width": arch.hidden_width})
+        return _arrays_checkpoint(dict(clf.params.items()), asdict(clf.arch))
 
     def use(ckpt):
         arch, params = _params_for(
@@ -267,27 +259,21 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def metrics_rows(config: ExperimentConfig, phase: str, seed: int, lam: float,
-                 steps: int, report: EvalReport) -> str:
-    k = config.dataset.k
-    c_f = config.unlearn.forget_class
-    cells = [phase, str(seed), _fmt(lam), str(steps), _fmt(report.ua_percent),
-             _fmt(report.mean_entropy_nats), _fmt(report.frechet_mean)]
-    for c in range(k):
-        cells.append("" if c == c_f else _fmt(report.frechet_per_class[c]))
-    cells.append(_fmt(report.rte_seconds))
-    return ",".join(cells)
-
-
-def metrics_header(k: int) -> str:
-    cols = ["phase", "seed", "lambda", "steps", "ua_percent", "mean_entropy_nats",
-            "frechet_mean"] + [f"frechet_c{c}" for c in range(k)] + ["rte_seconds"]
-    return ",".join(cols)
+def _metrics_row(config: ExperimentConfig, phase: str, report: EvalReport, steps: int,
+                 rte_seconds: float) -> str:
+    """One ``write_metrics_csv`` row; the forget class's distance cell is empty."""
+    ucfg = config.unlearn
+    per_class = ["" if c == ucfg.forget_class else _fmt(report.frechet_per_class[c])
+                 for c in range(config.dataset.k)]
+    return ",".join([phase, str(ucfg.seed), _fmt(ucfg.lam), str(steps),
+                     *(_fmt(getattr(report, name)) for name in SUMMARY), *per_class,
+                     _fmt(rte_seconds)])
 
 
 def write_metrics_csv(path: Path, config: ExperimentConfig, rows: list[str]) -> None:
-    text = "\n".join([metrics_header(config.dataset.k)] + rows) + "\n"
-    write_atomic(path, text)
+    header = ["phase", "seed", "lambda", "steps", *SUMMARY,
+              *(f"frechet_c{c}" for c in range(config.dataset.k)), "rte_seconds"]
+    write_atomic(path, "\n".join([",".join(header), *rows]) + "\n")
 
 
 def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.METHODS)),
@@ -340,17 +326,19 @@ def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.MET
 
     with _stage("evaluate_unlearned", outdir):
         post_report = evaluate(unlearned, classifier, held_ds, schedule, ucfg.forget_class,
-                               config.eval.n_samples, np.random.default_rng(config.eval.seed),
-                               rte_seconds=rte_seconds, steps_executed=ucfg.steps)
+                               config.eval.n_samples, np.random.default_rng(config.eval.seed))
 
     with _stage("report", outdir):
-        rows = [metrics_rows(config, "pretrained", ucfg.seed, ucfg.lam, 0, pre_report),
-                metrics_rows(config, method, ucfg.seed, ucfg.lam, ucfg.steps, post_report)]
-        write_metrics_csv(outdir / "metrics.csv", config, rows)
+        # phase name in metrics.csv, report.json key, report, steps run, unlearning seconds
+        phases = [("pretrained", "pretrained", pre_report, 0, 0.0),
+                  (method, "unlearned", post_report, ucfg.steps, rte_seconds)]
+        write_metrics_csv(outdir / "metrics.csv", config,
+                          [_metrics_row(config, name, *rest) for name, _, *rest in phases])
         report = {"method": method, "lambda": ucfg.lam, "seed": ucfg.seed,
-                  "config_sha256": config_sha256(config),
-                  "pretrained": pre_report.to_json_dict(),
-                  "unlearned": post_report.to_json_dict()}
+                  "config_sha256": config_sha256(config)}
+        for _, key, phase_report, steps, seconds in phases:
+            report[key] = {**phase_report.to_json_dict(), "rte_seconds": seconds,
+                           "steps_executed": steps}
         write_atomic(outdir / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
         render_scatter(pre_report.samples, outdir / "samples_pretrained.svg",
                        title="pretrained samples")
@@ -396,8 +384,9 @@ def sweep(config: ExperimentConfig, values, members: int = 3,
     outdir = _ensure_dir(resolve_outdir(config))
     sweep_dir = outdir / "sweep_lambda"
     sweep_dir.mkdir(exist_ok=True)
-    lines = ["value,seed,status,ua_percent,mean_entropy_nats,frechet_mean,rte_seconds"]
-    collected: dict[float, list[tuple[int, EvalReport]]] = {v: [] for v in values}
+    columns = (*SUMMARY, "rte_seconds")
+    lines = [",".join(("value", "seed", "status", *columns))]
+    collected: dict[float, list[list[float]]] = {v: [] for v in values}  # ok runs' columns
     for k in range(members):
         member_cfg = offset_seeds(config, k)
         member_dir = sweep_dir / f"member{k}"
@@ -410,21 +399,17 @@ def sweep(config: ExperimentConfig, values, members: int = 3,
                                         pretrained_dir=member_dir)
             except StageError as exc:  # keep sweeping; mark the failure
                 log.error("sweep member %d value %s failed: %s", k, value, exc)
-                lines.append(f"{value!r},{member_cfg.unlearn.seed},failed:{exc.stage},,,,")
+                lines.append(",".join([repr(value), str(member_cfg.unlearn.seed),
+                                       f"failed:{exc.stage}", *[""] * len(columns)]))
                 continue
-            r = result.post_report
-            lines.append(f"{value!r},{member_cfg.unlearn.seed},ok,{r.ua_percent!r},"
-                         f"{r.mean_entropy_nats!r},{r.frechet_mean!r},{r.rte_seconds!r}")
-            collected[value].append((member_cfg.unlearn.seed, r))
+            run = [getattr(result.post_report, name) for name in SUMMARY] + [result.rte_seconds]
+            lines.append(",".join([repr(value), str(member_cfg.unlearn.seed), "ok",
+                                   *map(_fmt, run)]))
+            collected[value].append(run)
     for value in values:
-        reports = [r for _, r in collected[value]]
-        if not reports:
-            continue
-        lines.append(f"{value!r},median,ok,"
-                     f"{median(r.ua_percent for r in reports)!r},"
-                     f"{median(r.mean_entropy_nats for r in reports)!r},"
-                     f"{median(r.frechet_mean for r in reports)!r},"
-                     f"{median(r.rte_seconds for r in reports)!r}")
+        if collected[value]:
+            medians = [median(column) for column in zip(*collected[value])]
+            lines.append(",".join([repr(value), "median", "ok", *map(_fmt, medians)]))
     path = sweep_dir / "sweep.csv"
     write_atomic(path, "\n".join(lines) + "\n")
     return path

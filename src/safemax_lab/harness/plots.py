@@ -12,7 +12,7 @@ AXIS_MIN, AXIS_MAX = -8.0, 8.0
 CANVAS = 480
 MARGIN = 48
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
-           "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
+           "#9467bd", "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
 def _to_px(v: float) -> float:

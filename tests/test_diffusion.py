@@ -40,6 +40,15 @@ class TestBuildSchedule:
         assert sched.alpha_bar[-1] < 1e-3
 
 
+class TestLabeledDataset:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        points = np.zeros((4, 2))
+        points[1, 0] = bad
+        with pytest.raises(DomainError, match="finite"):
+            df.LabeledDataset(points=points, labels=[0, 0, 1, 1], K=2)
+
+
 class TestForwardSample:
     def setup_method(self):
         self.sched = df.build_schedule(10, 0.1, 0.3)

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safemax_lab import denoiser as dn
+from safemax_lab import evaluation as ev
 from safemax_lab import gradcore as gc
 from safemax_lab import unlearn as ul
 from safemax_lab.errors import (CheckpointIntegrityError, CheckpointVersionError,
@@ -412,6 +414,13 @@ class TestRenderScatter:
         text = path.read_text()
         assert text.count("class ") == 4
 
+    def test_nine_classes_nine_legend_colours(self, tmp_path):
+        rng = np.random.default_rng(1)
+        path = tmp_path / "nine.svg"
+        render_scatter({c: rng.standard_normal((5, 2)) for c in range(9)}, path)
+        colours = re.findall(r'fill="(#[0-9a-f]{6})" class="legend"', path.read_text())
+        assert len(colours) == len(set(colours)) == 9
+
     def test_non_planar_rejected(self, tmp_path):
         with pytest.raises(DimensionError):
             render_scatter({0: np.zeros((5, 3))}, tmp_path / "bad.svg")
@@ -474,11 +483,21 @@ class TestRunExperiment:
         assert header == ("phase,seed,lambda,steps,ua_percent,mean_entropy_nats,"
                           "frechet_mean,frechet_c0,frechet_c1,frechet_c2,frechet_c3,"
                           "rte_seconds")
+        assert header.split(",")[4:7] == list(ev.SUMMARY)
         rows = (out / "metrics.csv").read_text().splitlines()[1:]
         assert rows[0].startswith("pretrained,") and rows[1].startswith("safemax,")
         # forget-class distance cell is empty
         assert rows[0].split(",")[7] == ""
         assert result.rte_seconds == 0.5
+        report = json.loads((out / "report.json").read_text())
+        for phase in ("pretrained", "unlearned"):
+            assert set(report[phase]) == {*ev.SUMMARY, "frechet_per_class", "rte_seconds",
+                                          "steps_executed"}
+        # the harness, not the evaluator, supplies the run's time and step count
+        assert (report["pretrained"]["rte_seconds"], report["pretrained"]["steps_executed"]) \
+            == (0.0, 0)
+        assert (report["unlearned"]["rte_seconds"], report["unlearned"]["steps_executed"]) \
+            == (0.5, cfg.unlearn.steps)
 
     def test_env_json_records_versions_and_blas_threads(self, tmp_path):
         out = ex.run_experiment(tiny_config(tmp_path), clock=FakeClock()).outdir
@@ -676,6 +695,7 @@ class TestSweep:
         path = ex.sweep(cfg, [1.0], members=1, clock=FakeClock())
         lines = path.read_text().splitlines()
         assert lines[0] == "value,seed,status,ua_percent,mean_entropy_nats,frechet_mean,rte_seconds"
+        assert lines[0].split(",")[3:6] == list(ev.SUMMARY)
         data = [l for l in lines[1:] if l]
         assert len(data) == 2  # one run row + one median row
         run_row, median_row = data
