@@ -14,6 +14,7 @@ from .. import unlearn
 from ..diffusion import ancestral_sample
 from ..errors import (CheckpointIntegrityError, CheckpointVersionError, ConfigError, DomainError,
                       StageError)
+from ..evaluation import SUMMARY
 from .checkpoints import load_checkpoint
 from .config import ExperimentConfig, default_config, parse_config
 from .experiment import (build_world, ensure_pretrained, model_from_checkpoint,
@@ -24,7 +25,10 @@ from .plots import render_scatter
 def _load_config(path: str) -> ExperimentConfig:
     if path == "-":
         return default_config()
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_config(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _cmd_train(args) -> int:
@@ -37,18 +41,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_unlearn(args) -> int:
-    config = _load_config(args.config)
-    result = run_experiment(config, method=args.method, lam=args.lam)
-    print(f"method={result.method} lambda={result.lam}")
-    print(f"  pretrained: UA={result.pre_report.ua_percent:.2f}% "
-          f"H={result.pre_report.mean_entropy_nats:.4f} "
-          f"FD={result.pre_report.frechet_mean:.4f}")
-    print(f"  unlearned:  UA={result.post_report.ua_percent:.2f}% "
-          f"H={result.post_report.mean_entropy_nats:.4f} "
-          f"FD={result.post_report.frechet_mean:.4f} "
-          f"RTE={result.rte_seconds:.2f}s")
+    result = run_experiment(_load_config(args.config), method=args.method, lam=args.lam)
     print(f"artifacts in {result.outdir}")
-    return 0
+    return _print_report(result.outdir)
 
 
 def _cmd_sample(args) -> int:
@@ -75,21 +70,22 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    report_path = Path(args.dir) / "report.json"
+def _print_report(run_dir) -> int:
+    """Print a run's report.json as one table of the headline columns per evaluated model."""
+    report_path = Path(run_dir) / "report.json"
     if not report_path.exists():
-        print(f"no report.json under {args.dir}", file=sys.stderr)
+        print(f"no report.json under {run_dir}", file=sys.stderr)
         return 1
+    columns = (*SUMMARY, "rte_seconds")
     try:
         report = json.loads(report_path.read_text(encoding="utf-8"))
         lines = [f"method={report['method']} lambda={report['lambda']} seed={report['seed']}",
-                 f"{'':14s}{'UA %':>10s}{'H (nats)':>12s}{'FD mean':>10s}{'RTE s':>10s}"]
-        for name in ("pretrained", "unlearned"):
-            r = report[name]
-            lines.append(f"{name:14s}{r['ua_percent']:>10.2f}{r['mean_entropy_nats']:>12.4f}"
-                         f"{r['frechet_mean']:>10.4f}{r['rte_seconds']:>10.2f}")
+                 "".join([f"{'':12s}", *(f"{name:>20s}" for name in columns)])]
+        for phase in ("pretrained", "unlearned"):
+            lines.append("".join([f"{phase:12s}",
+                                  *(f"{report[phase][name]:>20.4f}" for name in columns)]))
     except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not a run's report
-        print(f"unreadable report.json under {args.dir}: {exc!r}", file=sys.stderr)
+        print(f"unreadable report.json under {run_dir}: {exc!r}", file=sys.stderr)
         return 1
     print("\n".join(lines))
     return 0
@@ -129,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="summarize a finished run directory")
     p.add_argument("dir")
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=lambda args: _print_report(args.dir))
     return parser
 
 

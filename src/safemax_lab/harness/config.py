@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 from ..denoiser import TrainConfig
-from ..errors import ConfigError
+from ..errors import ConfigError, DomainError
 from ..unlearn import UnlearnConfig
 from .datasets import GEOMETRIES
 
@@ -25,6 +25,16 @@ class DatasetSpec:
     noise_scale: float = 0.35
     seed: int = 0
 
+    def __post_init__(self):
+        if min(self.k, self.n_per_class) < 2:
+            raise DomainError(f"k and n_per_class must be >= 2, got {self}")
+        if self.geometry not in GEOMETRIES:
+            raise DomainError(f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}")
+        if not 0.0 < self.noise_scale < math.inf:
+            raise DomainError(f"noise_scale must be > 0 and finite, got {self.noise_scale}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class ScheduleSpec:
@@ -32,12 +42,24 @@ class ScheduleSpec:
     beta_min: float = 1e-4
     beta_max: float = 0.2
 
+    def __post_init__(self):
+        if self.t < 1:
+            raise DomainError(f"t must be >= 1, got {self.t}")
+        if not 0.0 < self.beta_min <= self.beta_max < 1.0:
+            raise DomainError(f"need 0 < beta_min <= beta_max < 1, got {self}")
+
 
 @dataclass(frozen=True)
 class ModelSpec:
     hidden_width: int = 128
     hidden_depth: int = 3
     embed_dim: int = 16
+
+    def __post_init__(self):
+        if min(self.hidden_width, self.hidden_depth) < 1:
+            raise DomainError(f"hidden_width and hidden_depth must be >= 1, got {self}")
+        if self.embed_dim < 2 or self.embed_dim % 2:
+            raise DomainError(f"embed_dim must be even and >= 2, got {self.embed_dim}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +71,18 @@ class EvalSpec:
     classifier_seed: int = 3
     seed: int = 4
 
+    def __post_init__(self):
+        if self.n_samples < 3:  # a Frechet fit in d = 2 needs d + 1 points per class
+            raise DomainError(f"n_samples must be >= 3, got {self.n_samples}")
+        if min(self.classifier_hidden_width, self.classifier_steps) < 1:
+            raise DomainError(
+                f"classifier_hidden_width and classifier_steps must be >= 1, got {self}")
+        if not 0.0 < self.classifier_learning_rate < math.inf:
+            raise DomainError("classifier_learning_rate must be > 0 and finite, "
+                              f"got {self.classifier_learning_rate}")
+        if min(self.classifier_seed, self.seed) < 0:
+            raise DomainError(f"classifier_seed and seed must be >= 0, got {self}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -59,6 +93,13 @@ class ExperimentConfig:
     unlearn: UnlearnConfig
     eval: EvalSpec
     output_dir: str
+
+    def __post_init__(self):
+        if self.unlearn.forget_class >= self.dataset.k:
+            raise DomainError(f"unlearn.forget_class must be < dataset.k, "
+                              f"got {self.unlearn.forget_class} >= {self.dataset.k}")
+        if not self.output_dir:
+            raise DomainError("output.dir must be non-empty")
 
 
 def default_config() -> ExperimentConfig:
@@ -74,60 +115,32 @@ def default_config() -> ExperimentConfig:
     )
 
 
-# key -> (section attr, field attr, parser, validator, requirement text)
-_FIELDS: dict[str, tuple] = {
-    "dataset.k": ("dataset", "k", int, lambda v: v >= 2, ">= 2"),
-    "dataset.n_per_class": ("dataset", "n_per_class", int, lambda v: v >= 2, ">= 2"),
-    "dataset.geometry": ("dataset", "geometry", str, lambda v: v in GEOMETRIES,
-                         f"one of {GEOMETRIES}"),
-    "dataset.noise_scale": ("dataset", "noise_scale", float, lambda v: 0 < v < math.inf,
-                            "in (0, inf)"),
-    "dataset.seed": ("dataset", "seed", int, lambda v: v >= 0, ">= 0"),
-    "schedule.t": ("schedule", "t", int, lambda v: v >= 1, ">= 1"),
-    "schedule.beta_min": ("schedule", "beta_min", float, lambda v: 0 < v < 1, "in (0, 1)"),
-    "schedule.beta_max": ("schedule", "beta_max", float, lambda v: 0 < v < 1, "in (0, 1)"),
-    "model.hidden_width": ("model", "hidden_width", int, lambda v: v >= 1, ">= 1"),
-    "model.hidden_depth": ("model", "hidden_depth", int, lambda v: v >= 1, ">= 1"),
-    "model.embed_dim": ("model", "embed_dim", int,
-                        lambda v: v >= 2 and v % 2 == 0, "even and >= 2"),
-    "pretrain.steps": ("pretrain", "steps", int, lambda v: v >= 0, ">= 0"),
-    "pretrain.batch_size": ("pretrain", "batch_size", int, lambda v: v >= 1, ">= 1"),
-    "pretrain.learning_rate": ("pretrain", "learning_rate", float,
-                               lambda v: 0 < v < math.inf, "in (0, inf)"),
-    "pretrain.seed": ("pretrain", "seed", int, lambda v: v >= 0, ">= 0"),
-    "unlearn.forget_class": ("unlearn", "forget_class", int, lambda v: v >= 0, ">= 0"),
-    "unlearn.lambda": ("unlearn", "lam", float, lambda v: v >= 0, ">= 0"),
-    "unlearn.steps": ("unlearn", "steps", int, lambda v: v >= 0, ">= 0"),
-    "unlearn.learning_rate": ("unlearn", "learning_rate", float,
-                              lambda v: 0 < v < math.inf, "in (0, inf)"),
-    "unlearn.batch_size": ("unlearn", "batch_size", int, lambda v: v >= 1, ">= 1"),
-    "unlearn.seed": ("unlearn", "seed", int, lambda v: v >= 0, ">= 0"),
-    "eval.n_samples": ("eval", "n_samples", int, lambda v: v >= 3, ">= 3"),
-    "eval.classifier_hidden_width": ("eval", "classifier_hidden_width", int,
-                                     lambda v: v >= 1, ">= 1"),
-    "eval.classifier_steps": ("eval", "classifier_steps", int, lambda v: v >= 1, ">= 1"),
-    "eval.classifier_learning_rate": ("eval", "classifier_learning_rate", float,
-                                      lambda v: 0 < v < math.inf, "in (0, inf)"),
-    "eval.classifier_seed": ("eval", "classifier_seed", int, lambda v: v >= 0, ">= 0"),
-    "eval.seed": ("eval", "seed", int, lambda v: v >= 0, ">= 0"),
-    "output.dir": ("output", "dir", str, lambda v: len(v) > 0, "non-empty"),
-}
+# The config keys in rendering order. A key is `section.field`, but for the two in
+# _RENAMED; section None is ExperimentConfig itself.
+_KEYS = (
+    "dataset.k", "dataset.n_per_class", "dataset.geometry", "dataset.noise_scale", "dataset.seed",
+    "schedule.t", "schedule.beta_min", "schedule.beta_max",
+    "model.hidden_width", "model.hidden_depth", "model.embed_dim",
+    "pretrain.steps", "pretrain.batch_size", "pretrain.learning_rate", "pretrain.seed",
+    "unlearn.forget_class", "unlearn.lambda", "unlearn.steps", "unlearn.learning_rate",
+    "unlearn.batch_size", "unlearn.seed",
+    "eval.n_samples", "eval.classifier_hidden_width", "eval.classifier_steps",
+    "eval.classifier_learning_rate", "eval.classifier_seed", "eval.seed",
+    "output.dir",
+)
+_RENAMED = {"unlearn.lambda": ("unlearn", "lam"), "output.dir": (None, "output_dir")}
+_FIELDS = {key: _RENAMED.get(key, tuple(key.split("."))) for key in _KEYS}
 
 
-def _parse_value(key: str, raw: str, parser) -> object:
-    if parser is str:
-        return raw
-    try:
-        if parser is int:
-            return int(raw, 10)
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse {raw!r} as {parser.__name__}") from None
+def _value(config: ExperimentConfig, key: str):
+    section, attr = _FIELDS[key]
+    return getattr(config if section is None else getattr(config, section), attr)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text, filling defaults and validating every key."""
-    values: dict[str, object] = {}
+    """Parse config text, filling defaults; each section checks its own values."""
+    base = default_config()
+    given: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -137,45 +150,36 @@ def parse_config(text: str) -> ExperimentConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _FIELDS:
             raise ConfigError(f"unknown key {key!r}")
-        if key in values:
+        if key in given:
             raise ConfigError(f"duplicate key {key!r}")
-        _, _, parser, check, requirement = _FIELDS[key]
-        value = _parse_value(key, raw, parser)
-        if not check(value):
-            raise ConfigError(f"{key}: value {value!r} violates requirement ({requirement})")
-        values[key] = value
+        kind = type(_value(base, key))
+        try:
+            given[key] = int(raw, 10) if kind is int else kind(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from None
 
-    cfg = default_config()
-    sections = {"dataset": cfg.dataset, "schedule": cfg.schedule, "model": cfg.model,
-                "pretrain": cfg.pretrain, "unlearn": cfg.unlearn, "eval": cfg.eval}
-    output_dir = cfg.output_dir
-    for key, value in values.items():
-        section, attr, _, _, _ = _FIELDS[key]
-        if section == "output":
-            output_dir = str(value)
-        else:
-            sections[section] = replace(sections[section], **{attr: value})
-    if not sections["schedule"].beta_min <= sections["schedule"].beta_max:
-        raise ConfigError("schedule.beta_min: must be <= schedule.beta_max")
-    if sections["unlearn"].forget_class >= sections["dataset"].k:
-        raise ConfigError("unlearn.forget_class: must be < dataset.k")
-    return ExperimentConfig(dataset=sections["dataset"], schedule=sections["schedule"],
-                            model=sections["model"], pretrain=sections["pretrain"],
-                            unlearn=sections["unlearn"], eval=sections["eval"],
-                            output_dir=output_dir)
+    fields = {"output_dir": given.get("output.dir", base.output_dir)}
+    for section in ("dataset", "schedule", "model", "pretrain", "unlearn", "eval"):
+        named = [key for key in given if _FIELDS[key][0] == section]
+        try:
+            fields[section] = replace(getattr(base, section),
+                                      **{_FIELDS[key][1]: given[key] for key in named})
+        except DomainError as exc:
+            raise ConfigError(f"{', '.join(named)}: {exc}") from None
+    try:
+        return ExperimentConfig(**fields)
+    except DomainError as exc:  # a rule across sections; its message names the keys
+        raise ConfigError(str(exc)) from None
 
 
 def render_config(config: ExperimentConfig) -> str:
     """Canonical text form; parse_config(render_config(c)) == c, else ConfigError."""
     lines = []
-    for key, (section, attr, parser, _, _) in _FIELDS.items():
-        if section == "output":
-            value = config.output_dir
-            if value.split("#", 1)[0].strip().splitlines() != [value]:
-                raise ConfigError(f"{key}: {value!r} holds '#', a line break or edge space")
-        else:
-            value = getattr(getattr(config, section), attr)
-        lines.append(f"{key} = {value!r}" if parser is float else f"{key} = {value}")
+    for key in _FIELDS:
+        value = _value(config, key)
+        if key == "output.dir" and value.split("#", 1)[0].strip().splitlines() != [value]:
+            raise ConfigError(f"{key}: {value!r} holds '#', a line break or edge space")
+        lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

@@ -14,8 +14,8 @@ from safemax_lab import evaluation as ev
 from safemax_lab import gradcore as gc
 from safemax_lab import unlearn as ul
 from safemax_lab.errors import (CheckpointIntegrityError, CheckpointVersionError,
-                                ConfigError, DimensionError, DomainError, NumericError,
-                                StageError)
+                                ConfigError, DegenerateSampleError, DimensionError, DomainError,
+                                NumericError, StageError)
 from safemax_lab.harness import checkpoints as ck
 from safemax_lab.harness import config as cf
 from safemax_lab.harness import experiment as ex
@@ -54,6 +54,21 @@ class TestGenerateToyDataset:
             generate_toy_dataset(4, 1, "ring", 0.2, seed=0)
         with pytest.raises(DomainError):
             generate_toy_dataset(4, 10, "ring", 0.0, seed=0)
+
+
+# one value per config key that its section rejects
+OUT_OF_RANGE = {
+    "dataset.k": 1, "dataset.n_per_class": 1, "dataset.geometry": "spiral",
+    "dataset.noise_scale": 0.0, "dataset.seed": -1,
+    "schedule.t": 0, "schedule.beta_min": 0.0, "schedule.beta_max": 1.0,
+    "model.hidden_width": 0, "model.hidden_depth": 0, "model.embed_dim": 7,
+    "pretrain.steps": -1, "pretrain.batch_size": 0, "pretrain.learning_rate": 0.0,
+    "pretrain.seed": -1,
+    "unlearn.forget_class": 4, "unlearn.lambda": -1.0, "unlearn.steps": -1,
+    "unlearn.learning_rate": 0.0, "unlearn.batch_size": 0, "unlearn.seed": -1,
+    "eval.n_samples": 2, "eval.classifier_hidden_width": 0, "eval.classifier_steps": 0,
+    "eval.classifier_learning_rate": 0.0, "eval.classifier_seed": -1, "eval.seed": -1,
+}
 
 
 class TestConfig:
@@ -125,6 +140,27 @@ class TestConfig:
     def test_forget_class_bound_check(self):
         with pytest.raises(ConfigError, match="unlearn.forget_class"):
             cf.parse_config("dataset.k = 3\nunlearn.forget_class = 3")
+
+    @pytest.mark.parametrize("key", [line.split(" = ")[0] for line in
+                                     cf.render_config(cf.default_config()).splitlines()
+                                     if not line.startswith("output.")])
+    def test_out_of_range_value_rejected_by_its_section(self, key):
+        # the section dataclasses hold the checks, so the text and the Python API agree
+        value = OUT_OF_RANGE[key]
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            cf.parse_config(f"{key} = {value}")
+        section, field = key.split(".")
+        cfg = cf.default_config()
+        with pytest.raises(DomainError):
+            replace(cfg, **{section: replace(getattr(cfg, section),
+                                             **{"lam" if field == "lambda" else field: value})})
+
+    def test_keys_of_one_section_are_checked_together(self):
+        # beta_min = 0.3 exceeds only the default beta_max
+        with pytest.raises(ConfigError, match="schedule.beta_min"):
+            cf.parse_config("schedule.beta_min = 0.3")
+        cfg = cf.parse_config("schedule.beta_min = 0.3\nschedule.beta_max = 0.5")
+        assert (cfg.schedule.beta_min, cfg.schedule.beta_max) == (0.3, 0.5)
 
     def test_round_trip_default(self):
         cfg = cf.default_config()
@@ -643,9 +679,13 @@ class TestRunExperiment:
             ex.run_experiment(cfg, clock=FakeClock())
         assert err.value.stage == "classifier"
 
-    def test_failed_scoring_caches_no_samples(self, tmp_path):
+    def test_failed_scoring_caches_no_samples(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path)
-        cfg = replace(cfg, eval=replace(cfg.eval, n_samples=2))  # too few for a Frechet fit
+
+        def failing(*args):
+            raise DegenerateSampleError("too few samples for a Frechet fit")
+
+        monkeypatch.setattr(ex, "score_samples", failing)
         with pytest.raises(StageError) as err:
             ex.run_experiment(cfg, clock=FakeClock())
         assert err.value.stage == "evaluate_pretrained"
@@ -690,6 +730,15 @@ class TestRunExperiment:
 
 
 class TestSweep:
+    def test_offset_seeds_shifts_exactly_the_five_seeds(self):
+        base = cf.default_config()
+        before, after = (dict(line.split(" = ") for line in cf.render_config(cfg).splitlines())
+                         for cfg in (base, ex.offset_seeds(base, 3)))
+        seeds = {"dataset.seed", "pretrain.seed", "unlearn.seed", "eval.classifier_seed",
+                 "eval.seed"}
+        assert {key for key in before if before[key] != after[key]} == seeds
+        assert all(int(after[key]) == int(before[key]) + 3 for key in seeds)
+
     def test_single_value_matches_single_run(self, tmp_path):
         cfg = tiny_config(tmp_path)
         path = ex.sweep(cfg, [1.0], members=1, clock=FakeClock())
@@ -785,17 +834,28 @@ class TestCli:
         assert tuple(method.choices) == tuple(ul.METHODS)
         out = capsys.readouterr().out
         assert "method=relabel" in out
-        assert "pretrained: UA=" in out and "unlearned:  UA=" in out
+        rows = [line.split() for line in out.splitlines()]
+        assert [[*ev.SUMMARY, "rte_seconds"]] == [row for row in rows if row[0] == ev.SUMMARY[0]]
+        assert [len(row) for row in rows if row[0] in ("pretrained", "unlearned")] == [
+            len(ev.SUMMARY) + 2] * 2
+        # `report` prints the same table from the report.json that `unlearn` wrote
+        assert main(["report", str(tiny_config(tmp_path).output_dir)]) == 0
+        assert capsys.readouterr().out in out
         # the pipeline's reports are printed by `unlearn` and kept in report.json
         with pytest.raises(SystemExit) as err:
             main(["evaluate", str(cfg_path)])
         assert err.value.code == 2
 
-    def test_config_error_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("content", [b"unlearn.lambda = -3\n", b"\xff",
+                                         b"dataset.geometry = caf\xe9\n"],
+                             ids=["negative_lambda", "not_utf8_ff", "not_utf8_e9"])
+    def test_config_error_exit_code(self, tmp_path, capsys, content):
         from safemax_lab.harness.cli import main
         bad = tmp_path / "bad.cfg"
-        bad.write_text("unlearn.lambda = -3\n")
-        assert main(["train", str(bad)]) == 2
+        bad.write_bytes(content)
+        for args in (["train"], ["unlearn"], ["sweep", "--lambda", "1"]):
+            assert main([args[0], str(bad), *args[1:]]) == 2
+            self._assert_one_error_line(capsys, "config error: ")
 
     def _assert_one_error_line(self, capsys, named):
         captured = capsys.readouterr()
