@@ -53,7 +53,12 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.points = as_array(self.points)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "iu":  # no silent truncation of float or bool labels
+            raise DomainError(f"labels must be an integer array, got {labels.dtype}")
+        self.labels = labels.astype(np.int64)
+        if self.K < 2:
+            raise DomainError(f"K must be >= 2, got {self.K}")
         if self.points.ndim != 2:
             raise DimensionError(f"points must be rank-2, got {self.points.shape}")
         if not np.all(np.isfinite(self.points)):
@@ -62,8 +67,6 @@ class LabeledDataset:
             raise DimensionError("labels must align with points")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.K):
             raise DomainError(f"labels must lie in [0, {self.K})")
-        if len(self.points) < self.K:
-            raise DomainError("need at least one sample per class")
         counts = np.bincount(self.labels, minlength=self.K)
         if np.any(counts < 2):
             raise DomainError("every class needs at least 2 samples")
@@ -123,8 +126,6 @@ def sample_latent_batch(dataset: LabeledDataset, schedule: NoiseSchedule,
     """
     if batch_size < 1:
         raise DomainError(f"batch_size must be >= 1, got {batch_size}")
-    if dataset.n == 0:
-        raise DomainError("dataset is empty")
     if classes is None:
         rows = rng.integers(0, dataset.n, size=batch_size)
     else:

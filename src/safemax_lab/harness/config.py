@@ -14,26 +14,7 @@ from dataclasses import dataclass, replace
 from ..denoiser import TrainConfig
 from ..errors import ConfigError, DomainError
 from ..unlearn import UnlearnConfig
-from .datasets import GEOMETRIES
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    k: int = 4
-    n_per_class: int = 1000
-    geometry: str = "ring"
-    noise_scale: float = 0.35
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.k, self.n_per_class) < 2:
-            raise DomainError(f"k and n_per_class must be >= 2, got {self}")
-        if self.geometry not in GEOMETRIES:
-            raise DomainError(f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}")
-        if not 0.0 < self.noise_scale < math.inf:
-            raise DomainError(f"noise_scale must be > 0 and finite, got {self.noise_scale}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+from .datasets import DatasetSpec
 
 
 @dataclass(frozen=True)

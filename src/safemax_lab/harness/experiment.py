@@ -85,9 +85,8 @@ def _stage(name: str, outdir: Path):
 def build_world(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset, NoiseSchedule]:
     """Training dataset, a held-out dataset for evaluation, and the schedule."""
     ds = config.dataset
-    train_ds = generate_toy_dataset(ds.k, ds.n_per_class, ds.geometry, ds.noise_scale, ds.seed)
-    held_ds = generate_toy_dataset(ds.k, ds.n_per_class, ds.geometry, ds.noise_scale,
-                                   ds.seed + HELDOUT_SEED_OFFSET)
+    train_ds = generate_toy_dataset(ds)
+    held_ds = generate_toy_dataset(replace(ds, seed=ds.seed + HELDOUT_SEED_OFFSET))
     schedule = build_schedule(config.schedule.t, config.schedule.beta_min,
                               config.schedule.beta_max)
     return train_ds, held_ds, schedule

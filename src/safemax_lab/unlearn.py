@@ -79,13 +79,7 @@ def epsT_target(x_t: Array, rng: np.random.Generator) -> Array:
 def _retained_classes(dataset: LabeledDataset, forget_class: int) -> list[int]:
     if forget_class >= dataset.K:
         raise DomainError(f"forget_class {forget_class} outside [0, {dataset.K})")
-    if dataset.class_indices(forget_class).size == 0:
-        raise DomainError(f"dataset has no samples of forget class {forget_class}")
-    retained = [c for c in range(dataset.K) if c != forget_class
-                and dataset.class_indices(c).size > 0]
-    if not retained:
-        raise DomainError("no retained classes to fine-tune on")
-    return retained
+    return [c for c in range(dataset.K) if c != forget_class]
 
 
 def _groups(dataset: LabeledDataset, schedule: NoiseSchedule, config: UnlearnConfig,

@@ -32,7 +32,7 @@ from safemax_lab import unlearn as ul
 from safemax_lab.harness import checkpoints as ck
 from safemax_lab.harness import experiment as ex
 from safemax_lab.harness.config import default_config
-from safemax_lab.harness.datasets import generate_toy_dataset
+from safemax_lab.harness.datasets import DatasetSpec, generate_toy_dataset
 
 
 @contextmanager
@@ -52,7 +52,7 @@ def criterion(number: int, name: str):
 def test_criterion_1_gradient_oracle():
     with criterion(1, "gradient oracle"):
         start = time.perf_counter()
-        ds = generate_toy_dataset(4, 300, "ring", 0.35, seed=0)
+        ds = generate_toy_dataset(DatasetSpec(4, 300, "ring", 0.35, 0))
         sched = df.build_schedule(100, 1e-4, 0.2)
 
         model = dn.init_model(2, 4, 128, 3, 16, 100, np.random.default_rng(1))
@@ -124,7 +124,7 @@ def test_criterion_2_forward_statistics():
 def test_criterion_3_latent_trajectories():
     with criterion(3, "latent trajectory properties"):
         sched = df.build_schedule(100, 1e-4, 0.2)
-        ds = generate_toy_dataset(4, 1000, "ring", 0.35, seed=0)
+        ds = generate_toy_dataset(DatasetSpec(4, 1000, "ring", 0.35, 0))
         rng = np.random.default_rng(9)
         checkpoints = [1, 25, 50, 75, 100]
         n = 100_000

@@ -10,7 +10,7 @@ from safemax_lab import denoiser as dn
 from safemax_lab import diffusion as df
 from safemax_lab import gradcore as gc
 from safemax_lab.errors import ContractError, DimensionError, DomainError, NumericError
-from safemax_lab.harness import generate_toy_dataset
+from safemax_lab.harness import DatasetSpec, generate_toy_dataset
 
 
 needs_openblas = pytest.mark.skipif(gc.blas_threads() is None, reason="no OpenBLAS loaded")
@@ -32,7 +32,7 @@ def schedule():
 
 @pytest.fixture(scope="module")
 def dataset():
-    return generate_toy_dataset(4, 200, "ring", 0.35, seed=0)
+    return generate_toy_dataset(DatasetSpec(4, 200, "ring", 0.35, 0))
 
 
 class TestInitModel:
@@ -335,7 +335,7 @@ class TestTrain:
         assert tail < head
 
     def test_class_count_mismatch_rejected(self, schedule):
-        ds = generate_toy_dataset(3, 50, "ring", 0.3, seed=1)
+        ds = generate_toy_dataset(DatasetSpec(3, 50, "ring", 0.3, 1))
         with pytest.raises(DomainError):
             dn.train(small_model(0, K=4), ds, schedule,
                      dn.TrainConfig(steps=1, batch_size=4, learning_rate=0.01, seed=0))
@@ -343,7 +343,7 @@ class TestTrain:
 
 @pytest.fixture(scope="module")
 def trained_two_class():
-    ds = generate_toy_dataset(2, 600, "ring", 0.3, seed=5)
+    ds = generate_toy_dataset(DatasetSpec(2, 600, "ring", 0.3, 5))
     sched = df.build_schedule(30, 1e-3, 0.3)
     model = dn.init_model(2, 2, 32, 2, 8, 30, np.random.default_rng(0))
     dn.train(model, ds, sched,

@@ -4,12 +4,12 @@ import pytest
 
 from safemax_lab import diffusion as df
 from safemax_lab.errors import DegenerateSampleError, DimensionError, DomainError
-from safemax_lab.harness import generate_toy_dataset
+from safemax_lab.harness import DatasetSpec, generate_toy_dataset
 
 
 @pytest.fixture(scope="module")
 def toy_dataset():
-    return generate_toy_dataset(4, 500, "ring", 0.35, seed=0)
+    return generate_toy_dataset(DatasetSpec(4, 500, "ring", 0.35, 0))
 
 
 class TestBuildSchedule:
@@ -47,6 +47,17 @@ class TestLabeledDataset:
         points[1, 0] = bad
         with pytest.raises(DomainError, match="finite"):
             df.LabeledDataset(points=points, labels=[0, 0, 1, 1], K=2)
+
+    @pytest.mark.parametrize("K", [0, 1])
+    def test_fewer_than_two_classes_rejected(self, K):
+        with pytest.raises(DomainError, match="K must be >= 2"):
+            df.LabeledDataset(points=np.zeros((2 * K, 2)), labels=np.zeros(2 * K, np.int64), K=K)
+
+    @pytest.mark.parametrize("labels", [[0.5, 0.7, 1.2, 1.9], [0.0, 0.0, 1.0, 1.0],
+                                        [False, False, True, True]])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(DomainError, match="integer"):
+            df.LabeledDataset(points=np.zeros((4, 2)), labels=labels, K=2)
 
 
 class TestForwardSample:
@@ -296,7 +307,7 @@ class TestInterclassDistance:
 @pytest.fixture(scope="module")
 def trajectory():
     sched = df.build_schedule(100, 1e-4, 0.2)
-    ds = generate_toy_dataset(4, 1000, "ring", 0.35, seed=0)
+    ds = generate_toy_dataset(DatasetSpec(4, 1000, "ring", 0.35, 0))
     rng = np.random.default_rng(9)
     checkpoints = [1, 25, 50, 75, 100]
     n = 50_000

@@ -8,7 +8,7 @@ from safemax_lab import evaluation as ev
 from safemax_lab import gradcore as gc
 from safemax_lab.diffusion import LabeledDataset
 from safemax_lab.errors import DomainError, EvaluatorQualityError, NumericError
-from safemax_lab.harness import generate_toy_dataset
+from safemax_lab.harness import DatasetSpec, generate_toy_dataset
 
 
 needs_openblas = pytest.mark.skipif(gc.blas_threads() is None, reason="no OpenBLAS loaded")
@@ -16,7 +16,7 @@ needs_openblas = pytest.mark.skipif(gc.blas_threads() is None, reason="no OpenBL
 
 @pytest.fixture(scope="module")
 def dataset():
-    return generate_toy_dataset(4, 400, "ring", 0.35, seed=0)
+    return generate_toy_dataset(DatasetSpec(4, 400, "ring", 0.35, 0))
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ class TestTrainClassifier:
             npt.assert_array_equal(value, b.params[name])
 
     def test_separable_blobs_reach_full_accuracy(self):
-        ds = generate_toy_dataset(2, 300, "ring", 0.2, seed=1)
+        ds = generate_toy_dataset(DatasetSpec(2, 300, "ring", 0.2, 1))
         clf = ev.train_classifier(ds, 16, 500, 0.05, seed=0)
         acc = np.mean(ev.classify(clf, ds.points) == ds.labels)
         assert acc == 1.0
@@ -76,14 +76,14 @@ class TestTrainClassifier:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
     def test_overflowing_loss_names_its_step(self):
-        ring = generate_toy_dataset(2, 50, "ring", 0.2, seed=1)
+        ring = generate_toy_dataset(DatasetSpec(2, 50, "ring", 0.2, 1))
         ds = LabeledDataset(points=ring.points * 1e300, labels=ring.labels, K=2)  # logits overflow
         with pytest.raises(NumericError, match=r"non-finite classifier loss \(at step \d+\)$"):
             ev.train_classifier(ds, 8, 3, 0.05, seed=0)
 
     def test_gate_failure_raises(self):
         # one training step cannot reach the accuracy gate
-        ds = generate_toy_dataset(4, 100, "ring", 0.35, seed=2)
+        ds = generate_toy_dataset(DatasetSpec(4, 100, "ring", 0.35, 2))
         with pytest.raises(EvaluatorQualityError):
             ev.train_classifier(ds, 4, 1, 1e-5, seed=0)
 
@@ -131,7 +131,7 @@ class TestUnlearningAccuracy:
 class TestPredictionEntropy:
     def test_one_hot_is_zero(self):
         # saturated inputs give an effectively one-hot prediction
-        ds = generate_toy_dataset(2, 200, "ring", 0.1, seed=3)
+        ds = generate_toy_dataset(DatasetSpec(2, 200, "ring", 0.1, 3))
         clf = ev.train_classifier(ds, 16, 800, 0.1, seed=1)
         pts = np.tile([400.0, 0.0], (10, 1))
         assert ev.prediction_entropy(clf, pts) < 1e-12

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -19,41 +20,38 @@ from safemax_lab.errors import (CheckpointIntegrityError, CheckpointVersionError
 from safemax_lab.harness import checkpoints as ck
 from safemax_lab.harness import config as cf
 from safemax_lab.harness import experiment as ex
-from safemax_lab.harness.datasets import class_means, generate_toy_dataset
+from safemax_lab.harness.datasets import DatasetSpec, class_means, generate_toy_dataset
 from safemax_lab.harness.plots import render_scatter
 
 
 class TestGenerateToyDataset:
     def test_ring_means_at_cardinal_angles(self):
-        means = class_means(4, "ring")
+        means = class_means(DatasetSpec(4, geometry="ring"))
         npt.assert_allclose(means, [[4, 0], [0, 4], [-4, 0], [0, -4]], atol=1e-12)
 
     def test_sample_means_near_class_means(self):
         n = 2000
-        ds = generate_toy_dataset(4, n, "ring", 0.35, seed=0)
-        means = class_means(4, "ring")
+        ds = generate_toy_dataset(DatasetSpec(4, n, "ring", 0.35, 0))
+        means = class_means(DatasetSpec(4, geometry="ring"))
         for c in range(4):
             pts = ds.points[ds.class_indices(c)]
             bound = 3 * 0.35 / np.sqrt(n)
             assert np.all(np.abs(pts.mean(axis=0) - means[c]) < bound)
 
     def test_same_seed_identical(self):
-        a = generate_toy_dataset(3, 50, "grid", 0.2, seed=9)
-        b = generate_toy_dataset(3, 50, "grid", 0.2, seed=9)
+        a = generate_toy_dataset(DatasetSpec(3, 50, "grid", 0.2, 9))
+        b = generate_toy_dataset(DatasetSpec(3, 50, "grid", 0.2, 9))
         npt.assert_array_equal(a.points, b.points)
         npt.assert_array_equal(a.labels, b.labels)
 
-    def test_unknown_geometry(self):
-        with pytest.raises(ConfigError):
-            generate_toy_dataset(4, 10, "spiral", 0.2, seed=0)
-
-    def test_bad_sizes(self):
-        with pytest.raises(DomainError):
-            generate_toy_dataset(1, 10, "ring", 0.2, seed=0)
-        with pytest.raises(DomainError):
-            generate_toy_dataset(4, 1, "ring", 0.2, seed=0)
-        with pytest.raises(DomainError):
-            generate_toy_dataset(4, 10, "ring", 0.0, seed=0)
+    def test_default_world_points_are_golden(self):
+        # Pins the draw order of the training set and of the held-out set, which
+        # is the same spec at seed + HELDOUT_SEED_OFFSET.
+        train_ds, held_ds, _ = ex.build_world(cf.default_config())
+        assert hashlib.sha256(train_ds.points.tobytes()).hexdigest() == (
+            "627fb72370befdabfd22ebbd43dfe81507e5e7b4c903b8d5216118ccf0917eaa")
+        assert hashlib.sha256(held_ds.points.tobytes()).hexdigest() == (
+            "63601f5abad98c6a3dd2808d32a7936d4e74ff2f6fbd3807ab332f4e288388fd")
 
 
 # one value per config key that its section rejects
@@ -86,8 +84,8 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["dataset.noise_scale", "pretrain.learning_rate",
                                      "unlearn.learning_rate",
                                      "eval.classifier_learning_rate"])
-    @pytest.mark.parametrize("value", ["inf", "-inf"])
-    def test_infinite_rate_or_scale_names_key(self, key, value):
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_rate_or_scale_names_key(self, key, value):
         with pytest.raises(ConfigError, match=key):
             cf.parse_config(f"{key} = {value}")
 
@@ -356,7 +354,6 @@ def saved_checkpoint(tmp_path_factory):
 
 def _rewrite_header(path, edit) -> None:
     """Apply ``edit`` to a checkpoint's JSON header and re-sign the file with a valid checksum."""
-    import hashlib
     import struct
 
     payload = path.read_bytes()[:-32]

@@ -16,7 +16,7 @@ from safemax_lab import denoiser as dn
 from safemax_lab import diffusion as df
 from safemax_lab import gradcore as gc
 from safemax_lab import unlearn as ul
-from safemax_lab.harness import generate_toy_dataset
+from safemax_lab.harness import DatasetSpec, generate_toy_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,7 +74,7 @@ def _run_both_through_table(model, dataset, schedule, config):
                          ids=["direct", "method_table"])
 def test_loops_call_the_patched_step_functions(tracer_module, run_both):
     schedule = df.build_schedule(20, 1e-3, 0.2)
-    dataset = generate_toy_dataset(4, 50, "ring", 0.35, seed=0)
+    dataset = generate_toy_dataset(DatasetSpec(4, 50, "ring", 0.35, 0))
     model = dn.init_model(2, 4, 8, 1, 4, 20, np.random.default_rng(0))
     config = ul.UnlearnConfig(forget_class=0, lam=1.0, steps=2, learning_rate=0.01,
                               batch_size=4, seed=0)

@@ -12,7 +12,7 @@ from safemax_lab import diffusion as df
 from safemax_lab import gradcore as gc
 from safemax_lab import unlearn as ul
 from safemax_lab.errors import DomainError, NumericError
-from safemax_lab.harness import generate_toy_dataset
+from safemax_lab.harness import DatasetSpec, generate_toy_dataset
 
 
 needs_openblas = pytest.mark.skipif(gc.blas_threads() is None, reason="no OpenBLAS loaded")
@@ -25,7 +25,7 @@ def schedule():
 
 @pytest.fixture(scope="module")
 def dataset():
-    return generate_toy_dataset(4, 200, "ring", 0.35, seed=0)
+    return generate_toy_dataset(DatasetSpec(4, 200, "ring", 0.35, 0))
 
 
 def small_model(seed=0):
@@ -154,7 +154,7 @@ class TestSafemaxStep:
         assert 0.0 < record.psi_min <= record.psi_mean <= 1.0
 
     def test_missing_forget_class_rejected(self, schedule):
-        ds = generate_toy_dataset(4, 50, "ring", 0.35, seed=2)
+        ds = generate_toy_dataset(DatasetSpec(4, 50, "ring", 0.35, 2))
         model = small_model(5)
         with pytest.raises(DomainError):
             ul.safemax_step(model, ds, schedule, base_config(forget_class=7),
