@@ -1,8 +1,10 @@
 """Binary checkpoint format with bit-exact round trips.
 
-Layout (little-endian throughout):
+A checkpoint is named float64 parameters plus a JSON header of ``arch``,
+``schedule``, ``provenance`` and ``params`` (each parameter's name and shape).
+Layout (little-endian throughout; a layout change bumps ``FORMAT_VERSION``):
   magic (8 bytes) | version uint32 | header_len uint64 | header JSON |
-  beta float64[T] | one float64 blob per parameter, in header order |
+  one float64 blob per parameter, in header order |
   sha256 digest (32 bytes) of everything before it
 """
 
@@ -13,7 +15,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,18 +24,16 @@ from ..errors import CheckpointIntegrityError, CheckpointVersionError
 from ..gradcore import Array
 
 MAGIC = b"SMAXLAB\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _DIGEST_LEN = 32
 
 
 @dataclass
 class Checkpoint:
-    format_version: int
-    arch: dict
-    schedule: dict
-    beta: Array
     params: dict[str, Array]
-    provenance: dict
+    arch: dict = field(default_factory=dict)
+    schedule: dict = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -41,16 +41,14 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "arch": ckpt.arch,
         "schedule": ckpt.schedule,
         "provenance": ckpt.provenance,
-        "beta_len": int(len(ckpt.beta)),
         "params": [{"name": name, "shape": list(arr.shape)}
                    for name, arr in ckpt.params.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [MAGIC,
-             struct.pack("<I", ckpt.format_version),
+             struct.pack("<I", FORMAT_VERSION),
              struct.pack("<Q", len(header_bytes)),
-             header_bytes,
-             np.ascontiguousarray(ckpt.beta, dtype="<f8").tobytes()]
+             header_bytes]
     for arr in ckpt.params.values():
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     payload = b"".join(parts)
@@ -108,7 +106,6 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointIntegrityError(f"unreadable header: {exc}") from exc
     _check_header(header)
-    beta = np.frombuffer(reader.take(8 * header["beta_len"]), dtype="<f8").copy()
     params: dict[str, Array] = {}
     for entry in header["params"]:
         count = math.prod(entry["shape"])  # a Python int, so a huge shape cannot wrap
@@ -120,21 +117,16 @@ def load_checkpoint(path) -> Checkpoint:
                 f"unusable shape {entry['shape']} for {entry['name']!r}: {exc}") from exc
     if reader.pos != len(payload):
         raise CheckpointIntegrityError("trailing bytes after checkpoint payload")
-    return Checkpoint(format_version=version, arch=header["arch"],
-                      schedule=header["schedule"], beta=beta, params=params,
-                      provenance=header["provenance"])
+    return Checkpoint(params, header["arch"], header["schedule"], header["provenance"])
 
 
 def _check_header(header) -> None:
     """Reject a header that passed its checksum yet lacks a key or has a malformed entry."""
     if not isinstance(header, dict):
         raise CheckpointIntegrityError("header is not a JSON object")
-    for key, kind in (("arch", dict), ("schedule", dict), ("provenance", dict),
-                      ("beta_len", int), ("params", list)):
+    for key, kind in (("arch", dict), ("schedule", dict), ("provenance", dict), ("params", list)):
         if type(header.get(key)) is not kind:
             raise CheckpointIntegrityError(f"header lacks a valid {key!r} entry")
-    if header["beta_len"] < 0:
-        raise CheckpointIntegrityError(f"negative beta_len {header['beta_len']}")
     names = set()
     for entry in header["params"]:
         if not (isinstance(entry, dict) and type(entry.get("name")) is str

@@ -27,9 +27,8 @@ from ..errors import CheckpointIntegrityError, CheckpointVersionError, DomainErr
 from ..evaluation import (SUMMARY, Classifier, ClassifierArch, EvalReport, entropy_linkage_holds,
                           evaluate, gate_classifier, init_classifier, sample_classes,
                           score_samples, train_classifier)
-from ..gradcore import Array, blas_threads, one_blas_thread
-from .checkpoints import (Checkpoint, FORMAT_VERSION, load_checkpoint, save_checkpoint,
-                          write_atomic)
+from ..gradcore import blas_threads, one_blas_thread
+from .checkpoints import Checkpoint, load_checkpoint, save_checkpoint, write_atomic
 from .config import (ExperimentConfig, classifier_sha256, config_sha256, pretrain_sha256,
                      render_config)
 from .datasets import generate_toy_dataset
@@ -46,8 +45,6 @@ class ExperimentResult:
     outdir: Path
     pre_report: EvalReport
     post_report: EvalReport
-    method: str
-    lam: float
     rte_seconds: float
 
 
@@ -93,27 +90,27 @@ def build_world(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
 
 
 def _model_checkpoint(model: denoiser.DenoiserModel, config: ExperimentConfig,
-                      seed: int, steps: int, schedule: NoiseSchedule) -> Checkpoint:
-    return Checkpoint(
-        format_version=FORMAT_VERSION, arch=asdict(model.arch), schedule=asdict(config.schedule),
-        beta=schedule.beta,
-        params=dict(model.params.items()),
-        provenance={"config_sha256": config_sha256(config),
-                    "pretrain_sha256": pretrain_sha256(config),
-                    "seed": seed, "steps": steps},
-    )
+                      seed: int, steps: int) -> Checkpoint:
+    return Checkpoint(dict(model.params.items()), asdict(model.arch), asdict(config.schedule),
+                      {"config_sha256": config_sha256(config),
+                       "pretrain_sha256": pretrain_sha256(config),
+                       "seed": seed, "steps": steps})
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[denoiser.DenoiserModel, NoiseSchedule]:
     """The model and schedule a checkpoint holds.
 
     Raises ``CheckpointIntegrityError`` when the architecture or schedule
-    entries are unusable or the parameters do not fit the architecture.
+    entries are unusable, the schedule's ``t`` is not the architecture's
+    ``T``, or the parameters do not fit the architecture.
     """
     arch, params = _params_for(ckpt, denoiser.DenoiserArch,
                                lambda arch, rng: denoiser.init_model(**asdict(arch), rng=rng))
+    t = ckpt.schedule.get("t")
+    if type(t) is not int or t != arch.T:
+        raise CheckpointIntegrityError(f"schedule t={t!r} is not the architecture's T={arch.T}")
     try:
-        schedule = build_schedule(int(ckpt.schedule["t"]), float(ckpt.schedule["beta_min"]),
+        schedule = build_schedule(t, float(ckpt.schedule["beta_min"]),
                                   float(ckpt.schedule["beta_max"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointIntegrityError(f"checkpoint has no usable schedule: {exc!r}") from exc
@@ -126,10 +123,12 @@ def _params_for(ckpt: Checkpoint, arch_cls, init):
     ``init(arch, rng)`` builds a model of ``arch`` whose ``params`` give the
     expected names and shapes; the checkpoint's arrays are copied into that
     store. Raises ``CheckpointIntegrityError`` when the architecture entries
-    are unusable or the parameters do not fit them.
+    are not JSON integers or are unusable, or the parameters do not fit them.
     """
+    if any(type(v) is not int for v in ckpt.arch.values()):
+        raise CheckpointIntegrityError(f"checkpoint arch {ckpt.arch} holds a non-integer value")
     try:
-        arch = arch_cls(**{k: int(v) for k, v in ckpt.arch.items()})
+        arch = arch_cls(**ckpt.arch)
         params = init(arch, np.random.default_rng(0)).params
     except (TypeError, ValueError) as exc:
         raise CheckpointIntegrityError(f"checkpoint does not describe a {arch_cls.__name__}: "
@@ -181,19 +180,12 @@ def _load_or_build(path: Path, key: dict, build, use):
     return value
 
 
-def _arrays_checkpoint(arrays: dict[str, Array], arch: dict | None = None) -> Checkpoint:
-    """A checkpoint of arrays that need no noise schedule."""
-    return Checkpoint(format_version=FORMAT_VERSION, arch=arch or {}, schedule={},
-                      beta=np.zeros(0), params=arrays, provenance={})
-
-
 def ensure_pretrained(config: ExperimentConfig, outdir: Path, train_ds: LabeledDataset,
                       schedule: NoiseSchedule) -> denoiser.DenoiserModel:
     """Load the pretrained checkpoint when its provenance matches, else train and save."""
     def build():
         model = pretrain_model(config, train_ds, schedule)
-        return _model_checkpoint(model, config, config.pretrain.seed, config.pretrain.steps,
-                                 schedule)
+        return _model_checkpoint(model, config, config.pretrain.seed, config.pretrain.steps)
 
     return _load_or_build(outdir / "pretrained.ckpt", {"pretrain_sha256": pretrain_sha256(config)},
                           build, lambda ckpt: model_from_checkpoint(ckpt)[0])
@@ -207,7 +199,7 @@ def _ensure_classifier(config: ExperimentConfig, cache_dir: Path,
     def build():
         clf = train_classifier(train_ds, ev.classifier_hidden_width, ev.classifier_steps,
                                ev.classifier_learning_rate, ev.classifier_seed)
-        return _arrays_checkpoint(dict(clf.params.items()), asdict(clf.arch))
+        return Checkpoint(dict(clf.params.items()), asdict(clf.arch))
 
     def use(ckpt):
         arch, params = _params_for(
@@ -229,7 +221,7 @@ def _score_pretrained(config: ExperimentConfig, cache_dir: Path, model: denoiser
 
     def build():
         samples = sample_classes(model, schedule, k, ev.n_samples, np.random.default_rng(ev.seed))
-        return _arrays_checkpoint({f"class{c}": samples[c] for c in range(k)})
+        return Checkpoint({f"class{c}": samples[c] for c in range(k)})
 
     def use(ckpt):
         shapes = {name: value.shape for name, value in ckpt.params.items()}
@@ -321,7 +313,7 @@ def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.MET
         rte_seconds = clock() - start
         write_atomic(outdir / "unlearn_log.csv", "\n".join(ulog.csv_rows()) + "\n")
         save_checkpoint(outdir / "unlearned.ckpt",
-                        _model_checkpoint(unlearned, config, ucfg.seed, ucfg.steps, schedule))
+                        _model_checkpoint(unlearned, config, ucfg.seed, ucfg.steps))
 
     with _stage("evaluate_unlearned", outdir):
         post_report = evaluate(unlearned, classifier, held_ds, schedule, ucfg.forget_class,
@@ -344,7 +336,7 @@ def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.MET
         render_scatter(post_report.samples, outdir / "samples_unlearned.svg",
                        title=f"unlearned samples ({method})")
     return ExperimentResult(outdir=outdir, pre_report=pre_report, post_report=post_report,
-                            method=method, lam=ucfg.lam, rte_seconds=rte_seconds)
+                            rte_seconds=rte_seconds)
 
 
 def offset_seeds(config: ExperimentConfig, k: int) -> ExperimentConfig:

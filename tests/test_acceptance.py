@@ -322,7 +322,8 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
             result = ex.run_experiment(run_cfg, clock=Clock())
             outputs.append(result.outdir)
         for name in ("metrics.csv", "report.json", "unlearn_log.csv",
-                     "samples_pretrained.svg", "samples_unlearned.svg"):
+                     "samples_pretrained.svg", "samples_unlearned.svg",
+                     "pretrained.ckpt", "unlearned.ckpt"):
             a = (outputs[0] / name).read_bytes()
             b = (outputs[1] / name).read_bytes()
             assert a == b, f"{name} not byte-identical across reruns"
@@ -333,5 +334,6 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
         again = ck.load_checkpoint(resaved)
         for name, value in ckpt.params.items():
             assert again.params[name].tobytes() == value.tobytes()
-        assert again.beta.tobytes() == ckpt.beta.tobytes()
-        print("  metrics, report, log, and plots byte-identical; checkpoints bit-exact")
+        assert resaved.read_bytes() == (outputs[0] / "pretrained.ckpt").read_bytes()
+        print("  metrics, report, log, plots and checkpoints byte-identical; "
+              "checkpoints bit-exact")

@@ -206,11 +206,9 @@ class TestConfig:
 def _dummy_checkpoint():
     rng = np.random.default_rng(0)
     return ck.Checkpoint(
-        format_version=ck.FORMAT_VERSION,
         arch={"d": 2, "K": 4, "hidden_width": 8, "hidden_depth": 2,
               "embed_dim": 4, "T": 10},
         schedule={"t": 10, "beta_min": 0.01, "beta_max": 0.2},
-        beta=np.linspace(0.01, 0.2, 10),
         params={"w": rng.standard_normal((3, 2)), "b": rng.standard_normal(2)},
         provenance={"config_sha256": "abc", "seed": 1, "steps": 5},
     )
@@ -224,16 +222,23 @@ class TestCheckpoints:
         loaded = ck.load_checkpoint(path)
         assert loaded.arch == original.arch
         assert loaded.provenance == original.provenance
-        npt.assert_array_equal(loaded.beta, original.beta)
         for name, value in original.params.items():
             npt.assert_array_equal(loaded.params[name], value)
             assert loaded.params[name].tobytes() == value.tobytes()
 
-    def test_wrong_version_raises(self, tmp_path):
+    def test_file_bytes_are_golden(self, tmp_path):
+        # A layout change must bump FORMAT_VERSION, and then this digest too.
         path = tmp_path / "model.ckpt"
-        bad = _dummy_checkpoint()
-        bad.format_version = 99
-        ck.save_checkpoint(path, bad)
+        ck.save_checkpoint(path, _dummy_checkpoint())
+        assert ck.FORMAT_VERSION == 2
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "58797bd5ade3431c1a838da71dff38758f25e824662dd4658b4b85111bfe1eff")
+
+    def test_wrong_version_raises(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        with monkeypatch.context() as m:
+            m.setattr(ck, "FORMAT_VERSION", 99)
+            ck.save_checkpoint(path, _dummy_checkpoint())
         with pytest.raises(CheckpointVersionError):
             ck.load_checkpoint(path)
 
@@ -306,7 +311,6 @@ class TestCheckpoints:
     @pytest.mark.parametrize("corrupt", [
         lambda h: h.pop("params"),
         lambda h: h.pop("provenance"),
-        lambda h: h.update(beta_len="10"),
         lambda h: h["params"][0].pop("shape"),
         lambda h: h["params"][0].update(shape=[3, -2]),
         lambda h: h["params"][0].update(shape=[3.0, 2]),
@@ -318,7 +322,7 @@ class TestCheckpoints:
         lambda h: h["params"][0].update(shape=[0, 2**62]),
         lambda h: h["params"][0].update(shape=[0, 2**64]),
         lambda h: h["params"][0].update(shape=[1] * 65),
-    ], ids=["no_params", "no_provenance", "beta_len_str", "no_shape", "negative_dim",
+    ], ids=["no_params", "no_provenance", "no_shape", "negative_dim",
             "float_dim", "name_not_str", "duplicate_name", "entry_not_object",
             "shape_2e32_by_2e32", "shape_2e62_by_4", "shape_0_by_2e62", "shape_0_by_2e64",
             "rank_65"])
@@ -371,12 +375,10 @@ class TestModelFromCheckpoint:
     @staticmethod
     def _saved_model(tmp_path, edit=None):
         model = dn.init_model(2, 4, 8, 2, 4, 10, np.random.default_rng(0))
-        ckpt = ck.Checkpoint(format_version=ck.FORMAT_VERSION,
+        ckpt = ck.Checkpoint(dict(model.params.items()),
                              arch={"d": 2, "K": 4, "hidden_width": 8, "hidden_depth": 2,
                                    "embed_dim": 4, "T": 10},
-                             schedule={"t": 10, "beta_min": 0.01, "beta_max": 0.2},
-                             beta=np.linspace(0.01, 0.2, 10),
-                             params=dict(model.params.items()), provenance={})
+                             schedule={"t": 10, "beta_min": 0.01, "beta_max": 0.2})
         if edit is not None:
             edit(ckpt)
         ck.save_checkpoint(tmp_path / "model.ckpt", ckpt)
@@ -398,8 +400,13 @@ class TestModelFromCheckpoint:
         lambda c: c.arch.pop("K"),
         lambda c: c.arch.update(embed_dim="wide"),
         lambda c: c.schedule.pop("beta_max"),
+        lambda c: c.schedule.update(t=5),
+        lambda c: c.arch.update(T=True),
+        lambda c: c.arch.update(K="4"),
+        lambda c: c.arch.update(hidden_depth=2.5),
     ], ids=["wrong_shape", "extra_name", "missing_name", "renamed", "arch_width",
-            "arch_missing_key", "arch_not_int", "schedule_missing_key"])
+            "arch_missing_key", "arch_not_int", "schedule_missing_key", "schedule_t_5",
+            "arch_T_true", "arch_K_str", "arch_depth_float"])
     def test_mismatch_raises_integrity_error(self, tmp_path, edit):
         _, ckpt = self._saved_model(tmp_path, edit)
         with pytest.raises(CheckpointIntegrityError):
@@ -885,13 +892,14 @@ class TestCli:
     @pytest.mark.parametrize("damage, named", [
         ("flip", "CheckpointIntegrityError"), ("version", "CheckpointVersionError"),
     ], ids=["corrupt", "wrong_version"])
-    def test_sample_on_unloadable_checkpoint_exits_1(self, tmp_path, capsys, damage, named):
+    def test_sample_on_unloadable_checkpoint_exits_1(self, tmp_path, capsys, monkeypatch,
+                                                     damage, named):
         from safemax_lab.harness.cli import main
         path = tmp_path / "model.ckpt"
-        ckpt = _dummy_checkpoint()
-        if damage == "version":
-            ckpt.format_version = 99
-        ck.save_checkpoint(path, ckpt)
+        with monkeypatch.context() as m:
+            if damage == "version":
+                m.setattr(ck, "FORMAT_VERSION", 99)
+            ck.save_checkpoint(path, _dummy_checkpoint())
         if damage == "flip":
             blob = bytearray(path.read_bytes())
             blob[-1] ^= 0xFF
