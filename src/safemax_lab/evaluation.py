@@ -4,7 +4,11 @@ retention distance, the Fano-style error bound, and reference entropy values.
 
 from __future__ import annotations
 
+import contextvars
+import copy
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,12 +175,6 @@ def prediction_entropy(classifier: Classifier, samples: Array) -> float:
     return float(np.mean(-terms.sum(axis=1)))
 
 
-def _mean_and_cov(samples: Array) -> tuple[Array, Array]:
-    mu = samples.mean(axis=0)
-    cov = np.atleast_2d(np.cov(samples, rowvar=False))
-    return mu, cov
-
-
 def frechet_distance(samples_a: Array, samples_b: Array) -> float:
     """Squared 2-Wasserstein distance between Gaussian fits of two sample sets.
 
@@ -192,8 +190,8 @@ def frechet_distance(samples_a: Array, samples_b: Array) -> float:
     d = a.shape[1]
     if a.shape[0] < d + 1 or b.shape[0] < d + 1:
         raise DomainError(f"need at least d+1={d + 1} samples per side")
-    mu_a, cov_a = _mean_and_cov(a)
-    mu_b, cov_b = _mean_and_cov(b)
+    mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
+    cov_a, cov_b = (np.atleast_2d(np.cov(s, rowvar=False)) for s in (a, b))
 
     eigs_b, vecs_b = np.linalg.eigh(cov_b)
     eigs_b = np.clip(eigs_b, 0.0, None)
@@ -251,10 +249,27 @@ def entropy_linkage_holds(classifier: Classifier, dataset: LabeledDataset,
 
 def sample_classes(model, schedule: NoiseSchedule, k: int, n_samples: int,
                    rng: np.random.Generator) -> dict[int, Array]:
-    """``n_samples`` ancestral samples per class, classes in order from one ``rng``."""
+    """``n_samples`` ancestral samples per class, classes in order from one ``rng``.
+
+    The chains run on a thread per usable core, OpenBLAS on one, each in a
+    copy of the caller's context (numpy's error state) and from a copy of
+    ``rng`` taken where its draws begin. A bulk draw of the same length moves
+    ``rng`` past them, so every bit, ``rng``'s too, is as if the classes ran
+    in turn. The first failing class raises.
+    """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    return {c: ancestral_sample(model, c, schedule, n_samples, rng) for c in range(k)}
+    chains = []
+    for c in range(k):
+        chains.append((c, copy.deepcopy(rng), contextvars.copy_context()))
+        rng.standard_normal((schedule.T, n_samples, model.arch.d))
+
+    def run(c, chain_rng, context):  # finds ancestral_sample per call, so a patched binding applies
+        return context.run(ancestral_sample, model, c, schedule, n_samples, chain_rng)
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with gc.one_blas_thread(), ThreadPoolExecutor(cores) as pool:  # starts at most k threads
+        return dict(zip(range(k), pool.map(run, *zip(*chains))))
 
 
 def score_samples(classifier: Classifier, samples: dict[int, Array], dataset: LabeledDataset,

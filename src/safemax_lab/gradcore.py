@@ -145,12 +145,12 @@ class Tape:
     has consumed it, and ``backward`` refuses it. Once ``rewind`` is called
     it becomes a workspace instead: the n-th buffer ``dense`` or
     ``concat_cols`` takes in a forward pass is the tape's slot n, allocated
-    on first use and again only when its shape changes. Each ``rewind``
-    starts a pass that overwrites the values of the last one, so a caller
-    copies what it keeps.
+    on first use and again only when its shape changes; silu's scratch is one
+    pair per shape for every layer and pass. Each ``rewind`` starts a pass
+    that overwrites the last one's values, so a caller copies what it keeps.
 
-    Confined to a single worker: a tape, its nodes, and the ParamStore it
-    wrapped must not be shared across threads.
+    A tape and its nodes belong to one thread. Gradient-free tapes on
+    different threads may read one ParamStore while nothing writes to it.
     """
 
     def __init__(self, grad: bool = True):
@@ -160,6 +160,7 @@ class Tape:
         self._params: dict[str, tuple[int, weakref.ref, Array]] = {}
         self._slots: list[Array] | None = None  # a list once the tape is rewound
         self._next_slot = 0
+        self._pairs: dict[tuple[int, ...], tuple[Array, Array]] = {}
 
     def rewind(self) -> None:
         """Start the next forward pass on a gradient-free tape, reusing its buffers."""
@@ -180,6 +181,14 @@ class Tape:
         elif self._slots[i].shape != shape:
             self._slots[i] = np.empty(shape)
         return self._slots[i]
+
+    def _scratch(self, shape: tuple[int, ...]) -> tuple[Array | None, Array | None]:
+        """Two buffers of ``shape`` an op drops before it returns; (None, None) until rewound."""
+        if self._slots is None:
+            return None, None
+        if shape not in self._pairs:
+            self._pairs[shape] = (np.empty(shape), np.empty(shape))
+        return self._pairs[shape]
 
     def _record(self, op: str, inputs: list[Node], value: Array,
                 backward: Callable[[Array], None] | None) -> Node:
@@ -268,8 +277,8 @@ def dense(h: Node, w: Node, b: Node, kind: str | None = None) -> Node:
     ``kind`` is None (identity), "relu" or "silu". The forward pass works in
     the product's buffer; every value and gradient rounds exactly as the
     product, the row-bias sum and the activation taken as separate steps.
-    On a rewound tape that buffer and silu's two scratch buffers are the
-    tape's slots, so the value is overwritten after the tape rewinds again.
+    On a rewound tape that buffer is a slot, overwritten after the next
+    rewind, and silu's two scratch buffers are the tape's shared pair.
     """
     if kind not in DENSE_KINDS:
         raise DomainError(f"unknown activation kind {kind!r}; expected one of {DENSE_KINDS}")
@@ -283,8 +292,7 @@ def dense(h: Node, w: Node, b: Node, kind: str | None = None) -> Node:
     z = np.matmul(h.value, w.value, out=tape._slot((h.shape[0], w.shape[1])))
     z += b.value
     if kind == "silu":  # backward needs z, so only a gradient-free tape overwrites it
-        value, sig = _silu(z, tape._slot(z.shape), tape._slot(z.shape),
-                           out=None if tape.grad else z)
+        value, sig = _silu(z, *tape._scratch(z.shape), out=None if tape.grad else z)
     elif kind == "relu":
         value = np.maximum(z, 0.0, out=z)  # positive exactly where z was
     else:

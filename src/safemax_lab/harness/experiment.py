@@ -100,19 +100,20 @@ def _model_checkpoint(model: denoiser.DenoiserModel, config: ExperimentConfig,
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[denoiser.DenoiserModel, NoiseSchedule]:
     """The model and schedule a checkpoint holds.
 
-    Raises ``CheckpointIntegrityError`` when the architecture or schedule
-    entries are unusable, the schedule's ``t`` is not the architecture's
-    ``T``, or the parameters do not fit the architecture.
+    Raises ``CheckpointIntegrityError`` when the architecture is unusable, the
+    schedule is not exactly ``t``, ``beta_min`` and ``beta_max`` as usable JSON
+    numbers with ``t`` the architecture's ``T``, or the parameters do not fit.
     """
     arch, params = _params_for(ckpt, denoiser.DenoiserArch,
                                lambda arch, rng: denoiser.init_model(**asdict(arch), rng=rng))
-    t = ckpt.schedule.get("t")
+    t, *betas = (ckpt.schedule.get(key) for key in ("t", "beta_min", "beta_max"))
+    if len(ckpt.schedule) != 3 or any(type(beta) not in (int, float) for beta in betas):
+        raise CheckpointIntegrityError(f"schedule {ckpt.schedule} is not t and two JSON-number betas")
     if type(t) is not int or t != arch.T:
         raise CheckpointIntegrityError(f"schedule t={t!r} is not the architecture's T={arch.T}")
     try:
-        schedule = build_schedule(t, float(ckpt.schedule["beta_min"]),
-                                  float(ckpt.schedule["beta_max"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        schedule = build_schedule(t, *betas)
+    except DomainError as exc:
         raise CheckpointIntegrityError(f"checkpoint has no usable schedule: {exc!r}") from exc
     return denoiser.DenoiserModel(params=params, arch=arch), schedule
 

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,7 +10,8 @@ from hypothesis import strategies as st
 
 from safemax_lab import evaluation as ev
 from safemax_lab import gradcore as gc
-from safemax_lab.diffusion import LabeledDataset
+from safemax_lab.denoiser import init_model
+from safemax_lab.diffusion import LabeledDataset, ancestral_sample, build_schedule
 from safemax_lab.errors import DomainError, EvaluatorQualityError, NumericError
 from safemax_lab.harness import DatasetSpec, generate_toy_dataset
 
@@ -245,3 +250,105 @@ class TestEntropyLinkage:
     def test_noise_confuses_more_than_real_data(self, classifier, dataset):
         assert ev.entropy_linkage_holds(classifier, dataset, 0,
                                         np.random.default_rng(0))
+
+
+class TestSampleClasses:
+    """The class chains run on a thread pool with the bits of sampling them in turn."""
+
+    K, N = 4, 64
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return init_model(2, self.K, 32, 2, 8, 20, np.random.default_rng(4))
+
+    @pytest.fixture(scope="class")
+    def schedule(self):
+        return build_schedule(20, 1e-3, 0.2)
+
+    @pytest.fixture
+    def chains(self, monkeypatch):
+        """The thread and the BLAS thread count of each ``ancestral_sample`` call,
+        recorded through the name ``evaluation`` binds."""
+        calls = []
+
+        def recording(*args):
+            calls.append((threading.get_ident(), gc.blas_threads()))
+            return ancestral_sample(*args)
+
+        monkeypatch.setattr(ev, "ancestral_sample", recording)
+        return calls
+
+    def _check_bits_of_chains_in_turn(self, model, schedule, chains):
+        rng, expected_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = ev.sample_classes(model, schedule, self.K, self.N, rng)
+        expected = {c: ancestral_sample(model, c, schedule, self.N, expected_rng)
+                    for c in range(self.K)}
+        assert list(got) == list(range(self.K))
+        for c in range(self.K):
+            assert got[c].tobytes() == expected[c].tobytes()
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+        assert rng.standard_normal(5).tobytes() == expected_rng.standard_normal(5).tobytes()
+        assert len(chains) == self.K
+        assert threading.get_ident() not in {thread for thread, _ in chains}
+
+    def test_bits_and_generator_match_the_chains_in_turn(self, model, schedule, chains):
+        self._check_bits_of_chains_in_turn(model, schedule, chains)
+
+    def test_one_worker_gives_the_same_bits(self, model, schedule, chains, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        self._check_bits_of_chains_in_turn(model, schedule, chains)
+        assert len({thread for thread, _ in chains}) == 1
+
+    def test_more_workers_than_cores_keep_the_bits(self, monkeypatch):
+        """Eight chains on eight workers, switching threads every microsecond."""
+        model = init_model(2, 8, 16, 2, 8, 10, np.random.default_rng(6))
+        schedule = build_schedule(10, 1e-3, 0.2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = ev.sample_classes(model, schedule, 8, 32, np.random.default_rng(1))
+        finally:
+            sys.setswitchinterval(interval)
+        rng = np.random.default_rng(1)
+        for c in range(8):
+            assert got[c].tobytes() == ancestral_sample(model, c, schedule, 32, rng).tobytes()
+
+    @needs_openblas
+    def test_chains_run_on_one_blas_thread_and_restore_the_count(self, model, schedule, chains):
+        before = gc.blas_threads()
+        ev.sample_classes(model, schedule, self.K, self.N, np.random.default_rng(0))
+        assert [blas for _, blas in chains] == [1] * self.K
+        assert gc.blas_threads() == before
+
+    @pytest.fixture(scope="class")
+    def overflowing(self, model):
+        """The model with class 2's embedding so large that its chain overflows."""
+        bad = model.copy()
+        bad.params["class_embed"][2] = 1e308
+        return bad
+
+    def test_overflowing_chain_raises_numeric_error_naming_its_step(self, overflowing, schedule):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as direct:
+                rng = np.random.default_rng(0)
+                for c in range(self.K):
+                    ancestral_sample(overflowing, c, schedule, self.N, rng)
+            with pytest.raises(NumericError, match=r"reverse step t=\d+") as pooled:
+                ev.sample_classes(overflowing, schedule, self.K, self.N,
+                                  np.random.default_rng(0))
+        assert str(pooled.value) == str(direct.value)
+
+    def test_chains_keep_the_callers_numpy_error_state(self, overflowing, schedule):
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                ancestral_sample(overflowing, 2, schedule, self.N, np.random.default_rng(0))
+            with pytest.raises(FloatingPointError, match="overflow"):
+                ev.sample_classes(overflowing, schedule, self.K, self.N,
+                                  np.random.default_rng(0))
+
+    def test_rejects_no_samples(self, model, schedule):
+        with pytest.raises(DomainError):
+            ev.sample_classes(model, schedule, self.K, 0, np.random.default_rng(0))

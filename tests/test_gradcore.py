@@ -396,12 +396,36 @@ class TestInferenceWorkspace:
         passes = [([3.0 * rng.standard_normal((rows, 2)), rng.standard_normal((rows, 3))], layers)
                   for _ in range(3)]
         tape = self._check_passes(passes)
-        # the concat, each layer's product and, for silu, its two scratch buffers
-        assert len(tape._slots) == (7 if kind == "silu" else 3)
-        slots = list(tape._slots)
+        # the concat and each layer's product; silu's scratch is one pair for both layers
+        assert len(tape._slots) == 3
+        assert list(tape._pairs) == ([(rows, 32)] if kind == "silu" else [])
+        slots, pairs = list(tape._slots), dict(tape._pairs)
         tape.rewind()
         self._values(tape, passes[0][0], layers)
         assert all(a is b for a, b in zip(slots, tape._slots))
+        assert all(tape._pairs[shape] is pair for shape, pair in pairs.items())
+
+    def test_every_silu_layer_and_pass_shares_one_scratch_pair(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        layers = [*self._layers(rng, "silu"),
+                  (rng.standard_normal((32, 32)) / np.sqrt(32), rng.standard_normal(32), "silu")]
+        passes = [([rng.standard_normal((500, 2)), rng.standard_normal((500, 3))], layers)
+                  for _ in range(3)]
+        scratch = []
+        silu = gc._silu
+
+        def recording(z, ex=None, sig=None, out=None):
+            scratch.append((ex, sig))
+            return silu(z, ex, sig, out=out)
+
+        monkeypatch.setattr(gc, "_silu", recording)
+        tape = self._check_passes(passes)  # the rewound tape's bits against fresh tapes'
+        shared = [pair for pair in scratch if pair[0] is not None]
+        # the fresh gradient tapes make their own buffers; the rewound tape, one pair
+        assert len(shared) == len(scratch) // 2 == 3 * len(layers)
+        ex, sig = tape._pairs[(500, 32)]
+        assert ex is not sig
+        assert all(pair[0] is ex and pair[1] is sig for pair in shared)
 
     def test_shape_change_between_passes(self):
         rng = np.random.default_rng(7)

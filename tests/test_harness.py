@@ -404,9 +404,16 @@ class TestModelFromCheckpoint:
         lambda c: c.arch.update(T=True),
         lambda c: c.arch.update(K="4"),
         lambda c: c.arch.update(hidden_depth=2.5),
+        lambda c: c.schedule.update(beta_min="0.01", beta_max="0.2"),
+        lambda c: c.schedule.update(beta_max=True),
+        lambda c: c.schedule.update(extra=1),
+        lambda c: c.schedule.update(t=10.0),
+        lambda c: c.schedule.update(beta_min=0.3),
     ], ids=["wrong_shape", "extra_name", "missing_name", "renamed", "arch_width",
             "arch_missing_key", "arch_not_int", "schedule_missing_key", "schedule_t_5",
-            "arch_T_true", "arch_K_str", "arch_depth_float"])
+            "arch_T_true", "arch_K_str", "arch_depth_float", "schedule_betas_str",
+            "schedule_beta_bool", "schedule_extra_key", "schedule_t_float",
+            "schedule_betas_reversed"])
     def test_mismatch_raises_integrity_error(self, tmp_path, edit):
         _, ckpt = self._saved_model(tmp_path, edit)
         with pytest.raises(CheckpointIntegrityError):
