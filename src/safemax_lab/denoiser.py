@@ -168,8 +168,8 @@ def regress(model: DenoiserModel, optimizer: SGD, groups: list[Group]) -> list[f
 
 
 def train_step(model: DenoiserModel, batch: LatentBatch, optimizer: SGD) -> float:
-    """One update on the noise-regression loss; returns the pre-step loss."""
-    return regress(model, optimizer, [(batch.x_t, batch.labels, batch.t, batch.eps, None)])[0]
+    """One update regressing ``batch``'s noise as one unweighted row group; returns the pre-step loss."""
+    return regress(model, optimizer, [(*batch, None)])[0]
 
 
 def train(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseSchedule,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,12 +45,15 @@ def build_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSchedule:
 
 @dataclass
 class LabeledDataset:
-    """Class-conditional 2-d (or general d) sample set."""
+    """Class-conditional points with integer labels in [0, K), at least 2 per class, and a
+    read-only class-sorted index: the stable argsort of the labels, each class's start and count."""
 
     points: Array
     labels: Array
     K: int
-    _by_class: dict[int, Array] = field(default_factory=dict, repr=False)
+    _order: Array = field(init=False, repr=False)
+    _starts: Array = field(init=False, repr=False)
+    _counts: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         self.points = as_array(self.points)
@@ -70,6 +74,11 @@ class LabeledDataset:
         counts = np.bincount(self.labels, minlength=self.K)
         if np.any(counts < 2):
             raise DomainError("every class needs at least 2 samples")
+        self._order = np.argsort(self.labels, kind="stable")
+        self._starts = np.cumsum(counts) - counts
+        self._counts = counts
+        for index in (self._order, self._starts, self._counts):
+            index.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -79,34 +88,28 @@ class LabeledDataset:
     def d(self) -> int:
         return self.points.shape[1]
 
+    def _class_ids(self, classes) -> Array:
+        """``classes`` as a non-empty rank-1 integer array of ids in [0, K), else DomainError."""
+        ids = np.asarray(classes)
+        if (ids.dtype.kind not in "iu" or ids.ndim != 1 or ids.size == 0
+                or ids.min() < 0 or ids.max() >= self.K):
+            raise DomainError(f"class ids must be integers in [0, {self.K}), got {classes!r}")
+        return ids
+
     def class_indices(self, c: int) -> Array:
-        idx = self._by_class.get(c)
-        if idx is None:
-            idx = np.nonzero(self.labels == c)[0]
-            self._by_class[c] = idx
-        return idx
+        """Row ids of class ``c``, ascending, as a read-only view of the class index."""
+        self._class_ids([c])
+        return self._order[self._starts[c]:self._starts[c] + self._counts[c]]
 
 
-@dataclass
-class LatentBatch:
-    """A batch of noised samples together with what produced them."""
+class LatentBatch(NamedTuple):
+    """A training batch, the first four fields of ``denoiser.Group``: noised
+    latents, their labels, their steps and the noise that produced them."""
 
     x_t: Array
-    eps: Array
-    t: Array
     labels: Array
-    x0: Array
-
-    def __post_init__(self):
-        if not (self.x_t.shape == self.eps.shape == self.x0.shape):
-            raise DimensionError("x_t, eps, x0 must share a shape")
-        rows = self.x_t.shape[0]
-        if self.t.shape != (rows,) or self.labels.shape != (rows,):
-            raise DimensionError("t and labels must have one entry per row")
-
-    @property
-    def size(self) -> int:
-        return self.x_t.shape[0]
+    t: Array
+    eps: Array
 
 
 def _forward_sample_rows(x0: Array, t: Array, schedule: NoiseSchedule, eps: Array) -> Array:
@@ -120,36 +123,24 @@ def sample_latent_batch(dataset: LabeledDataset, schedule: NoiseSchedule,
                         classes=None) -> LatentBatch:
     """Draw a training batch: uniform steps, standard-normal noise.
 
-    With ``classes`` given, rows are drawn uniformly over those classes
-    (class first, then a sample within it); otherwise uniformly over all
-    dataset rows.
+    With ``classes`` given (integer ids in [0, K), checked before any draw),
+    rows are drawn uniformly over those classes (class first, then a sample
+    within it); otherwise uniformly over all dataset rows.
     """
     if batch_size < 1:
         raise DomainError(f"batch_size must be >= 1, got {batch_size}")
     if classes is None:
         rows = rng.integers(0, dataset.n, size=batch_size)
     else:
-        classes = list(classes)
-        if not classes:
-            raise DomainError("classes must name at least one class")
-        pools = []
-        for c in classes:
-            idx = dataset.class_indices(int(c))
-            if idx.size == 0:
-                raise DomainError(f"dataset has no samples of class {c}")
-            pools.append(idx)
-        picks = rng.integers(0, len(pools), size=batch_size)
-        sizes = np.array([pool.size for pool in pools])
-        starts = np.cumsum(sizes) - sizes
+        ids = dataset._class_ids(classes)
+        picks = ids[rng.integers(0, ids.size, size=batch_size)]
         # Array bounds draw one value per row in row order, so the generator
         # stream is the same as one scalar draw per row.
-        rows = np.concatenate(pools)[starts[picks] + rng.integers(0, sizes[picks])]
+        rows = dataset._order[dataset._starts[picks] + rng.integers(0, dataset._counts[picks])]
     x0 = dataset.points[rows]
-    labels = dataset.labels[rows]
     t = rng.integers(1, schedule.T + 1, size=batch_size)
     eps = rng.standard_normal(x0.shape)
-    x_t = _forward_sample_rows(x0, t, schedule, eps)
-    return LatentBatch(x_t=x_t, eps=eps, t=t, labels=labels, x0=x0)
+    return LatentBatch(_forward_sample_rows(x0, t, schedule, eps), dataset.labels[rows], t, eps)
 
 
 def ancestral_sample(model, c: int, schedule: NoiseSchedule, n: int,

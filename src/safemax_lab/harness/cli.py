@@ -6,6 +6,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_unlearn(args) -> int:
-    result = run_experiment(_load_config(args.config), method=args.method, lam=args.lam)
+    config = _load_config(args.config)
+    if args.lam is not None:
+        config = replace(config, unlearn=replace(config.unlearn, lam=args.lam))
+    result = run_experiment(config, method=args.method)
     print(f"artifacts in {result.outdir}")
     return _print_report(result.outdir)
 

@@ -269,12 +269,11 @@ def write_metrics_csv(path: Path, config: ExperimentConfig, rows: list[str]) -> 
 
 
 def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.METHODS)),
-                   lam: float | None = None, clock=time.perf_counter,
-                   pretrained_dir: Path | None = None) -> ExperimentResult:
+                   clock=time.perf_counter, pretrained_dir: Path | None = None) -> ExperimentResult:
     """Full pipeline: pretrain (or reuse), unlearn, evaluate both models, persist.
 
-    ``method`` names an entry of ``unlearn.METHODS``. ``lam`` overrides the
-    config's decay rate. ``clock`` feeds the runtime measurement around the
+    ``method`` names an entry of ``unlearn.METHODS``; the decay rate is
+    ``config.unlearn.lam``. ``clock`` feeds the runtime measurement around the
     unlearning loop; inject a fake for byte-stable outputs. ``pretrained_dir``
     points at a directory whose pretrained checkpoint may be shared across runs;
     the evaluation classifier and the pretrained model's samples are cached
@@ -283,8 +282,6 @@ def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.MET
     """
     if method not in unlearn.METHODS:
         raise DomainError(f"method must be one of {tuple(unlearn.METHODS)}, got {method!r}")
-    if lam is not None:
-        config = replace(config, unlearn=replace(config.unlearn, lam=float(lam)))
     ucfg = config.unlearn
 
     config_text = render_config(config)  # before any directory: it may reject output_dir
@@ -385,10 +382,10 @@ def sweep(config: ExperimentConfig, values, members: int = 3,
         member_dir.mkdir(exist_ok=True)
         for value in values:
             run_dir = member_dir / f"value_{value!r}"
-            run_cfg = replace(member_cfg, output_dir=str(run_dir))
+            run_cfg = replace(member_cfg, output_dir=str(run_dir),
+                              unlearn=replace(member_cfg.unlearn, lam=value))
             try:
-                result = run_experiment(run_cfg, lam=value, clock=clock,
-                                        pretrained_dir=member_dir)
+                result = run_experiment(run_cfg, clock=clock, pretrained_dir=member_dir)
             except StageError as exc:  # keep sweeping; mark the failure
                 log.error("sweep member %d value %s failed: %s", k, value, exc)
                 lines.append(",".join([repr(value), str(member_cfg.unlearn.seed),

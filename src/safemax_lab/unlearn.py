@@ -89,8 +89,8 @@ def _groups(dataset: LabeledDataset, schedule: NoiseSchedule, config: UnlearnCon
     retained = _retained_classes(dataset, config.forget_class)
     f = sample_latent_batch(dataset, schedule, config.batch_size, rng, classes=[source_class])
     r = sample_latent_batch(dataset, schedule, config.batch_size, rng, classes=retained)
-    return [(f.x_t, np.full(f.size, config.forget_class, dtype=np.int64), f.t, f.eps, None),
-            (r.x_t, r.labels, r.t, r.eps, None)]
+    return [(*f._replace(labels=np.full_like(f.labels, config.forget_class)), None),
+            (*r, None)]
 
 
 def _update(model: DenoiserModel, optimizer: SGD, groups: list[Group]) -> StepRecord:
@@ -135,8 +135,6 @@ def baseline_relabel_step(model: DenoiserModel, dataset: LabeledDataset,
     """
     if target_class == config.forget_class:
         raise DomainError("target_class must differ from forget_class")
-    if not 0 <= target_class < dataset.K:
-        raise DomainError(f"target_class {target_class} outside [0, {dataset.K})")
     return _update(model, optimizer, _groups(dataset, schedule, config, rng, target_class))
 
 

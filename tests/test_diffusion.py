@@ -99,7 +99,7 @@ class TestSampleLatentBatch:
         sched = df.build_schedule(10, 0.1, 0.2)
         batch = df.sample_latent_batch(toy_dataset, sched, 1, np.random.default_rng(0))
         assert batch.x_t.shape == (1, 2)
-        assert batch.size == 1
+        assert len(batch.t) == 1
 
     def test_class_restriction(self, toy_dataset):
         sched = df.build_schedule(10, 0.1, 0.2)
@@ -108,13 +108,18 @@ class TestSampleLatentBatch:
         assert set(np.unique(batch.labels)) <= {1, 3}
 
     @staticmethod
-    def _per_row_reference(dataset, schedule, batch_size, rng, classes):
-        """Class-restricted draw with one scalar row draw per row."""
-        pools = [dataset.class_indices(int(c)) for c in classes]
-        picks = rng.integers(0, len(pools), size=batch_size)
+    def _per_row_reference(dataset, schedule, batch_size, rng, classes=None):
+        """The draw with one scalar row draw per row, over all rows or, with
+        ``classes``, class first and then a row within it; then steps, then noise."""
         rows = np.empty(batch_size, dtype=np.int64)
-        for i, p in enumerate(picks):
-            rows[i] = pools[p][rng.integers(0, pools[p].size)]
+        if classes is None:
+            for i in range(batch_size):
+                rows[i] = rng.integers(0, dataset.n)
+        else:
+            pools = [np.nonzero(dataset.labels == c)[0] for c in classes]
+            picks = rng.integers(0, len(pools), size=batch_size)
+            for i, p in enumerate(picks):
+                rows[i] = pools[p][rng.integers(0, pools[p].size)]
         t = rng.integers(1, schedule.T + 1, size=batch_size)
         eps = rng.standard_normal((batch_size, dataset.d))
         abar = schedule.alpha_bar[t - 1][:, None]
@@ -140,11 +145,41 @@ class TestSampleLatentBatch:
         assert batch.labels.tobytes() == labels.tobytes()
         assert rng.random() == ref_rng.random()
 
+    @pytest.mark.parametrize("batch_size", [1, 129])
+    def test_unrestricted_stream_matches_per_row_draws(self, toy_dataset, batch_size):
+        sched = df.build_schedule(50, 1e-3, 0.3)
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        batch = df.sample_latent_batch(toy_dataset, sched, batch_size, rng)
+        x_t, labels = self._per_row_reference(toy_dataset, sched, batch_size, ref_rng)
+        assert batch.x_t.tobytes() == x_t.tobytes()
+        assert batch.labels.tobytes() == labels.tobytes()
+        assert rng.random() == ref_rng.random()
+
     def test_empty_class_rejected(self, toy_dataset):
         sched = df.build_schedule(10, 0.1, 0.2)
         with pytest.raises(DomainError):
             df.sample_latent_batch(toy_dataset, sched, 8, np.random.default_rng(0),
                                    classes=[1, 9])
+
+    @pytest.mark.parametrize("classes", [[1.5], [True], np.array([2.9])],
+                             ids=["float", "bool", "float_array"])
+    def test_bad_class_ids_rejected_before_any_draw(self, toy_dataset, classes):
+        sched = df.build_schedule(10, 0.1, 0.2)
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError):
+            df.sample_latent_batch(toy_dataset, sched, 8, rng, classes=classes)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize("c", [-1, 9, 1.0, True])
+    def test_class_indices_rejects_bad_class_id(self, toy_dataset, c):
+        with pytest.raises(DomainError):
+            toy_dataset.class_indices(c)
+
+    def test_class_indices_are_read_only_ascending_rows(self, toy_dataset):
+        idx = toy_dataset.class_indices(2)
+        npt.assert_array_equal(idx, np.nonzero(toy_dataset.labels == 2)[0])
+        with pytest.raises(ValueError):
+            idx[0] = 0
 
     def test_no_classes_rejected(self, toy_dataset):
         sched = df.build_schedule(10, 0.1, 0.2)
@@ -155,14 +190,6 @@ class TestSampleLatentBatch:
         sched = df.build_schedule(10, 0.1, 0.2)
         with pytest.raises(DomainError):
             df.sample_latent_batch(toy_dataset, sched, 0, np.random.default_rng(0))
-
-    def test_forward_consistency(self, toy_dataset):
-        # x_t must equal the affine recombination of its own x0 and eps
-        sched = df.build_schedule(50, 1e-3, 0.3)
-        batch = df.sample_latent_batch(toy_dataset, sched, 128, np.random.default_rng(5))
-        abar = sched.alpha_bar[batch.t - 1][:, None]
-        npt.assert_allclose(batch.x_t, np.sqrt(abar) * batch.x0
-                            + np.sqrt(1 - abar) * batch.eps, atol=1e-12)
 
 
 class TestForwardMoments:

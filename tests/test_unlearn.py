@@ -196,7 +196,7 @@ class TestSafemaxStep:
 
         rng = np.random.default_rng(33)
         f_batch, r_batch = self._batches(method, dataset, schedule, cfg, rng)
-        n_f = f_batch.size
+        n_f = len(f_batch.t)
         # forget (or donor) rows are conditioned on the forget class
         labels = np.concatenate([np.full(n_f, cfg.forget_class), r_batch.labels])
         tape = gc.Tape()
@@ -224,7 +224,7 @@ class TestSafemaxStep:
         tape = gc.Tape()
         pnodes = tape.params(model_b.params)
         f_pred = dn.denoiser_forward(tape, pnodes, model_b.arch, f_batch.x_t,
-                                     np.full(f_batch.size, cfg.forget_class), f_batch.t)
+                                     np.full(len(f_batch.t), cfg.forget_class), f_batch.t)
         r_pred = dn.denoiser_forward(tape, pnodes, model_b.arch, r_batch.x_t, r_batch.labels,
                                      r_batch.t)
         f_loss = self._forget_loss(method, f_pred, f_batch, schedule, cfg, rng)
@@ -242,7 +242,7 @@ class TestSafemaxStep:
 
         rng = np.random.default_rng(35)
         f_batch, r_batch = self._batches(method, dataset, schedule, cfg, rng)
-        f_pred = prediction(model, f_batch, labels=np.full(f_batch.size, cfg.forget_class))
+        f_pred = prediction(model, f_batch, labels=np.full(len(f_batch.t), cfg.forget_class))
         f_loss = self._forget_loss(method, f_pred, f_batch, schedule, cfg, rng)
         r_loss = gc.mse_loss(prediction(model, r_batch), r_batch.eps)
         npt.assert_allclose(record.forget_loss, float(f_loss.value), rtol=1e-12)
@@ -309,6 +309,19 @@ class TestRelabelBaseline:
             ul.baseline_relabel_step(model, dataset, schedule, base_config(),
                                      target_class=0, rng=np.random.default_rng(0),
                                      optimizer=gc.SGD(0.01, momentum=0.0))
+
+    @pytest.mark.parametrize("target_class", [-1, 4])
+    def test_target_outside_classes_rejected_before_any_draw(self, dataset, schedule,
+                                                            target_class):
+        model = small_model(9)
+        before = model.params.flat.copy()
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError):
+            ul.baseline_relabel_step(model, dataset, schedule, base_config(),
+                                     target_class=target_class, rng=rng,
+                                     optimizer=gc.SGD(0.01, momentum=0.0))
+        assert rng.random() == np.random.default_rng(0).random()
+        npt.assert_array_equal(model.params.flat, before)
 
     def test_loss_non_negative(self, dataset, schedule):
         model = small_model(9)
