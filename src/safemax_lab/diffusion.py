@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSampleError, DimensionError, DomainError, NumericError
-from .gradcore import Array, Tape, as_array
+from .gradcore import Array, Tape, as_array, indices
 
 LOG_2PI_E = float(np.log(2.0 * np.pi * np.e))
 
@@ -57,20 +57,15 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.points = as_array(self.points)
-        labels = np.asarray(self.labels)
-        if labels.dtype.kind not in "iu":  # no silent truncation of float or bool labels
-            raise DomainError(f"labels must be an integer array, got {labels.dtype}")
-        self.labels = labels.astype(np.int64)
         if self.K < 2:
             raise DomainError(f"K must be >= 2, got {self.K}")
+        self.labels = indices(self.labels, self.K, "labels")
         if self.points.ndim != 2:
             raise DimensionError(f"points must be rank-2, got {self.points.shape}")
         if not np.all(np.isfinite(self.points)):
             raise DomainError("points must be finite")
         if self.labels.shape != (self.points.shape[0],):
             raise DimensionError("labels must align with points")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.K):
-            raise DomainError(f"labels must lie in [0, {self.K})")
         counts = np.bincount(self.labels, minlength=self.K)
         if np.any(counts < 2):
             raise DomainError("every class needs at least 2 samples")
@@ -89,11 +84,10 @@ class LabeledDataset:
         return self.points.shape[1]
 
     def _class_ids(self, classes) -> Array:
-        """``classes`` as a non-empty rank-1 integer array of ids in [0, K), else DomainError."""
-        ids = np.asarray(classes)
-        if (ids.dtype.kind not in "iu" or ids.ndim != 1 or ids.size == 0
-                or ids.min() < 0 or ids.max() >= self.K):
-            raise DomainError(f"class ids must be integers in [0, {self.K}), got {classes!r}")
+        """``classes`` as a non-empty rank-1 array of ``indices`` in [0, K), else DomainError."""
+        ids = indices(classes, self.K, "class ids")
+        if ids.ndim != 1 or ids.size == 0:
+            raise DomainError(f"class ids must be a non-empty rank-1 list, got {classes!r}")
         return ids
 
     def class_indices(self, c: int) -> Array:
@@ -151,11 +145,11 @@ def ancestral_sample(model, c: int, schedule: NoiseSchedule, n: int,
     ``x_{t-1} = (x_t - ((1 - a_t)/sqrt(1 - abar_t)) * eps_hat) / sqrt(a_t) + sigma_t z``
     with ``sigma_t^2 = beta_t`` and no noise at the final step. The T
     forward passes share one gradient-free tape, so they share its buffers.
+    ``DomainError`` for a ``c`` that fails ``gradcore.indices`` for the model's K.
     """
     from .denoiser import predict_eps
 
-    if not 0 <= c < model.arch.K:
-        raise DomainError(f"class {c} outside [0, {model.arch.K})")
+    indices(c, model.arch.K, "class")
     d = model.arch.d
     if n == 0:
         return np.zeros((0, d))

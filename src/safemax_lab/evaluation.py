@@ -155,7 +155,9 @@ def gate_classifier(classifier: Classifier, dataset: LabeledDataset, seed: int) 
 
 
 def unlearning_accuracy(classifier: Classifier, samples: Array, c_f: int) -> float:
-    """100 minus the classifier's percent accuracy on forget-conditioned samples."""
+    """100 minus the classifier's percent accuracy on forget-conditioned samples; ``DomainError``
+    for no samples or a ``c_f`` that fails ``gradcore.indices`` for the classifier's K."""
+    c_f = gc.indices(c_f, classifier.arch.K, "forget class")
     samples = gc.as_array(samples)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise DomainError("need a non-empty rank-2 sample array")
@@ -278,9 +280,9 @@ def score_samples(classifier: Classifier, samples: dict[int, Array], dataset: La
 
     ``dataset`` should be held-out data (not what the model trained on) so
     the retention distances measure generalization, not memorization.
+    ``DomainError`` for a ``c_f`` that fails ``gradcore.indices`` for the dataset's K.
     """
-    if not 0 <= c_f < dataset.K:
-        raise DomainError(f"forget class {c_f} outside [0, {dataset.K})")
+    gc.indices(c_f, dataset.K, "forget class")
     forget_samples = samples[c_f]
     ua = unlearning_accuracy(classifier, forget_samples, c_f)
     entropy = prediction_entropy(classifier, forget_samples)

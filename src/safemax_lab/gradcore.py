@@ -349,15 +349,22 @@ def rows(a: Node, start: int, stop: int) -> Node:
     return a.tape._record("rows", [a], a.value[start:stop], backward)
 
 
+def indices(values, size: int, what: str) -> Array:
+    """``values`` as int64, the one rule for a class or label id: ``DomainError``, naming
+    ``what``, unless the dtype is integer (not bool or float) and every id is in [0, size)."""
+    ids = np.asarray(values)
+    if ids.dtype.kind not in "iu" or (ids.size and (ids.min() < 0 or ids.max() >= size)):
+        raise DomainError(f"{what} must be integer ids in [0, {size}), got {ids} ({ids.dtype})")
+    return ids.astype(np.int64, copy=False)
+
+
 def embedding(table: Node, ids) -> Node:
-    """Row lookup into a rank-2 table; gradients scatter-add back."""
-    ids = np.asarray(ids, dtype=np.int64)
+    """Row lookup into a rank-2 table, ``ids`` checked by ``indices``; gradients scatter-add back."""
     if table.value.ndim != 2:
         raise DimensionError(f"embedding table must be rank-2, got {table.shape}")
+    ids = indices(ids, table.shape[0], "embedding ids")
     if ids.ndim != 1:
         raise DimensionError(f"embedding ids must be rank-1, got shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise DomainError(f"embedding id out of range [0, {table.shape[0]})")
 
     def backward(g: Array) -> None:
         scattered = np.zeros_like(table.value)
@@ -401,15 +408,13 @@ def mse_loss(pred: Node, target, weights=None) -> Node:
 
 
 def softmax_cross_entropy(logits: Node, labels) -> Node:
-    """Mean cross-entropy of a softmax head against integer labels."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """Mean cross-entropy of a softmax head against labels checked by ``indices``."""
     if logits.value.ndim != 2:
         raise DimensionError(f"logits must be rank-2, got {logits.shape}")
     rows, k = logits.shape
+    labels = indices(labels, k, "labels")
     if labels.shape != (rows,):
         raise DimensionError(f"labels must have shape ({rows},), got {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise DomainError(f"label out of range [0, {k})")
     shifted = logits.value - logits.value.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z

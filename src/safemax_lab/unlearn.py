@@ -76,20 +76,16 @@ def epsT_target(x_t: Array, rng: np.random.Generator) -> Array:
     return rng.standard_normal(x_t.shape)
 
 
-def _retained_classes(dataset: LabeledDataset, forget_class: int) -> list[int]:
-    if forget_class >= dataset.K:
-        raise DomainError(f"forget_class {forget_class} outside [0, {dataset.K})")
-    return [c for c in range(dataset.K) if c != forget_class]
-
-
 def _groups(dataset: LabeledDataset, schedule: NoiseSchedule, config: UnlearnConfig,
             rng: np.random.Generator, source_class: int) -> list[Group]:
     """A ``source_class`` batch conditioned on the forget class, then a retained-class
-    batch, each regressing its own noise; drawn from ``rng`` in that order."""
-    retained = _retained_classes(dataset, config.forget_class)
+    batch, each regressing its own noise; drawn from ``rng`` in that order, after the forget
+    class passes ``gradcore.indices`` (else ``DomainError``)."""
+    forget = gc.indices(config.forget_class, dataset.K, "forget class")
     f = sample_latent_batch(dataset, schedule, config.batch_size, rng, classes=[source_class])
-    r = sample_latent_batch(dataset, schedule, config.batch_size, rng, classes=retained)
-    return [(*f._replace(labels=np.full_like(f.labels, config.forget_class)), None),
+    r = sample_latent_batch(dataset, schedule, config.batch_size, rng,
+                            classes=[c for c in range(dataset.K) if c != forget])
+    return [(*f._replace(labels=np.full_like(f.labels, forget)), None),
             (*r, None)]
 
 

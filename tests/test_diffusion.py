@@ -241,6 +241,25 @@ class TestAncestralSample:
         with pytest.raises(DomainError):
             df.ancestral_sample(_ZeroModel(), 4, sched, 1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("c", [1.5, True], ids=["float", "bool"])
+    def test_non_integer_class_rejected_not_truncated(self, c):
+        # both used to sample class 1
+        from safemax_lab import denoiser as dn
+
+        model = dn.init_model(2, 4, 16, 2, 8, 10, np.random.default_rng(0))
+        sched = df.build_schedule(10, 0.1, 0.2)
+        with pytest.raises(DomainError, match="integer"):
+            df.ancestral_sample(model, c, sched, 5, np.random.default_rng(0))
+
+    def test_numpy_integer_class_keeps_the_bits(self):
+        from safemax_lab import denoiser as dn
+
+        model = dn.init_model(2, 4, 16, 2, 8, 10, np.random.default_rng(0))
+        sched = df.build_schedule(10, 0.1, 0.2)
+        got = df.ancestral_sample(model, np.int64(1), sched, 5, np.random.default_rng(0))
+        expected = df.ancestral_sample(model, 1, sched, 5, np.random.default_rng(0))
+        assert got.tobytes() == expected.tobytes()
+
     @staticmethod
     def _reference_chain(model, c, schedule, n, rng):
         """The reverse chain with a fresh gradient-free tape for every forward pass."""

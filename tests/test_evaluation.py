@@ -125,6 +125,16 @@ class TestUnlearningAccuracy:
         with pytest.raises(DomainError):
             ev.unlearning_accuracy(classifier, np.zeros((0, 2)), 0)
 
+    @pytest.mark.parametrize("c_f", [7, -1, 1.0, True],
+                             ids=["past_end", "negative", "float", "bool"])
+    def test_bad_forget_class_rejected(self, classifier, dataset, c_f):
+        # 7 and -1 used to score a perfect 100.0; 1.0 and True were scored as class 1
+        pts = np.tile([4.0, 0.0], (50, 1))
+        with pytest.raises(DomainError, match="forget class"):
+            ev.unlearning_accuracy(classifier, pts, c_f)
+        with pytest.raises(DomainError, match="forget class"):
+            ev.score_samples(classifier, dict.fromkeys(range(dataset.K), pts), dataset, c_f)
+
     def test_complements_accuracy_exactly(self, classifier, dataset):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((100, 2)) * 3.0

@@ -509,6 +509,39 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(DomainError):
             gc.softmax_cross_entropy(tape.constant(np.zeros((1, 3))), np.array([3]))
 
+    @pytest.mark.parametrize("labels", [[1.5], np.array([True])], ids=["float", "bool"])
+    def test_non_integer_label_rejected_not_truncated(self, labels):
+        # both used to score label 1
+        tape = gc.Tape()
+        with pytest.raises(DomainError, match="integer"):
+            gc.softmax_cross_entropy(tape.constant(np.zeros((1, 3))), labels)
+
+
+class TestIndices:
+    @pytest.mark.parametrize("values", [[0, 2], np.array([1], np.uint8), np.int64(2), 0,
+                                        np.zeros(0, np.int32)])
+    def test_integer_ids_in_range_pass_as_int64(self, values):
+        ids = gc.indices(values, 3, "ids")
+        assert ids.dtype == np.int64
+        npt.assert_array_equal(ids, values)
+
+    @pytest.mark.parametrize("values", [[3], [-1], [1.0], [True], 1.5, [1, None]],
+                             ids=["past_end", "negative", "float", "bool", "float_scalar",
+                                  "object"])
+    def test_bad_ids_rejected_naming_what(self, values):
+        with pytest.raises(DomainError, match="class ids must be integer ids in \\[0, 3\\)"):
+            gc.indices(values, 3, "class ids")
+
+
+class TestEmbedding:
+    @pytest.mark.parametrize("ids", [[1.7], np.array([True]), [3], [-1]],
+                             ids=["float", "bool", "past_end", "negative"])
+    def test_bad_ids_rejected(self, ids):
+        # float and bool ids used to look up row 1
+        tape = gc.Tape()
+        with pytest.raises(DomainError):
+            gc.embedding(tape.constant(np.eye(3)), ids)
+
 
 class TestBackward:
     def test_sum_gives_ones(self):

@@ -816,7 +816,7 @@ class TestSweep:
 
 
 class TestCli:
-    def test_sample_command(self, tmp_path):
+    def test_sample_command(self, tmp_path, capsys):
         from safemax_lab.harness.cli import main
         cfg = tiny_config(tmp_path)
         ex.run_experiment(cfg, clock=FakeClock())
@@ -825,6 +825,12 @@ class TestCli:
                    "--class", "1", "--n", "20", "--out", str(out_svg)])
         assert rc == 0
         assert out_svg.exists()
+        # a class the checkpoint's K = 4 does not have is a bad value: exit 2, no SVG
+        bad_svg = tmp_path / "never.svg"
+        assert main(["sample", str(Path(cfg.output_dir) / "pretrained.ckpt"),
+                     "--class", "4", "--out", str(bad_svg)]) == 2
+        assert "class must be integer ids in [0, 4)" in capsys.readouterr().err
+        assert not bad_svg.exists()
 
     def test_report_command(self, tmp_path, capsys):
         from safemax_lab.harness.cli import main

@@ -323,6 +323,19 @@ class TestRelabelBaseline:
         assert rng.random() == np.random.default_rng(0).random()
         npt.assert_array_equal(model.params.flat, before)
 
+    @pytest.mark.parametrize("forget_class", [4, True], ids=["past_end", "bool"])
+    def test_bad_forget_class_rejected_before_any_draw(self, dataset, schedule, forget_class):
+        # a bool forget class used to run as class 1
+        model = small_model(9)
+        before = model.params.flat.copy()
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match="forget class"):
+            ul.baseline_relabel_step(model, dataset, schedule,
+                                     base_config(forget_class=forget_class), target_class=2,
+                                     rng=rng, optimizer=gc.SGD(0.01, momentum=0.0))
+        assert rng.random() == np.random.default_rng(0).random()
+        npt.assert_array_equal(model.params.flat, before)
+
     def test_loss_non_negative(self, dataset, schedule):
         model = small_model(9)
         record = ul.baseline_relabel_step(model, dataset, schedule, base_config(),
