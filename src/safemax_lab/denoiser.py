@@ -8,7 +8,7 @@ keeps the gradient path trivial to verify.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,7 +19,17 @@ from .gradcore import Array, Node, ParamStore, SGD, Tape
 
 
 @dataclass(frozen=True)
-class DenoiserArch:
+class Sizes:
+    """Sizes of at least 1 under ``gradcore.indices``, held as Python ints so that a checkpoint
+    header records them as JSON integers."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, int(gc.indices(getattr(self, f.name), f.name, 1)))
+
+
+@dataclass(frozen=True)
+class DenoiserArch(Sizes):
     d: int
     K: int
     hidden_width: int
@@ -45,14 +55,11 @@ class TrainConfig:
     seed: int
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise DomainError(f"steps must be >= 0, got {self.steps}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
+        gc.indices(self.steps, "steps")
+        gc.indices(self.batch_size, "batch_size", 1)
         if not 0.0 < self.learning_rate < np.inf:
             raise DomainError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        gc.indices(self.seed, "seed")
 
 
 @functools.lru_cache(maxsize=8)
@@ -90,14 +97,11 @@ def mlp(h: Node, pnodes: dict[str, Node], depth: int, kind: str) -> Node:
 def init_model(d: int, K: int, hidden_width: int, hidden_depth: int,
                embed_dim: int, T: int, rng: np.random.Generator) -> DenoiserModel:
     """Fan-in scaled normal initialization; deterministic given the rng state."""
-    if min(d, K, hidden_width, hidden_depth, embed_dim, T) < 1:
-        raise DomainError("all architecture dimensions must be positive")
-    if K < 2:
-        raise DomainError(f"K must be >= 2, got {K}")
-    if embed_dim % 2 != 0:
-        raise DomainError(f"embed_dim must be even, got {embed_dim}")
     arch = DenoiserArch(d=d, K=K, hidden_width=hidden_width, hidden_depth=hidden_depth,
                         embed_dim=embed_dim, T=T)
+    gc.indices(K, "K", 2)
+    if embed_dim % 2 != 0:
+        raise DomainError(f"embed_dim must be even, got {embed_dim}")
     params = ParamStore()
     params.add("class_embed", rng.standard_normal((K, embed_dim)) / np.sqrt(embed_dim))
     params.add("time_w", rng.standard_normal((embed_dim, embed_dim)) / np.sqrt(embed_dim))
@@ -112,8 +116,7 @@ def _validate_batch_inputs(arch: DenoiserArch, x_t: Array, labels: Array, t: Arr
     rows = x_t.shape[0]
     if labels.shape != (rows,) or t.shape != (rows,):
         raise DimensionError("labels and t must have one entry per row")
-    if t.dtype.kind not in "iu" or (rows and (t.min() < 1 or t.max() > arch.T)):
-        raise DomainError(f"steps t must be integers in [1, {arch.T}], got {t} ({t.dtype})")
+    gc.indices(t, "steps t", 1, arch.T + 1)
 
 
 def denoiser_forward(tape: Tape, pnodes: dict[str, Node], arch: DenoiserArch,

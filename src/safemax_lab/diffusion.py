@@ -32,8 +32,7 @@ class NoiseSchedule:
 
 def build_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSchedule:
     """Linear beta schedule from beta_min to beta_max over T steps."""
-    if T < 1:
-        raise DomainError(f"T must be >= 1, got {T}")
+    indices(T, "T", 1)
     if not (0.0 < beta_min <= beta_max < 1.0):
         raise DomainError(
             f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
@@ -57,9 +56,8 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.points = as_array(self.points)
-        if self.K < 2:
-            raise DomainError(f"K must be >= 2, got {self.K}")
-        self.labels = indices(self.labels, self.K, "labels")
+        indices(self.K, "K", 2)
+        self.labels = indices(self.labels, "labels", 0, self.K)
         if self.points.ndim != 2:
             raise DimensionError(f"points must be rank-2, got {self.points.shape}")
         if not np.all(np.isfinite(self.points)):
@@ -85,7 +83,7 @@ class LabeledDataset:
 
     def _class_ids(self, classes) -> Array:
         """``classes`` as a non-empty rank-1 array of ``indices`` in [0, K), else DomainError."""
-        ids = indices(classes, self.K, "class ids")
+        ids = indices(classes, "class ids", 0, self.K)
         if ids.ndim != 1 or ids.size == 0:
             raise DomainError(f"class ids must be a non-empty rank-1 list, got {classes!r}")
         return ids
@@ -121,8 +119,7 @@ def sample_latent_batch(dataset: LabeledDataset, schedule: NoiseSchedule,
     rows are drawn uniformly over those classes (class first, then a sample
     within it); otherwise uniformly over all dataset rows.
     """
-    if batch_size < 1:
-        raise DomainError(f"batch_size must be >= 1, got {batch_size}")
+    indices(batch_size, "batch_size", 1)
     if classes is None:
         rows = rng.integers(0, dataset.n, size=batch_size)
     else:
@@ -145,16 +142,16 @@ def ancestral_sample(model, c: int, schedule: NoiseSchedule, n: int,
     ``x_{t-1} = (x_t - ((1 - a_t)/sqrt(1 - abar_t)) * eps_hat) / sqrt(a_t) + sigma_t z``
     with ``sigma_t^2 = beta_t`` and no noise at the final step. The T
     forward passes share one gradient-free tape, so they share its buffers.
-    ``DomainError`` for a ``c`` that fails ``gradcore.indices`` for the model's K.
+    ``DomainError`` for a ``c`` outside the model's K classes or an ``n`` below 0, both
+    under ``gradcore.indices``.
     """
     from .denoiser import predict_eps
 
-    indices(c, model.arch.K, "class")
+    indices(c, "class", 0, model.arch.K)
+    indices(n, "n")
     d = model.arch.d
     if n == 0:
         return np.zeros((0, d))
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
     x = rng.standard_normal((n, d))
     labels = np.full(n, c, dtype=np.int64)
     tape = Tape(grad=False)

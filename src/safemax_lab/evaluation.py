@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradcore as gc
-from .denoiser import init_mlp, mlp
+from .denoiser import Sizes, init_mlp, mlp
 from .diffusion import LabeledDataset, NoiseSchedule, ancestral_sample
 from .errors import DimensionError, DomainError, EvaluatorQualityError, NumericError
 from .gradcore import Array, ParamStore, Tape
@@ -25,7 +25,7 @@ _CLASSIFIER_DEPTH = 2
 
 
 @dataclass(frozen=True)
-class ClassifierArch:
+class ClassifierArch(Sizes):
     d: int
     K: int
     hidden_width: int
@@ -97,8 +97,7 @@ def _init_and_split(dataset: LabeledDataset, hidden_width: int, seed: int):
     A quarter of each class is held out. Both draws come from ``seed``, so
     the split can be replayed for a classifier trained elsewhere.
     """
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    gc.indices(seed, "seed")
     rng = np.random.default_rng(seed)
     clf = init_classifier(dataset.d, dataset.K, hidden_width, rng)
     train_idx, held_idx = [], []
@@ -157,7 +156,7 @@ def gate_classifier(classifier: Classifier, dataset: LabeledDataset, seed: int) 
 def unlearning_accuracy(classifier: Classifier, samples: Array, c_f: int) -> float:
     """100 minus the classifier's percent accuracy on forget-conditioned samples; ``DomainError``
     for no samples or a ``c_f`` that fails ``gradcore.indices`` for the classifier's K."""
-    c_f = gc.indices(c_f, classifier.arch.K, "forget class")
+    c_f = gc.indices(c_f, "forget class", 0, classifier.arch.K)
     samples = gc.as_array(samples)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise DomainError("need a non-empty rank-2 sample array")
@@ -215,8 +214,7 @@ def fano_bound(h_cond_nats: float, cardinality: int) -> FanoDiagnostic:
 
     ``clamp((h_cond - 1) / ln(cardinality), 0, 1)``; entropies in nats.
     """
-    if cardinality < 2:
-        raise DomainError(f"cardinality must be >= 2, got {cardinality}")
+    gc.indices(cardinality, "cardinality", 2)
     if h_cond_nats < 0.0:
         raise DomainError(f"conditional entropy must be >= 0, got {h_cond_nats}")
     raw = (h_cond_nats - 1.0) / float(np.log(cardinality))
@@ -259,8 +257,7 @@ def sample_classes(model, schedule: NoiseSchedule, k: int, n_samples: int,
     ``rng`` past them, so every bit, ``rng``'s too, is as if the classes ran
     in turn. The first failing class raises.
     """
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    gc.indices(n_samples, "n_samples", 1)
     chains = []
     for c in range(k):
         chains.append((c, copy.deepcopy(rng), contextvars.copy_context()))
@@ -282,7 +279,7 @@ def score_samples(classifier: Classifier, samples: dict[int, Array], dataset: La
     the retention distances measure generalization, not memorization.
     ``DomainError`` for a ``c_f`` that fails ``gradcore.indices`` for the dataset's K.
     """
-    gc.indices(c_f, dataset.K, "forget class")
+    gc.indices(c_f, "forget class", 0, dataset.K)
     forget_samples = samples[c_f]
     ua = unlearning_accuracy(classifier, forget_samples, c_f)
     entropy = prediction_entropy(classifier, forget_samples)

@@ -349,12 +349,15 @@ def rows(a: Node, start: int, stop: int) -> Node:
     return a.tape._record("rows", [a], a.value[start:stop], backward)
 
 
-def indices(values, size: int, what: str) -> Array:
-    """``values`` as int64, the one rule for a class or label id: ``DomainError``, naming
-    ``what``, unless the dtype is integer (not bool or float) and every id is in [0, size)."""
+def indices(values, what: str, low: int = 0, high: int | None = None) -> Array:
+    """``values`` as int64, the lab's one integer rule for ids, counts, sizes, seeds and steps:
+    ``DomainError``, naming ``what``, unless the dtype is integer (not bool or float) and every
+    value is in [low, high), or >= low without ``high``."""
     ids = np.asarray(values)
-    if ids.dtype.kind not in "iu" or (ids.size and (ids.min() < 0 or ids.max() >= size)):
-        raise DomainError(f"{what} must be integer ids in [0, {size}), got {ids} ({ids.dtype})")
+    if ids.dtype.kind not in "iu" or (ids.size and (
+            ids.min() < low or (high is not None and ids.max() >= high))):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise DomainError(f"{what} must be integer {bound}, got {ids} ({ids.dtype})")
     return ids.astype(np.int64, copy=False)
 
 
@@ -362,7 +365,7 @@ def embedding(table: Node, ids) -> Node:
     """Row lookup into a rank-2 table, ``ids`` checked by ``indices``; gradients scatter-add back."""
     if table.value.ndim != 2:
         raise DimensionError(f"embedding table must be rank-2, got {table.shape}")
-    ids = indices(ids, table.shape[0], "embedding ids")
+    ids = indices(ids, "embedding ids", 0, table.shape[0])
     if ids.ndim != 1:
         raise DimensionError(f"embedding ids must be rank-1, got shape {ids.shape}")
 
@@ -412,7 +415,7 @@ def softmax_cross_entropy(logits: Node, labels) -> Node:
     if logits.value.ndim != 2:
         raise DimensionError(f"logits must be rank-2, got {logits.shape}")
     rows, k = logits.shape
-    labels = indices(labels, k, "labels")
+    labels = indices(labels, "labels", 0, k)
     if labels.shape != (rows,):
         raise DimensionError(f"labels must have shape ({rows},), got {labels.shape}")
     shifted = logits.value - logits.value.max(axis=1, keepdims=True)
@@ -597,8 +600,7 @@ def one_blas_thread() -> Iterator[None]:
 def fit(steps: int, learning_rate: float, step: Callable[[SGD], object]) -> list:
     """Call ``step(optimizer)`` ``steps`` times on one momentum ``SGD`` inside ``one_blas_thread``;
     returns the results in order. A ``NumericError`` is re-raised naming its step."""
-    if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
+    indices(steps, "steps")
     optimizer = SGD(learning_rate)
     results = []
     with one_blas_thread():

@@ -16,6 +16,7 @@ from ..diffusion import ancestral_sample
 from ..errors import (CheckpointIntegrityError, CheckpointVersionError, ConfigError, DomainError,
                       StageError)
 from ..evaluation import SUMMARY
+from ..gradcore import indices
 from .checkpoints import load_checkpoint
 from .config import ExperimentConfig, default_config, parse_config
 from .experiment import (build_world, ensure_pretrained, model_from_checkpoint,
@@ -51,8 +52,7 @@ def _cmd_unlearn(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.seed < 0:
-        raise DomainError(f"--seed must be >= 0, got {args.seed}")
+    indices(args.seed, "--seed")
     model, schedule = model_from_checkpoint(load_checkpoint(args.checkpoint))
     rng = np.random.default_rng(args.seed)
     samples = ancestral_sample(model, args.class_id, schedule, args.n, rng)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 from ..denoiser import TrainConfig
 from ..errors import ConfigError, DomainError
+from ..gradcore import indices
 from ..unlearn import UnlearnConfig
 from .datasets import DatasetSpec
 
@@ -24,8 +25,7 @@ class ScheduleSpec:
     beta_max: float = 0.2
 
     def __post_init__(self):
-        if self.t < 1:
-            raise DomainError(f"t must be >= 1, got {self.t}")
+        indices(self.t, "t", 1)
         if not 0.0 < self.beta_min <= self.beta_max < 1.0:
             raise DomainError(f"need 0 < beta_min <= beta_max < 1, got {self}")
 
@@ -37,10 +37,11 @@ class ModelSpec:
     embed_dim: int = 16
 
     def __post_init__(self):
-        if min(self.hidden_width, self.hidden_depth) < 1:
-            raise DomainError(f"hidden_width and hidden_depth must be >= 1, got {self}")
-        if self.embed_dim < 2 or self.embed_dim % 2:
-            raise DomainError(f"embed_dim must be even and >= 2, got {self.embed_dim}")
+        indices(self.hidden_width, "hidden_width", 1)
+        indices(self.hidden_depth, "hidden_depth", 1)
+        indices(self.embed_dim, "embed_dim", 2)
+        if self.embed_dim % 2:
+            raise DomainError(f"embed_dim must be even, got {self.embed_dim}")
 
 
 @dataclass(frozen=True)
@@ -53,16 +54,14 @@ class EvalSpec:
     seed: int = 4
 
     def __post_init__(self):
-        if self.n_samples < 3:  # a Frechet fit in d = 2 needs d + 1 points per class
-            raise DomainError(f"n_samples must be >= 3, got {self.n_samples}")
-        if min(self.classifier_hidden_width, self.classifier_steps) < 1:
-            raise DomainError(
-                f"classifier_hidden_width and classifier_steps must be >= 1, got {self}")
+        indices(self.n_samples, "n_samples", 3)  # a Frechet fit in d = 2 needs d + 1 points
+        indices(self.classifier_hidden_width, "classifier_hidden_width", 1)
+        indices(self.classifier_steps, "classifier_steps", 1)
         if not 0.0 < self.classifier_learning_rate < math.inf:
             raise DomainError("classifier_learning_rate must be > 0 and finite, "
                               f"got {self.classifier_learning_rate}")
-        if min(self.classifier_seed, self.seed) < 0:
-            raise DomainError(f"classifier_seed and seed must be >= 0, got {self}")
+        indices(self.classifier_seed, "classifier_seed")
+        indices(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,10 @@ class ExperimentConfig:
     output_dir: str
 
     def __post_init__(self):
-        if self.unlearn.forget_class >= self.dataset.k:
-            raise DomainError(f"unlearn.forget_class must be < dataset.k, "
-                              f"got {self.unlearn.forget_class} >= {self.dataset.k}")
-        if not self.output_dir:
-            raise DomainError("output.dir must be non-empty")
+        indices(self.unlearn.forget_class, f"unlearn.forget_class (dataset.k = {self.dataset.k})",
+                0, self.dataset.k)
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise DomainError(f"output.dir must be a non-empty str, got {self.output_dir!r}")
 
 
 def default_config() -> ExperimentConfig:
@@ -118,6 +116,9 @@ def _value(config: ExperimentConfig, key: str):
     return getattr(config if section is None else getattr(config, section), attr)
 
 
+_KINDS = {key: type(_value(default_config(), key)) for key in _KEYS}  # int, float or str
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text, filling defaults; each section checks its own values."""
     base = default_config()
@@ -133,7 +134,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown key {key!r}")
         if key in given:
             raise ConfigError(f"duplicate key {key!r}")
-        kind = type(_value(base, key))
+        kind = _KINDS[key]
         try:
             given[key] = int(raw, 10) if kind is int else kind(raw)
         except ValueError:
@@ -160,7 +161,7 @@ def render_config(config: ExperimentConfig) -> str:
         value = _value(config, key)
         if key == "output.dir" and value.split("#", 1)[0].strip().splitlines() != [value]:
             raise ConfigError(f"{key}: {value!r} holds '#', a line break or edge space")
-        lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
+        lines.append(f"{key} = {float(value)!r}" if _KINDS[key] is float else f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

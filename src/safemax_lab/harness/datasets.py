@@ -9,6 +9,7 @@ import numpy as np
 
 from ..diffusion import LabeledDataset
 from ..errors import DomainError
+from ..gradcore import indices
 
 GEOMETRIES = ("ring", "grid")
 RING_RADIUS = 4.0
@@ -24,14 +25,13 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.k, self.n_per_class) < 2:
-            raise DomainError(f"k and n_per_class must be >= 2, got {self}")
+        indices(self.k, "k", 2)
+        indices(self.n_per_class, "n_per_class", 2)
         if self.geometry not in GEOMETRIES:
             raise DomainError(f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}")
         if not 0.0 < self.noise_scale < math.inf:
             raise DomainError(f"noise_scale must be > 0 and finite, got {self.noise_scale}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        indices(self.seed, "seed")
 
 
 def class_means(spec: DatasetSpec) -> np.ndarray:

@@ -27,7 +27,7 @@ from ..errors import CheckpointIntegrityError, CheckpointVersionError, DomainErr
 from ..evaluation import (SUMMARY, Classifier, ClassifierArch, EvalReport, entropy_linkage_holds,
                           evaluate, gate_classifier, init_classifier, sample_classes,
                           score_samples, train_classifier)
-from ..gradcore import blas_threads, one_blas_thread
+from ..gradcore import blas_threads, indices, one_blas_thread
 from .checkpoints import Checkpoint, load_checkpoint, save_checkpoint, write_atomic
 from .config import (ExperimentConfig, classifier_sha256, config_sha256, pretrain_sha256,
                      render_config)
@@ -363,8 +363,7 @@ def sweep(config: ExperimentConfig, values, members: int = 3,
     values = [float(v) for v in values]
     if not values:
         raise DomainError("values must be non-empty")
-    if members < 1:
-        raise DomainError(f"members must be >= 1, got {members}")
+    indices(members, "members", 1)
     if len(set(values)) != len(values):
         raise DomainError(f"duplicate sweep values: {values}")
     for value in values:  # reject a bad value before any run starts

@@ -29,8 +29,7 @@ class UnlearnConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.forget_class < 0:
-            raise DomainError(f"forget_class must be >= 0, got {self.forget_class}")
+        gc.indices(self.forget_class, "forget_class")
         if not self.lam >= 0.0:
             raise DomainError(f"lambda must be >= 0, got {self.lam}")
 
@@ -56,17 +55,16 @@ class UnlearnLog:
 
 
 def psi(t, T: int, lam: float):
-    """Decay weight exp(-lam * t / T); scalar in, scalar out (arrays pass through)."""
+    """Decay weight exp(-lam * t / T) of integer steps t in [0, T]; scalar in, scalar out."""
     if not lam >= 0.0:
         raise DomainError(f"lambda must be >= 0, got {lam}")
-    t_arr = np.asarray(t, dtype=np.float64)
-    if T < 1 or np.any(t_arr < 0) or np.any(t_arr > T):
-        raise DomainError(f"T must be >= 1 and t must lie in [0, T], got T = {T}")
+    gc.indices(T, "T", 1)
+    t_arr = gc.indices(t, "t", 0, T + 1).astype(np.float64)
     if lam == np.inf:  # the limit, since -inf * 0 is nan: weight 1 at t = 0, else 0
         out = np.where(t_arr == 0, 1.0, 0.0)
     else:
         out = np.exp(-lam * t_arr / float(T))
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    return float(out) if t_arr.ndim == 0 else out
 
 
 def epsT_target(x_t: Array, rng: np.random.Generator) -> Array:
@@ -81,7 +79,7 @@ def _groups(dataset: LabeledDataset, schedule: NoiseSchedule, config: UnlearnCon
     """A ``source_class`` batch conditioned on the forget class, then a retained-class
     batch, each regressing its own noise; drawn from ``rng`` in that order, after the forget
     class passes ``gradcore.indices`` (else ``DomainError``)."""
-    forget = gc.indices(config.forget_class, dataset.K, "forget class")
+    forget = gc.indices(config.forget_class, "forget class", 0, dataset.K)
     f = sample_latent_batch(dataset, schedule, config.batch_size, rng, classes=[source_class])
     r = sample_latent_batch(dataset, schedule, config.batch_size, rng,
                             classes=[c for c in range(dataset.K) if c != forget])

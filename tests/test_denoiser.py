@@ -66,6 +66,23 @@ class TestInitModel:
         with pytest.raises(DomainError):
             small_model(embed=7)
 
+    @pytest.mark.parametrize("what, value", [("hidden_depth", True), ("hidden_width", 8.0),
+                                             ("T", 0), ("K", np.float64(4))])
+    def test_non_integer_or_zero_dimension_rejected_before_any_draw(self, what, value):
+        # a bool depth used to build a depth-1 net, a float width to fail in numpy
+        dims = dict(d=2, K=4, hidden_width=16, hidden_depth=2, embed_dim=8, T=20)
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match=f"^{what} must be integer >= 1"):
+            dn.init_model(**{**dims, what: value}, rng=rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_arch_holds_python_ints(self):
+        # a checkpoint header records the arch as JSON integers
+        model = small_model(width=np.int64(16), T=np.uint8(20))
+        assert {name: type(v) for name, v in vars(model.arch).items()} == dict.fromkeys(
+            ("d", "K", "hidden_width", "hidden_depth", "embed_dim", "T"), int)
+        npt.assert_array_equal(model.params.flat, small_model().params.flat)
+
 
 class TestTimestepEmbedding:
     def test_bounded_by_one(self):
@@ -272,7 +289,7 @@ class TestTrain:
 
     def test_negative_seed_rejected(self):
         # numpy would reject it only at the first draw, with a bare ValueError
-        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        with pytest.raises(DomainError, match="seed must be integer >= 0, got -1"):
             dn.TrainConfig(steps=1, batch_size=4, learning_rate=0.1, seed=-1)
 
     @needs_openblas

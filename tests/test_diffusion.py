@@ -25,6 +25,12 @@ class TestBuildSchedule:
         with pytest.raises(DomainError):
             df.build_schedule(10, 0.0, 0.5)
 
+    @pytest.mark.parametrize("T", [0, True, 10.0], ids=["zero", "bool", "float"])
+    def test_bad_horizon_rejected(self, T):
+        # a bool used to build a one-step schedule
+        with pytest.raises(DomainError, match="T must be integer >= 1"):
+            df.build_schedule(T, 0.1, 0.2)
+
     def test_alpha_bar_strictly_decreasing_and_matches_product(self):
         sched = df.build_schedule(100, 1e-4, 0.2)
         assert np.all(np.diff(sched.alpha_bar) < 0)
@@ -48,10 +54,10 @@ class TestLabeledDataset:
         with pytest.raises(DomainError, match="finite"):
             df.LabeledDataset(points=points, labels=[0, 0, 1, 1], K=2)
 
-    @pytest.mark.parametrize("K", [0, 1])
-    def test_fewer_than_two_classes_rejected(self, K):
-        with pytest.raises(DomainError, match="K must be >= 2"):
-            df.LabeledDataset(points=np.zeros((2 * K, 2)), labels=np.zeros(2 * K, np.int64), K=K)
+    @pytest.mark.parametrize("K", [0, 1, 2.0, True])
+    def test_fewer_than_two_classes_or_non_integer_count_rejected(self, K):
+        with pytest.raises(DomainError, match="K must be integer >= 2"):
+            df.LabeledDataset(points=np.zeros((4, 2)), labels=[0, 0, 1, 1], K=K)
 
     @pytest.mark.parametrize("labels", [[0.5, 0.7, 1.2, 1.9], [0.0, 0.0, 1.0, 1.0],
                                         [False, False, True, True]])
@@ -186,10 +192,14 @@ class TestSampleLatentBatch:
         with pytest.raises(DomainError):
             df.sample_latent_batch(toy_dataset, sched, 8, np.random.default_rng(0), classes=[])
 
-    def test_batch_size_zero_rejected(self, toy_dataset):
+    @pytest.mark.parametrize("batch_size", [0, 2.5, True], ids=["zero", "float", "bool"])
+    def test_bad_batch_size_rejected_before_any_draw(self, toy_dataset, batch_size):
+        # a float used to reach numpy's draw as a bare TypeError
         sched = df.build_schedule(10, 0.1, 0.2)
-        with pytest.raises(DomainError):
-            df.sample_latent_batch(toy_dataset, sched, 0, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match="batch_size must be integer >= 1"):
+            df.sample_latent_batch(toy_dataset, sched, batch_size, rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestForwardMoments:
@@ -235,6 +245,14 @@ class TestAncestralSample:
         sched = df.build_schedule(10, 0.1, 0.2)
         out = df.ancestral_sample(_ZeroModel(), 1, sched, 0, np.random.default_rng(0))
         assert out.shape == (0, 2)
+
+    @pytest.mark.parametrize("n", [-1, 2.5, True], ids=["negative", "float", "bool"])
+    def test_bad_sample_count_rejected_before_any_draw(self, n):
+        sched = df.build_schedule(10, 0.1, 0.2)
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match="n must be integer >= 0"):
+            df.ancestral_sample(_ZeroModel(), 1, sched, n, rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_class_out_of_range(self):
         sched = df.build_schedule(10, 0.1, 0.2)

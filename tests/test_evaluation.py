@@ -72,11 +72,21 @@ class TestTrainClassifier:
     @pytest.mark.parametrize("steps, seed, match", [(1, -1, "seed"), (-1, 0, "steps")])
     def test_negative_seed_or_steps_rejected(self, dataset, steps, seed, match):
         # a negative step count used to train nothing and then fail the gate
-        with pytest.raises(DomainError, match=f"{match} must be >= 0, got -1"):
+        with pytest.raises(DomainError, match=f"{match} must be integer >= 0, got -1"):
             ev.train_classifier(dataset, 8, steps, 0.1, seed)
 
+    @pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
+    def test_non_integer_seed_rejected(self, dataset, seed):
+        with pytest.raises(DomainError, match="seed must be integer >= 0"):
+            ev.train_classifier(dataset, 8, 1, 0.1, seed)
+
+    def test_arch_holds_python_ints(self):
+        # a checkpoint header records the arch as JSON integers
+        clf = ev.init_classifier(np.int64(2), np.int32(4), np.int64(8), np.random.default_rng(0))
+        assert [type(v) for v in vars(clf.arch).values()] == [int] * 3
+
     def test_gate_with_negative_seed_rejected(self, classifier, dataset):
-        with pytest.raises(DomainError, match="seed must be >= 0"):
+        with pytest.raises(DomainError, match="seed must be integer >= 0"):
             ev.gate_classifier(classifier, dataset, -1)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
@@ -222,9 +232,10 @@ class TestFanoBound:
                             atol=1e-9)
         npt.assert_allclose(ev.fano_bound(2.0, 16).pe_lower_bound, 0.3607, atol=1e-4)
 
-    def test_cardinality_below_two_rejected(self):
-        with pytest.raises(DomainError):
-            ev.fano_bound(1.0, 1)
+    @pytest.mark.parametrize("card", [1, 16.0, True], ids=["one", "float", "bool"])
+    def test_cardinality_not_an_integer_from_two_rejected(self, card):
+        with pytest.raises(DomainError, match="cardinality must be integer >= 2"):
+            ev.fano_bound(1.0, card)
 
     @given(st.floats(min_value=0.0, max_value=10.0),
            st.floats(min_value=0.0, max_value=2.0),
@@ -359,6 +370,9 @@ class TestSampleClasses:
                 ev.sample_classes(overflowing, schedule, self.K, self.N,
                                   np.random.default_rng(0))
 
-    def test_rejects_no_samples(self, model, schedule):
-        with pytest.raises(DomainError):
-            ev.sample_classes(model, schedule, self.K, 0, np.random.default_rng(0))
+    @pytest.mark.parametrize("n", [0, 2.5, True], ids=["zero", "float", "bool"])
+    def test_rejects_a_bad_sample_count_before_any_draw(self, model, schedule, n):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match="n_samples must be integer >= 1"):
+            ev.sample_classes(model, schedule, self.K, n, rng)
+        assert rng.random() == np.random.default_rng(0).random()

@@ -521,7 +521,7 @@ class TestIndices:
     @pytest.mark.parametrize("values", [[0, 2], np.array([1], np.uint8), np.int64(2), 0,
                                         np.zeros(0, np.int32)])
     def test_integer_ids_in_range_pass_as_int64(self, values):
-        ids = gc.indices(values, 3, "ids")
+        ids = gc.indices(values, "ids", 0, 3)
         assert ids.dtype == np.int64
         npt.assert_array_equal(ids, values)
 
@@ -529,8 +529,26 @@ class TestIndices:
                              ids=["past_end", "negative", "float", "bool", "float_scalar",
                                   "object"])
     def test_bad_ids_rejected_naming_what(self, values):
-        with pytest.raises(DomainError, match="class ids must be integer ids in \\[0, 3\\)"):
-            gc.indices(values, 3, "class ids")
+        with pytest.raises(DomainError, match="class ids must be integer in \\[0, 3\\)"):
+            gc.indices(values, "class ids", 0, 3)
+
+    @pytest.mark.parametrize("values", [2, np.int32(7), 2 ** 40, [5, 2]])
+    def test_counts_without_upper_bound_pass(self, values):
+        npt.assert_array_equal(gc.indices(values, "count", 2), values)
+
+    @pytest.mark.parametrize("values", [1, True, 2.0, np.float64(3.0), "3", None],
+                             ids=["below", "bool", "float", "numpy_float", "str", "none"])
+    def test_bad_counts_rejected_naming_what(self, values):
+        with pytest.raises(DomainError, match="count must be integer >= 2, got"):
+            gc.indices(values, "count", 2)
+
+    @pytest.mark.parametrize("steps", [-1, True, 2.5], ids=["negative", "bool", "float"])
+    def test_fit_rejects_a_bad_step_count_before_any_step(self, steps):
+        # a bool used to run one step
+        calls = []
+        with pytest.raises(DomainError, match="steps must be integer >= 0"):
+            gc.fit(steps, 0.1, calls.append)
+        assert calls == []
 
 
 class TestEmbedding:

@@ -69,6 +69,17 @@ OUT_OF_RANGE = {
 }
 
 
+def _section_field(key: str) -> tuple[str, str]:
+    section, field = key.split(".")
+    return section, "lam" if key == "unlearn.lambda" else field
+
+
+DEFAULTS = {key: getattr(getattr(cf.default_config(), _section_field(key)[0]),
+                         _section_field(key)[1]) for key in OUT_OF_RANGE}
+INTEGER_KEYS = [key for key, value in DEFAULTS.items() if type(value) is int]
+FLOAT_KEYS = [key for key, value in DEFAULTS.items() if type(value) is float]
+
+
 class TestConfig:
     def test_empty_text_gives_defaults(self):
         assert cf.parse_config("") == cf.default_config()
@@ -147,11 +158,38 @@ class TestConfig:
         value = OUT_OF_RANGE[key]
         with pytest.raises(ConfigError, match=re.escape(key)):
             cf.parse_config(f"{key} = {value}")
-        section, field = key.split(".")
+        section, field = _section_field(key)
         cfg = cf.default_config()
         with pytest.raises(DomainError):
-            replace(cfg, **{section: replace(getattr(cfg, section),
-                                             **{"lam" if field == "lambda" else field: value})})
+            replace(cfg, **{section: replace(getattr(cfg, section), **{field: value})})
+
+    @pytest.mark.parametrize("value", [1.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("key", INTEGER_KEYS)
+    def test_non_integer_count_rejected_by_its_section(self, key, value):
+        # a bool used to run as 1, a float to reach numpy as a bare TypeError or to pass
+        section, field = _section_field(key)
+        cfg = cf.default_config()
+        with pytest.raises(DomainError, match=f"{field}.* must be integer"):
+            replace(cfg, **{section: replace(getattr(cfg, section), **{field: value})})
+
+    def test_numpy_floats_render_as_python_floats(self):
+        # numpy 2 reprs np.float64(1.0) as "np.float64(1.0)", which the parser rejects
+        base = cf.default_config()
+        sections = {}
+        for key in FLOAT_KEYS:
+            section, field = _section_field(key)
+            sections.setdefault(section, {})[field] = np.float64(DEFAULTS[key])
+        cfg = replace(base, **{section: replace(getattr(base, section), **fields)
+                               for section, fields in sections.items()})
+        assert cf.render_config(cfg) == cf.render_config(base)
+        for sha in (cf.config_sha256, cf.pretrain_sha256, cf.classifier_sha256):
+            assert sha(cfg) == sha(base)
+        assert cf.parse_config(cf.render_config(cfg)) == base
+
+    def test_non_str_output_dir_rejected(self, tmp_path):
+        # a Path used to pass, then fail in render_config with a bare AttributeError
+        with pytest.raises(DomainError, match="output.dir"):
+            replace(cf.default_config(), output_dir=tmp_path / "run")
 
     def test_keys_of_one_section_are_checked_together(self):
         # beta_min = 0.3 exceeds only the default beta_max
@@ -437,6 +475,20 @@ class TestModelFromCheckpoint:
         rebuilt = ex.ensure_pretrained(cfg, tmp_path, train_ds, schedule)
         assert rebuilt.params.flat.tobytes() == model.params.flat.tobytes()
         assert path.read_bytes() == clean
+
+    def test_numpy_int_width_round_trips(self, tmp_path):
+        # the fresh checkpoint's arch used to hold the np.int64, which its own check refused
+        cfg = tiny_config(tmp_path)
+        np_cfg = replace(cfg, model=replace(cfg.model, hidden_width=np.int64(16)))
+        models = []
+        for name, config in (("plain", cfg), ("numpy", np_cfg), ("numpy", np_cfg)):
+            (tmp_path / name).mkdir(exist_ok=True)
+            train_ds, _, schedule = ex.build_world(config)
+            models.append(ex.ensure_pretrained(config, tmp_path / name, train_ds, schedule))
+        assert [type(m.arch.hidden_width) for m in models] == [int] * 3
+        assert len({m.params.flat.tobytes() for m in models}) == 1
+        assert (tmp_path / "plain" / "pretrained.ckpt").read_bytes() == (
+            tmp_path / "numpy" / "pretrained.ckpt").read_bytes()
 
 
 class TestRenderScatter:
@@ -809,6 +861,14 @@ class TestSweep:
         assert not (Path(cfg.output_dir) / "sweep_lambda" / "member0").exists()
         assert list(tmp_path.rglob("*.ckpt")) == []
 
+    @pytest.mark.parametrize("members", [0, 1.5, True], ids=["zero", "float", "bool"])
+    def test_bad_member_count_rejected_before_any_run(self, tmp_path, members):
+        # a bool used to run one member, a float to fail in range() with a bare TypeError
+        cfg = tiny_config(tmp_path)
+        with pytest.raises(DomainError, match="members must be integer >= 1"):
+            ex.sweep(cfg, [1.0], members=members)
+        assert not Path(cfg.output_dir).exists()
+
     def test_members_train_one_classifier_each(self, tmp_path, monkeypatch):
         clf_calls = count_calls(monkeypatch, ex, "train_classifier")
         ex.sweep(tiny_config(tmp_path), [0.0, 1.0], members=2, clock=FakeClock())
@@ -829,7 +889,7 @@ class TestCli:
         bad_svg = tmp_path / "never.svg"
         assert main(["sample", str(Path(cfg.output_dir) / "pretrained.ckpt"),
                      "--class", "4", "--out", str(bad_svg)]) == 2
-        assert "class must be integer ids in [0, 4)" in capsys.readouterr().err
+        assert "class must be integer in [0, 4)" in capsys.readouterr().err
         assert not bad_svg.exists()
 
     def test_report_command(self, tmp_path, capsys):

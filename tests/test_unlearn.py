@@ -85,11 +85,18 @@ class TestPsi:
             ul.psi(1, 100, lam)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("T", [0, -1])
-    def test_horizon_below_one_rejected(self, T):
-        # T = 0 would divide by zero; it fails before any arithmetic
-        with pytest.raises(DomainError, match="T must be >= 1"):
+    @pytest.mark.parametrize("T", [0, -1, 10.5, True])
+    def test_horizon_below_one_or_non_integer_rejected(self, T):
+        # T = 0 would divide by zero; it fails before any arithmetic. psi(3, 10.5, 1.0)
+        # used to return 0.751
+        with pytest.raises(DomainError, match="T must be integer >= 1"):
             ul.psi(0, T, 1.0)
+
+    @pytest.mark.parametrize("t", [True, 2.0, [1, 11], -1],
+                             ids=["bool", "float", "past_T", "negative"])
+    def test_non_integer_or_out_of_range_step_rejected(self, t):
+        with pytest.raises(DomainError, match=r"^t must be integer in \[0, 11\)"):
+            ul.psi(t, 10, 1.0)
 
     @given(st.integers(min_value=0, max_value=99),
            st.floats(min_value=0.01, max_value=50.0))
@@ -329,7 +336,7 @@ class TestRelabelBaseline:
         model = small_model(9)
         before = model.params.flat.copy()
         rng = np.random.default_rng(0)
-        with pytest.raises(DomainError, match="forget class"):
+        with pytest.raises(DomainError, match="forget[ _]class"):
             ul.baseline_relabel_step(model, dataset, schedule,
                                      base_config(forget_class=forget_class), target_class=2,
                                      rng=rng, optimizer=gc.SGD(0.01, momentum=0.0))
