@@ -20,12 +20,11 @@ from .gradcore import Array, Node, ParamStore, SGD, Tape
 
 @dataclass(frozen=True)
 class Sizes:
-    """Sizes of at least 1 under ``gradcore.indices``, held as Python ints so that a checkpoint
-    header records them as JSON integers."""
+    """Sizes of at least 1 under ``gradcore.integer``, held as the Python ints it returns."""
 
     def __post_init__(self):
         for f in fields(self):
-            object.__setattr__(self, f.name, int(gc.indices(getattr(self, f.name), f.name, 1)))
+            object.__setattr__(self, f.name, gc.integer(getattr(self, f.name), f.name, 1))
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,11 @@ class TrainConfig:
     seed: int
 
     def __post_init__(self):
-        gc.indices(self.steps, "steps")
-        gc.indices(self.batch_size, "batch_size", 1)
+        gc.integer(self.steps, "steps")
+        gc.integer(self.batch_size, "batch_size", 1)
         if not 0.0 < self.learning_rate < np.inf:
             raise DomainError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
-        gc.indices(self.seed, "seed")
+        gc.integer(self.seed, "seed")
 
 
 @functools.lru_cache(maxsize=8)
@@ -99,7 +98,7 @@ def init_model(d: int, K: int, hidden_width: int, hidden_depth: int,
     """Fan-in scaled normal initialization; deterministic given the rng state."""
     arch = DenoiserArch(d=d, K=K, hidden_width=hidden_width, hidden_depth=hidden_depth,
                         embed_dim=embed_dim, T=T)
-    gc.indices(K, "K", 2)
+    gc.integer(K, "K", 2)
     if embed_dim % 2 != 0:
         raise DomainError(f"embed_dim must be even, got {embed_dim}")
     params = ParamStore()

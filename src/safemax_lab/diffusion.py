@@ -8,38 +8,31 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSampleError, DimensionError, DomainError, NumericError
-from .gradcore import Array, Tape, as_array, indices
+from .gradcore import Array, Tape, as_array, indices, integer
 
 LOG_2PI_E = float(np.log(2.0 * np.pi * np.e))
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step noising tables: beta, alpha = 1 - beta, and their running product.
+    """A linear beta schedule over steps 1..t: ``t >= 1`` under ``gradcore.integer`` and
+    ``0 < beta_min <= beta_max < 1``, else ``DomainError``. Its read-only tables ``beta``,
+    ``alpha = 1 - beta`` and their running product ``alpha_bar``, position ``s - 1`` for step
+    ``s``, are attributes, not fields, so ``asdict`` gives only the three header values."""
 
-    Index convention: position ``t - 1`` holds the values for step ``t``,
-    with steps numbered 1..T.
-    """
+    t: int
+    beta_min: float
+    beta_max: float
 
-    beta: Array
-    alpha: Array
-    alpha_bar: Array
-
-    @property
-    def T(self) -> int:
-        return len(self.beta)
-
-
-def build_schedule(T: int, beta_min: float, beta_max: float) -> NoiseSchedule:
-    """Linear beta schedule from beta_min to beta_max over T steps."""
-    indices(T, "T", 1)
-    if not (0.0 < beta_min <= beta_max < 1.0):
-        raise DomainError(
-            f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
-    beta = np.linspace(beta_min, beta_max, T)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    return NoiseSchedule(beta=beta, alpha=alpha, alpha_bar=alpha_bar)
+    def __post_init__(self):
+        t = integer(self.t, "t", 1)
+        if not 0.0 < self.beta_min <= self.beta_max < 1.0:
+            raise DomainError(f"need 0 < beta_min <= beta_max < 1, got {self}")
+        beta = np.linspace(self.beta_min, self.beta_max, t)
+        for name, table in (("beta", beta), ("alpha", 1.0 - beta),
+                            ("alpha_bar", np.cumprod(1.0 - beta))):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
 
 @dataclass
@@ -56,7 +49,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.points = as_array(self.points)
-        indices(self.K, "K", 2)
+        integer(self.K, "K", 2)
         self.labels = indices(self.labels, "labels", 0, self.K)
         if self.points.ndim != 2:
             raise DimensionError(f"points must be rank-2, got {self.points.shape}")
@@ -119,7 +112,7 @@ def sample_latent_batch(dataset: LabeledDataset, schedule: NoiseSchedule,
     rows are drawn uniformly over those classes (class first, then a sample
     within it); otherwise uniformly over all dataset rows.
     """
-    indices(batch_size, "batch_size", 1)
+    integer(batch_size, "batch_size", 1)
     if classes is None:
         rows = rng.integers(0, dataset.n, size=batch_size)
     else:
@@ -129,7 +122,7 @@ def sample_latent_batch(dataset: LabeledDataset, schedule: NoiseSchedule,
         # stream is the same as one scalar draw per row.
         rows = dataset._order[dataset._starts[picks] + rng.integers(0, dataset._counts[picks])]
     x0 = dataset.points[rows]
-    t = rng.integers(1, schedule.T + 1, size=batch_size)
+    t = rng.integers(1, schedule.t + 1, size=batch_size)
     eps = rng.standard_normal(x0.shape)
     return LatentBatch(_forward_sample_rows(x0, t, schedule, eps), dataset.labels[rows], t, eps)
 
@@ -140,22 +133,22 @@ def ancestral_sample(model, c: int, schedule: NoiseSchedule, n: int,
 
     Starts from standard normal noise and iterates
     ``x_{t-1} = (x_t - ((1 - a_t)/sqrt(1 - abar_t)) * eps_hat) / sqrt(a_t) + sigma_t z``
-    with ``sigma_t^2 = beta_t`` and no noise at the final step. The T
+    with ``sigma_t^2 = beta_t`` and no noise at the final step. The t
     forward passes share one gradient-free tape, so they share its buffers.
     ``DomainError`` for a ``c`` outside the model's K classes or an ``n`` below 0, both
-    under ``gradcore.indices``.
+    under ``gradcore.integer``.
     """
     from .denoiser import predict_eps
 
-    indices(c, "class", 0, model.arch.K)
-    indices(n, "n")
+    integer(c, "class", 0, model.arch.K)
+    integer(n, "n")
     d = model.arch.d
     if n == 0:
         return np.zeros((0, d))
     x = rng.standard_normal((n, d))
     labels = np.full(n, c, dtype=np.int64)
     tape = Tape(grad=False)
-    for t in range(schedule.T, 0, -1):
+    for t in range(schedule.t, 0, -1):
         steps = np.full(n, t, dtype=np.int64)
         eps_hat = predict_eps(model, x, labels, steps, tape)
         a_t = schedule.alpha[t - 1]

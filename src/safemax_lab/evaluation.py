@@ -97,8 +97,7 @@ def _init_and_split(dataset: LabeledDataset, hidden_width: int, seed: int):
     A quarter of each class is held out. Both draws come from ``seed``, so
     the split can be replayed for a classifier trained elsewhere.
     """
-    gc.indices(seed, "seed")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(gc.integer(seed, "seed"))
     clf = init_classifier(dataset.d, dataset.K, hidden_width, rng)
     train_idx, held_idx = [], []
     for c in range(dataset.K):
@@ -155,8 +154,8 @@ def gate_classifier(classifier: Classifier, dataset: LabeledDataset, seed: int) 
 
 def unlearning_accuracy(classifier: Classifier, samples: Array, c_f: int) -> float:
     """100 minus the classifier's percent accuracy on forget-conditioned samples; ``DomainError``
-    for no samples or a ``c_f`` that fails ``gradcore.indices`` for the classifier's K."""
-    c_f = gc.indices(c_f, "forget class", 0, classifier.arch.K)
+    for no samples or a ``c_f`` that fails ``gradcore.integer`` for the classifier's K."""
+    c_f = gc.integer(c_f, "forget class", 0, classifier.arch.K)
     samples = gc.as_array(samples)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise DomainError("need a non-empty rank-2 sample array")
@@ -214,7 +213,7 @@ def fano_bound(h_cond_nats: float, cardinality: int) -> FanoDiagnostic:
 
     ``clamp((h_cond - 1) / ln(cardinality), 0, 1)``; entropies in nats.
     """
-    gc.indices(cardinality, "cardinality", 2)
+    gc.integer(cardinality, "cardinality", 2)
     if h_cond_nats < 0.0:
         raise DomainError(f"conditional entropy must be >= 0, got {h_cond_nats}")
     raw = (h_cond_nats - 1.0) / float(np.log(cardinality))
@@ -257,11 +256,11 @@ def sample_classes(model, schedule: NoiseSchedule, k: int, n_samples: int,
     ``rng`` past them, so every bit, ``rng``'s too, is as if the classes ran
     in turn. The first failing class raises.
     """
-    gc.indices(n_samples, "n_samples", 1)
+    gc.integer(n_samples, "n_samples", 1)
     chains = []
     for c in range(k):
         chains.append((c, copy.deepcopy(rng), contextvars.copy_context()))
-        rng.standard_normal((schedule.T, n_samples, model.arch.d))
+        rng.standard_normal((schedule.t, n_samples, model.arch.d))
 
     def run(c, chain_rng, context):  # finds ancestral_sample per call, so a patched binding applies
         return context.run(ancestral_sample, model, c, schedule, n_samples, chain_rng)
@@ -277,9 +276,9 @@ def score_samples(classifier: Classifier, samples: dict[int, Array], dataset: La
 
     ``dataset`` should be held-out data (not what the model trained on) so
     the retention distances measure generalization, not memorization.
-    ``DomainError`` for a ``c_f`` that fails ``gradcore.indices`` for the dataset's K.
+    ``DomainError`` for a ``c_f`` that fails ``gradcore.integer`` for the dataset's K.
     """
-    gc.indices(c_f, "forget class", 0, dataset.K)
+    gc.integer(c_f, "forget class", 0, dataset.K)
     forget_samples = samples[c_f]
     ua = unlearning_accuracy(classifier, forget_samples, c_f)
     entropy = prediction_entropy(classifier, forget_samples)

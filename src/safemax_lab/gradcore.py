@@ -361,6 +361,14 @@ def indices(values, what: str, low: int = 0, high: int | None = None) -> Array:
     return ids.astype(np.int64, copy=False)
 
 
+def integer(value, what: str, low: int = 0, high: int | None = None) -> int:
+    """One integer under ``indices``, as a Python int; ``DomainError`` also for a list or array."""
+    ids = indices(value, what, low, high)
+    if ids.ndim:
+        raise DomainError(f"{what} must be a single integer, got {value!r}")
+    return int(ids)
+
+
 def embedding(table: Node, ids) -> Node:
     """Row lookup into a rank-2 table, ``ids`` checked by ``indices``; gradients scatter-add back."""
     if table.value.ndim != 2:
@@ -600,11 +608,10 @@ def one_blas_thread() -> Iterator[None]:
 def fit(steps: int, learning_rate: float, step: Callable[[SGD], object]) -> list:
     """Call ``step(optimizer)`` ``steps`` times on one momentum ``SGD`` inside ``one_blas_thread``;
     returns the results in order. A ``NumericError`` is re-raised naming its step."""
-    indices(steps, "steps")
     optimizer = SGD(learning_rate)
     results = []
     with one_blas_thread():
-        for i in range(steps):
+        for i in range(integer(steps, "steps")):
             try:
                 results.append(step(optimizer))
             except NumericError as exc:

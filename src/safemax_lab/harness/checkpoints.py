@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "params": [{"name": name, "shape": list(arr.shape)}
                    for name, arr in ckpt.params.items()],
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    header_bytes = to_json(header).encode("utf-8")
     parts = [MAGIC,
              struct.pack("<I", FORMAT_VERSION),
              struct.pack("<Q", len(header_bytes)),
@@ -53,6 +54,11 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     payload = b"".join(parts)
     write_atomic(path, payload + hashlib.sha256(payload).digest())
+
+
+def to_json(value, **options) -> str:
+    """``json.dumps`` with sorted keys; a numpy integer is written as the JSON integer it holds."""
+    return json.dumps(value, sort_keys=True, default=operator.index, **options)
 
 
 def write_atomic(path, data: bytes | str) -> None:

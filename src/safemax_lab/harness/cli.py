@@ -16,7 +16,7 @@ from ..diffusion import ancestral_sample
 from ..errors import (CheckpointIntegrityError, CheckpointVersionError, ConfigError, DomainError,
                       StageError)
 from ..evaluation import SUMMARY
-from ..gradcore import indices
+from ..gradcore import integer
 from .checkpoints import load_checkpoint
 from .config import ExperimentConfig, default_config, parse_config
 from .experiment import (build_world, ensure_pretrained, model_from_checkpoint,
@@ -52,9 +52,8 @@ def _cmd_unlearn(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    indices(args.seed, "--seed")
+    rng = np.random.default_rng(integer(args.seed, "--seed"))
     model, schedule = model_from_checkpoint(load_checkpoint(args.checkpoint))
-    rng = np.random.default_rng(args.seed)
     samples = ancestral_sample(model, args.class_id, schedule, args.n, rng)
     render_scatter({args.class_id: samples}, args.out,
                    title=f"class {args.class_id} samples")

@@ -12,22 +12,11 @@ import math
 from dataclasses import dataclass, replace
 
 from ..denoiser import TrainConfig
+from ..diffusion import NoiseSchedule
 from ..errors import ConfigError, DomainError
-from ..gradcore import indices
+from ..gradcore import integer
 from ..unlearn import UnlearnConfig
 from .datasets import DatasetSpec
-
-
-@dataclass(frozen=True)
-class ScheduleSpec:
-    t: int = 100
-    beta_min: float = 1e-4
-    beta_max: float = 0.2
-
-    def __post_init__(self):
-        indices(self.t, "t", 1)
-        if not 0.0 < self.beta_min <= self.beta_max < 1.0:
-            raise DomainError(f"need 0 < beta_min <= beta_max < 1, got {self}")
 
 
 @dataclass(frozen=True)
@@ -37,9 +26,9 @@ class ModelSpec:
     embed_dim: int = 16
 
     def __post_init__(self):
-        indices(self.hidden_width, "hidden_width", 1)
-        indices(self.hidden_depth, "hidden_depth", 1)
-        indices(self.embed_dim, "embed_dim", 2)
+        integer(self.hidden_width, "hidden_width", 1)
+        integer(self.hidden_depth, "hidden_depth", 1)
+        integer(self.embed_dim, "embed_dim", 2)
         if self.embed_dim % 2:
             raise DomainError(f"embed_dim must be even, got {self.embed_dim}")
 
@@ -54,20 +43,20 @@ class EvalSpec:
     seed: int = 4
 
     def __post_init__(self):
-        indices(self.n_samples, "n_samples", 3)  # a Frechet fit in d = 2 needs d + 1 points
-        indices(self.classifier_hidden_width, "classifier_hidden_width", 1)
-        indices(self.classifier_steps, "classifier_steps", 1)
+        integer(self.n_samples, "n_samples", 3)  # a Frechet fit in d = 2 needs d + 1 points
+        integer(self.classifier_hidden_width, "classifier_hidden_width", 1)
+        integer(self.classifier_steps, "classifier_steps", 1)
         if not 0.0 < self.classifier_learning_rate < math.inf:
             raise DomainError("classifier_learning_rate must be > 0 and finite, "
                               f"got {self.classifier_learning_rate}")
-        indices(self.classifier_seed, "classifier_seed")
-        indices(self.seed, "seed")
+        integer(self.classifier_seed, "classifier_seed")
+        integer(self.seed, "seed")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetSpec
-    schedule: ScheduleSpec
+    schedule: NoiseSchedule
     model: ModelSpec
     pretrain: TrainConfig
     unlearn: UnlearnConfig
@@ -75,7 +64,7 @@ class ExperimentConfig:
     output_dir: str
 
     def __post_init__(self):
-        indices(self.unlearn.forget_class, f"unlearn.forget_class (dataset.k = {self.dataset.k})",
+        integer(self.unlearn.forget_class, f"unlearn.forget_class (dataset.k = {self.dataset.k})",
                 0, self.dataset.k)
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise DomainError(f"output.dir must be a non-empty str, got {self.output_dir!r}")
@@ -84,7 +73,7 @@ class ExperimentConfig:
 def default_config() -> ExperimentConfig:
     return ExperimentConfig(
         dataset=DatasetSpec(),
-        schedule=ScheduleSpec(),
+        schedule=NoiseSchedule(t=100, beta_min=1e-4, beta_max=0.2),
         model=ModelSpec(),
         pretrain=TrainConfig(steps=20000, batch_size=128, learning_rate=0.02, seed=1),
         unlearn=UnlearnConfig(forget_class=0, lam=1.0, steps=500, learning_rate=0.025,

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..diffusion import LabeledDataset
 from ..errors import DomainError
-from ..gradcore import indices
+from ..gradcore import integer
 
 GEOMETRIES = ("ring", "grid")
 RING_RADIUS = 4.0
@@ -25,13 +25,13 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        indices(self.k, "k", 2)
-        indices(self.n_per_class, "n_per_class", 2)
+        integer(self.k, "k", 2)
+        integer(self.n_per_class, "n_per_class", 2)
         if self.geometry not in GEOMETRIES:
             raise DomainError(f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}")
         if not 0.0 < self.noise_scale < math.inf:
             raise DomainError(f"noise_scale must be > 0 and finite, got {self.noise_scale}")
-        indices(self.seed, "seed")
+        integer(self.seed, "seed")
 
 
 def class_means(spec: DatasetSpec) -> np.ndarray:

@@ -9,7 +9,6 @@ the runtime column is the one measurement and is injectable for tests.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import platform
@@ -22,13 +21,13 @@ from statistics import median
 import numpy as np
 
 from .. import denoiser, unlearn
-from ..diffusion import LabeledDataset, NoiseSchedule, build_schedule
+from ..diffusion import LabeledDataset, NoiseSchedule
 from ..errors import CheckpointIntegrityError, CheckpointVersionError, DomainError, StageError
 from ..evaluation import (SUMMARY, Classifier, ClassifierArch, EvalReport, entropy_linkage_holds,
                           evaluate, gate_classifier, init_classifier, sample_classes,
                           score_samples, train_classifier)
-from ..gradcore import blas_threads, indices, one_blas_thread
-from .checkpoints import Checkpoint, load_checkpoint, save_checkpoint, write_atomic
+from ..gradcore import blas_threads, integer, one_blas_thread
+from .checkpoints import Checkpoint, load_checkpoint, save_checkpoint, to_json, write_atomic
 from .config import (ExperimentConfig, classifier_sha256, config_sha256, pretrain_sha256,
                      render_config)
 from .datasets import generate_toy_dataset
@@ -73,7 +72,7 @@ def _stage(name: str, outdir: Path):
     except Exception as exc:
         try:
             write_atomic(outdir / "status.json",
-                         json.dumps({"stage": name, "error": str(exc)}, sort_keys=True) + "\n")
+                         to_json({"stage": name, "error": str(exc)}) + "\n")
         except OSError:
             pass
         raise StageError(name, str(exc)) from exc
@@ -84,9 +83,7 @@ def build_world(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
     ds = config.dataset
     train_ds = generate_toy_dataset(ds)
     held_ds = generate_toy_dataset(replace(ds, seed=ds.seed + HELDOUT_SEED_OFFSET))
-    schedule = build_schedule(config.schedule.t, config.schedule.beta_min,
-                              config.schedule.beta_max)
-    return train_ds, held_ds, schedule
+    return train_ds, held_ds, config.schedule
 
 
 def _model_checkpoint(model: denoiser.DenoiserModel, config: ExperimentConfig,
@@ -101,20 +98,18 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[denoiser.DenoiserModel, Noi
     """The model and schedule a checkpoint holds.
 
     Raises ``CheckpointIntegrityError`` when the architecture is unusable, the
-    schedule is not exactly ``t``, ``beta_min`` and ``beta_max`` as usable JSON
-    numbers with ``t`` the architecture's ``T``, or the parameters do not fit.
+    schedule header is not a ``NoiseSchedule`` (exactly ``t``, ``beta_min`` and
+    ``beta_max``, under its rules) whose ``t`` is the architecture's ``T``, or
+    the parameters do not fit.
     """
     arch, params = _params_for(ckpt, denoiser.DenoiserArch,
                                lambda arch, rng: denoiser.init_model(**asdict(arch), rng=rng))
-    t, *betas = (ckpt.schedule.get(key) for key in ("t", "beta_min", "beta_max"))
-    if len(ckpt.schedule) != 3 or any(type(beta) not in (int, float) for beta in betas):
-        raise CheckpointIntegrityError(f"schedule {ckpt.schedule} is not t and two JSON-number betas")
-    if type(t) is not int or t != arch.T:
-        raise CheckpointIntegrityError(f"schedule t={t!r} is not the architecture's T={arch.T}")
     try:
-        schedule = build_schedule(t, *betas)
-    except DomainError as exc:
+        schedule = NoiseSchedule(**ckpt.schedule)
+    except (TypeError, ValueError) as exc:
         raise CheckpointIntegrityError(f"checkpoint has no usable schedule: {exc!r}") from exc
+    if schedule.t != arch.T:
+        raise CheckpointIntegrityError(f"schedule t={schedule.t} is not arch T={arch.T}")
     return denoiser.DenoiserModel(params=params, arch=arch), schedule
 
 
@@ -124,10 +119,8 @@ def _params_for(ckpt: Checkpoint, arch_cls, init):
     ``init(arch, rng)`` builds a model of ``arch`` whose ``params`` give the
     expected names and shapes; the checkpoint's arrays are copied into that
     store. Raises ``CheckpointIntegrityError`` when the architecture entries
-    are not JSON integers or are unusable, or the parameters do not fit them.
+    are unusable or the parameters do not fit them.
     """
-    if any(type(v) is not int for v in ckpt.arch.values()):
-        raise CheckpointIntegrityError(f"checkpoint arch {ckpt.arch} holds a non-integer value")
     try:
         arch = arch_cls(**ckpt.arch)
         params = init(arch, np.random.default_rng(0)).params
@@ -169,8 +162,9 @@ def _load_or_build(path: Path, key: dict, build, use):
         try:
             ckpt = load_checkpoint(path)
             if all(ckpt.provenance.get(name) == value for name, value in key.items()):
+                value = use(ckpt)
                 log.info("reusing %s", path)
-                return use(ckpt)
+                return value
             log.info("cached %s is stale; rebuilding", path)
         except (CheckpointIntegrityError, CheckpointVersionError) as exc:
             log.warning("cached %s is unreadable (%s); rebuilding", path, exc)
@@ -289,7 +283,7 @@ def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.MET
     cache_dir = pretrained_dir or outdir
     (outdir / "status.json").unlink(missing_ok=True)  # a failure record of an earlier run
     write_atomic(outdir / "config.txt", config_text)
-    write_atomic(outdir / "env.json", json.dumps(_environment(), sort_keys=True) + "\n")
+    write_atomic(outdir / "env.json", to_json(_environment()) + "\n")
 
     with _stage("dataset", outdir):
         train_ds, held_ds, schedule = build_world(config)
@@ -328,7 +322,7 @@ def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.MET
         for _, key, phase_report, steps, seconds in phases:
             report[key] = {**phase_report.to_json_dict(), "rte_seconds": seconds,
                            "steps_executed": steps}
-        write_atomic(outdir / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+        write_atomic(outdir / "report.json", to_json(report, indent=2) + "\n")
         render_scatter(pre_report.samples, outdir / "samples_pretrained.svg",
                        title="pretrained samples")
         render_scatter(post_report.samples, outdir / "samples_unlearned.svg",
@@ -363,7 +357,7 @@ def sweep(config: ExperimentConfig, values, members: int = 3,
     values = [float(v) for v in values]
     if not values:
         raise DomainError("values must be non-empty")
-    indices(members, "members", 1)
+    integer(members, "members", 1)
     if len(set(values)) != len(values):
         raise DomainError(f"duplicate sweep values: {values}")
     for value in values:  # reject a bad value before any run starts

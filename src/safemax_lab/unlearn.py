@@ -29,7 +29,7 @@ class UnlearnConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        gc.indices(self.forget_class, "forget_class")
+        gc.integer(self.forget_class, "forget_class")
         if not self.lam >= 0.0:
             raise DomainError(f"lambda must be >= 0, got {self.lam}")
 
@@ -58,7 +58,7 @@ def psi(t, T: int, lam: float):
     """Decay weight exp(-lam * t / T) of integer steps t in [0, T]; scalar in, scalar out."""
     if not lam >= 0.0:
         raise DomainError(f"lambda must be >= 0, got {lam}")
-    gc.indices(T, "T", 1)
+    gc.integer(T, "T", 1)
     t_arr = gc.indices(t, "t", 0, T + 1).astype(np.float64)
     if lam == np.inf:  # the limit, since -inf * 0 is nan: weight 1 at t = 0, else 0
         out = np.where(t_arr == 0, 1.0, 0.0)
@@ -78,8 +78,8 @@ def _groups(dataset: LabeledDataset, schedule: NoiseSchedule, config: UnlearnCon
             rng: np.random.Generator, source_class: int) -> list[Group]:
     """A ``source_class`` batch conditioned on the forget class, then a retained-class
     batch, each regressing its own noise; drawn from ``rng`` in that order, after the forget
-    class passes ``gradcore.indices`` (else ``DomainError``)."""
-    forget = gc.indices(config.forget_class, "forget class", 0, dataset.K)
+    class passes ``gradcore.integer`` (else ``DomainError``)."""
+    forget = gc.integer(config.forget_class, "forget class", 0, dataset.K)
     f = sample_latent_batch(dataset, schedule, config.batch_size, rng, classes=[source_class])
     r = sample_latent_batch(dataset, schedule, config.batch_size, rng,
                             classes=[c for c in range(dataset.K) if c != forget])
@@ -107,7 +107,7 @@ def safemax_step(model: DenoiserModel, dataset: LabeledDataset, schedule: NoiseS
                  config: UnlearnConfig, rng: np.random.Generator, optimizer: SGD) -> StepRecord:
     """One combined update: forget batch on the terminal-noise target, retain batch on regular fine-tuning."""
     (x_t, labels, t, _, _), retain = _groups(dataset, schedule, config, rng, config.forget_class)
-    forget = (x_t, labels, t, epsT_target(x_t, rng), psi(t, schedule.T, config.lam))
+    forget = (x_t, labels, t, epsT_target(x_t, rng), psi(t, schedule.t, config.lam))
     return _update(model, optimizer, [forget, retain])
 
 

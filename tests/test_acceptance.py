@@ -53,12 +53,12 @@ def test_criterion_1_gradient_oracle():
     with criterion(1, "gradient oracle"):
         start = time.perf_counter()
         ds = generate_toy_dataset(DatasetSpec(4, 300, "ring", 0.35, 0))
-        sched = df.build_schedule(100, 1e-4, 0.2)
+        sched = df.NoiseSchedule(100, 1e-4, 0.2)
 
         model = dn.init_model(2, 4, 128, 3, 16, 100, np.random.default_rng(1))
         batch = df.sample_latent_batch(ds, sched, 16, np.random.default_rng(2))
         target = ul.epsT_target(batch.x_t, np.random.default_rng(3))
-        weights = ul.psi(batch.t, sched.T, 1.0)
+        weights = ul.psi(batch.t, sched.t, 1.0)
 
         def denoiser_train_loss(tape, params):
             pn = tape.params(params)
@@ -98,7 +98,7 @@ def test_criterion_1_gradient_oracle():
 def test_criterion_2_forward_statistics():
     with criterion(2, "forward-process statistics"):
         start = time.perf_counter()
-        sched = df.build_schedule(100, 1e-4, 0.2)
+        sched = df.NoiseSchedule(100, 1e-4, 0.2)
         rng = np.random.default_rng(40)
         n = 100_000
         for x0, t in ((np.array([1.5, -2.0]), 1),
@@ -123,7 +123,7 @@ def test_criterion_2_forward_statistics():
 
 def test_criterion_3_latent_trajectories():
     with criterion(3, "latent trajectory properties"):
-        sched = df.build_schedule(100, 1e-4, 0.2)
+        sched = df.NoiseSchedule(100, 1e-4, 0.2)
         ds = generate_toy_dataset(DatasetSpec(4, 1000, "ring", 0.35, 0))
         rng = np.random.default_rng(9)
         checkpoints = [1, 25, 50, 75, 100]

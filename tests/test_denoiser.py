@@ -27,7 +27,7 @@ def fresh_eps(model, x, labels, t):
 
 @pytest.fixture(scope="module")
 def schedule():
-    return df.build_schedule(20, 1e-3, 0.2)
+    return df.NoiseSchedule(20, 1e-3, 0.2)
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +74,14 @@ class TestInitModel:
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError, match=f"^{what} must be integer >= 1"):
             dn.init_model(**{**dims, what: value}, rng=rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize("what", ["d", "K", "hidden_width", "hidden_depth", "embed_dim", "T"])
+    def test_list_dimension_rejected_before_any_draw(self, what):
+        dims = dict(d=2, K=4, hidden_width=16, hidden_depth=2, embed_dim=8, T=20)
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match=rf"^{what} must be a single integer, got \[\d+\]"):
+            dn.init_model(**{**dims, what: [dims[what]]}, rng=rng)
         assert rng.random() == np.random.default_rng(0).random()
 
     def test_arch_holds_python_ints(self):
@@ -321,7 +329,7 @@ class TestTrain:
         cfg = dn.TrainConfig(steps=300, batch_size=128, learning_rate=0.02, seed=1)
 
         def pretrain():
-            model = dn.init_model(2, 4, 128, 3, 16, schedule.T, np.random.default_rng(0))
+            model = dn.init_model(2, 4, 128, 3, 16, schedule.t, np.random.default_rng(0))
             _, losses = dn.train(model, dataset, schedule, cfg)
             return model.params.flat.tobytes(), losses
 
@@ -361,7 +369,7 @@ class TestTrain:
 @pytest.fixture(scope="module")
 def trained_two_class():
     ds = generate_toy_dataset(DatasetSpec(2, 600, "ring", 0.3, 5))
-    sched = df.build_schedule(30, 1e-3, 0.3)
+    sched = df.NoiseSchedule(30, 1e-3, 0.3)
     model = dn.init_model(2, 2, 32, 2, 8, 30, np.random.default_rng(0))
     dn.train(model, ds, sched,
              dn.TrainConfig(steps=4000, batch_size=64, learning_rate=0.02, seed=0))

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, asdict, replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,38 +14,64 @@ def toy_dataset():
     return generate_toy_dataset(DatasetSpec(4, 500, "ring", 0.35, 0))
 
 
-class TestBuildSchedule:
+class TestNoiseSchedule:
     def test_constant_beta_products(self):
-        sched = df.build_schedule(3, 0.5, 0.5)
+        sched = df.NoiseSchedule(3, 0.5, 0.5)
         npt.assert_allclose(sched.alpha_bar, [0.5, 0.25, 0.125])
 
     def test_single_step(self):
-        sched = df.build_schedule(1, 0.5, 0.5)
+        sched = df.NoiseSchedule(1, 0.5, 0.5)
         npt.assert_allclose(sched.alpha_bar, [0.5])
 
     def test_zero_beta_min_rejected(self):
         with pytest.raises(DomainError):
-            df.build_schedule(10, 0.0, 0.5)
+            df.NoiseSchedule(10, 0.0, 0.5)
 
     @pytest.mark.parametrize("T", [0, True, 10.0], ids=["zero", "bool", "float"])
     def test_bad_horizon_rejected(self, T):
         # a bool used to build a one-step schedule
-        with pytest.raises(DomainError, match="T must be integer >= 1"):
-            df.build_schedule(T, 0.1, 0.2)
+        with pytest.raises(DomainError, match="t must be integer >= 1"):
+            df.NoiseSchedule(T, 0.1, 0.2)
 
     def test_alpha_bar_strictly_decreasing_and_matches_product(self):
-        sched = df.build_schedule(100, 1e-4, 0.2)
+        sched = df.NoiseSchedule(100, 1e-4, 0.2)
         assert np.all(np.diff(sched.alpha_bar) < 0)
         npt.assert_allclose(sched.alpha_bar, np.cumprod(1.0 - sched.beta), rtol=1e-12)
         assert sched.alpha_bar[0] == sched.alpha[0]
 
     def test_default_range_at_thousand_steps_is_near_pure_noise(self):
-        sched = df.build_schedule(1000, 1e-4, 0.02)
+        sched = df.NoiseSchedule(1000, 1e-4, 0.02)
         assert sched.alpha_bar[-1] < 1e-3
 
     def test_desk_default_is_near_pure_noise(self):
-        sched = df.build_schedule(100, 1e-4, 0.2)
+        sched = df.NoiseSchedule(100, 1e-4, 0.2)
         assert sched.alpha_bar[-1] < 1e-3
+
+    @pytest.mark.parametrize("t, beta_min, beta_max", [(100, 1e-4, 0.2), (20, 1e-3, 0.2),
+                                                       (3, 0.5, 0.5)])
+    def test_tables_are_read_only_linspace_and_cumprod_bits(self, t, beta_min, beta_max):
+        sched = df.NoiseSchedule(t, beta_min, beta_max)
+        beta = np.linspace(beta_min, beta_max, t)
+        for table, expected in ((sched.beta, beta), (sched.alpha, 1.0 - beta),
+                                (sched.alpha_bar, np.cumprod(1.0 - beta))):
+            assert table.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError):
+                table[0] = 0.5
+
+    def test_fields_are_the_three_header_values(self):
+        sched = df.NoiseSchedule(t=np.int64(20), beta_min=1e-3, beta_max=0.2)
+        assert asdict(sched) == {"t": 20, "beta_min": 1e-3, "beta_max": 0.2}
+        assert sched == df.NoiseSchedule(20, 1e-3, 0.2)
+        assert hash(sched) == hash(df.NoiseSchedule(20, 1e-3, 0.2))
+        longer = replace(sched, t=30)
+        assert (longer.t, longer.beta.size, longer.alpha_bar.size) == (30, 30, 30)
+        with pytest.raises(FrozenInstanceError):
+            sched.t = 30
+
+    @pytest.mark.parametrize("t", [[10], np.array([10])], ids=["list", "array"])
+    def test_list_horizon_rejected(self, t):
+        with pytest.raises(DomainError, match="t must be a single integer"):
+            df.NoiseSchedule(t, 0.1, 0.2)
 
 
 class TestLabeledDataset:
@@ -59,6 +87,10 @@ class TestLabeledDataset:
         with pytest.raises(DomainError, match="K must be integer >= 2"):
             df.LabeledDataset(points=np.zeros((4, 2)), labels=[0, 0, 1, 1], K=K)
 
+    def test_list_class_count_rejected(self):
+        with pytest.raises(DomainError, match=r"K must be a single integer, got \[2\]"):
+            df.LabeledDataset(points=np.zeros((4, 2)), labels=[0, 0, 1, 1], K=[2])
+
     @pytest.mark.parametrize("labels", [[0.5, 0.7, 1.2, 1.9], [0.0, 0.0, 1.0, 1.0],
                                         [False, False, True, True]])
     def test_non_integer_labels_rejected(self, labels):
@@ -68,7 +100,7 @@ class TestLabeledDataset:
 
 class TestForwardSample:
     def setup_method(self):
-        self.sched = df.build_schedule(10, 0.1, 0.3)
+        self.sched = df.NoiseSchedule(10, 0.1, 0.3)
 
     def test_zero_noise(self):
         x0 = np.array([[1.0, -2.0], [3.0, 0.5]])
@@ -82,7 +114,7 @@ class TestForwardSample:
 
     def test_quarter_alpha_bar_arithmetic(self):
         # abar = 0.25 -> 0.5 * x0 + sqrt(0.75) * eps
-        sched = df.build_schedule(2, 0.5, 0.5)
+        sched = df.NoiseSchedule(2, 0.5, 0.5)
         out = df._forward_sample_rows(np.array([[2.0]]), np.array([2]), sched, np.array([[1.0]]))
         npt.assert_allclose(out, [[0.5 * 2.0 + np.sqrt(0.75)]], atol=1e-12)
         npt.assert_allclose(out, [[1.8660]], atol=1e-4)
@@ -91,24 +123,24 @@ class TestForwardSample:
 class TestSampleLatentBatch:
     def test_moment_statistics(self, toy_dataset):
         # uniform steps and standard-normal noise at n = 1e5
-        sched = df.build_schedule(100, 1e-4, 0.2)
+        sched = df.NoiseSchedule(100, 1e-4, 0.2)
         rng = np.random.default_rng(123)
         n = 100_000
         batch = df.sample_latent_batch(toy_dataset, sched, n, rng)
-        t_mean_expected = (sched.T + 1) / 2
-        t_se = np.sqrt((sched.T ** 2 - 1) / 12 / n)
+        t_mean_expected = (sched.t + 1) / 2
+        t_se = np.sqrt((sched.t ** 2 - 1) / 12 / n)
         assert abs(batch.t.mean() - t_mean_expected) < 3 * t_se
         eps_mean = batch.eps.mean(axis=0)
         assert np.all(np.abs(eps_mean) < 0.02)
 
     def test_single_row_batch(self, toy_dataset):
-        sched = df.build_schedule(10, 0.1, 0.2)
+        sched = df.NoiseSchedule(10, 0.1, 0.2)
         batch = df.sample_latent_batch(toy_dataset, sched, 1, np.random.default_rng(0))
         assert batch.x_t.shape == (1, 2)
         assert len(batch.t) == 1
 
     def test_class_restriction(self, toy_dataset):
-        sched = df.build_schedule(10, 0.1, 0.2)
+        sched = df.NoiseSchedule(10, 0.1, 0.2)
         batch = df.sample_latent_batch(toy_dataset, sched, 64, np.random.default_rng(0),
                                        classes=[1, 3])
         assert set(np.unique(batch.labels)) <= {1, 3}
@@ -126,7 +158,7 @@ class TestSampleLatentBatch:
             picks = rng.integers(0, len(pools), size=batch_size)
             for i, p in enumerate(picks):
                 rows[i] = pools[p][rng.integers(0, pools[p].size)]
-        t = rng.integers(1, schedule.T + 1, size=batch_size)
+        t = rng.integers(1, schedule.t + 1, size=batch_size)
         eps = rng.standard_normal((batch_size, dataset.d))
         abar = schedule.alpha_bar[t - 1][:, None]
         x0 = dataset.points[rows]
@@ -143,7 +175,7 @@ class TestSampleLatentBatch:
             labels = np.repeat(np.arange(4), counts)
             points = np.random.default_rng(1).standard_normal((len(labels), 2))
             dataset = df.LabeledDataset(points=points, labels=labels, K=4)
-        sched = df.build_schedule(10, 0.1, 0.2)
+        sched = df.NoiseSchedule(10, 0.1, 0.2)
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
         batch = df.sample_latent_batch(dataset, sched, batch_size, rng, classes=classes)
         x_t, labels = self._per_row_reference(dataset, sched, batch_size, ref_rng, classes)
@@ -153,7 +185,7 @@ class TestSampleLatentBatch:
 
     @pytest.mark.parametrize("batch_size", [1, 129])
     def test_unrestricted_stream_matches_per_row_draws(self, toy_dataset, batch_size):
-        sched = df.build_schedule(50, 1e-3, 0.3)
+        sched = df.NoiseSchedule(50, 1e-3, 0.3)
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         batch = df.sample_latent_batch(toy_dataset, sched, batch_size, rng)
         x_t, labels = self._per_row_reference(toy_dataset, sched, batch_size, ref_rng)
@@ -162,7 +194,7 @@ class TestSampleLatentBatch:
         assert rng.random() == ref_rng.random()
 
     def test_empty_class_rejected(self, toy_dataset):
-        sched = df.build_schedule(10, 0.1, 0.2)
+        sched = df.NoiseSchedule(10, 0.1, 0.2)
         with pytest.raises(DomainError):
             df.sample_latent_batch(toy_dataset, sched, 8, np.random.default_rng(0),
                                    classes=[1, 9])
@@ -170,7 +202,7 @@ class TestSampleLatentBatch:
     @pytest.mark.parametrize("classes", [[1.5], [True], np.array([2.9])],
                              ids=["float", "bool", "float_array"])
     def test_bad_class_ids_rejected_before_any_draw(self, toy_dataset, classes):
-        sched = df.build_schedule(10, 0.1, 0.2)
+        sched = df.NoiseSchedule(10, 0.1, 0.2)
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError):
             df.sample_latent_batch(toy_dataset, sched, 8, rng, classes=classes)
@@ -188,24 +220,30 @@ class TestSampleLatentBatch:
             idx[0] = 0
 
     def test_no_classes_rejected(self, toy_dataset):
-        sched = df.build_schedule(10, 0.1, 0.2)
+        sched = df.NoiseSchedule(10, 0.1, 0.2)
         with pytest.raises(DomainError):
             df.sample_latent_batch(toy_dataset, sched, 8, np.random.default_rng(0), classes=[])
 
     @pytest.mark.parametrize("batch_size", [0, 2.5, True], ids=["zero", "float", "bool"])
     def test_bad_batch_size_rejected_before_any_draw(self, toy_dataset, batch_size):
         # a float used to reach numpy's draw as a bare TypeError
-        sched = df.build_schedule(10, 0.1, 0.2)
+        sched = df.NoiseSchedule(10, 0.1, 0.2)
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError, match="batch_size must be integer >= 1"):
             df.sample_latent_batch(toy_dataset, sched, batch_size, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_list_batch_size_rejected_before_any_draw(self, toy_dataset):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match=r"batch_size must be a single integer, got \[4\]"):
+            df.sample_latent_batch(toy_dataset, df.NoiseSchedule(10, 0.1, 0.2), [4], rng)
         assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestForwardMoments:
     def test_mean_and_variance_match_closed_form(self):
         # three fixed (x0, t) pairs, n = 1e5 draws each
-        sched = df.build_schedule(100, 1e-4, 0.2)
+        sched = df.NoiseSchedule(100, 1e-4, 0.2)
         rng = np.random.default_rng(40)
         n = 100_000
         x0 = np.array([1.5, -2.0])
@@ -233,7 +271,7 @@ class TestAncestralSample:
         import safemax_lab.denoiser as dn
         monkeypatch.setattr(dn, "predict_eps",
                             lambda model, x, labels, t, tape: np.zeros_like(x))
-        sched = df.build_schedule(100, 1e-4, 0.2)
+        sched = df.NoiseSchedule(100, 1e-4, 0.2)
         out = df.ancestral_sample(_ZeroModel(), 0, sched, 50, np.random.default_rng(0))
         assert out.shape == (50, 2)
         assert np.all(np.isfinite(out))
@@ -242,20 +280,20 @@ class TestAncestralSample:
         import safemax_lab.denoiser as dn
         monkeypatch.setattr(dn, "predict_eps",
                             lambda model, x, labels, t, tape: np.zeros_like(x))
-        sched = df.build_schedule(10, 0.1, 0.2)
+        sched = df.NoiseSchedule(10, 0.1, 0.2)
         out = df.ancestral_sample(_ZeroModel(), 1, sched, 0, np.random.default_rng(0))
         assert out.shape == (0, 2)
 
     @pytest.mark.parametrize("n", [-1, 2.5, True], ids=["negative", "float", "bool"])
     def test_bad_sample_count_rejected_before_any_draw(self, n):
-        sched = df.build_schedule(10, 0.1, 0.2)
+        sched = df.NoiseSchedule(10, 0.1, 0.2)
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError, match="n must be integer >= 0"):
             df.ancestral_sample(_ZeroModel(), 1, sched, n, rng)
         assert rng.random() == np.random.default_rng(0).random()
 
     def test_class_out_of_range(self):
-        sched = df.build_schedule(10, 0.1, 0.2)
+        sched = df.NoiseSchedule(10, 0.1, 0.2)
         with pytest.raises(DomainError):
             df.ancestral_sample(_ZeroModel(), 4, sched, 1, np.random.default_rng(0))
 
@@ -265,15 +303,23 @@ class TestAncestralSample:
         from safemax_lab import denoiser as dn
 
         model = dn.init_model(2, 4, 16, 2, 8, 10, np.random.default_rng(0))
-        sched = df.build_schedule(10, 0.1, 0.2)
+        sched = df.NoiseSchedule(10, 0.1, 0.2)
         with pytest.raises(DomainError, match="integer"):
             df.ancestral_sample(model, c, sched, 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("c, n, what", [([1], 5, "class"), (1, [5], "n")])
+    def test_list_class_or_count_rejected_before_any_draw(self, c, n, what):
+        # a one-entry class list used to return that class's samples
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match=rf"^{what} must be a single integer, got \[\d\]"):
+            df.ancestral_sample(_ZeroModel(), c, df.NoiseSchedule(10, 0.1, 0.2), n, rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_numpy_integer_class_keeps_the_bits(self):
         from safemax_lab import denoiser as dn
 
         model = dn.init_model(2, 4, 16, 2, 8, 10, np.random.default_rng(0))
-        sched = df.build_schedule(10, 0.1, 0.2)
+        sched = df.NoiseSchedule(10, 0.1, 0.2)
         got = df.ancestral_sample(model, np.int64(1), sched, 5, np.random.default_rng(0))
         expected = df.ancestral_sample(model, 1, sched, 5, np.random.default_rng(0))
         assert got.tobytes() == expected.tobytes()
@@ -286,7 +332,7 @@ class TestAncestralSample:
 
         x = rng.standard_normal((n, model.arch.d))
         labels = np.full(n, c, dtype=np.int64)
-        for t in range(schedule.T, 0, -1):
+        for t in range(schedule.t, 0, -1):
             eps_hat = dn.predict_eps(model, x, labels, np.full(n, t, dtype=np.int64),
                                      gc.Tape(grad=False))
             a_t = schedule.alpha[t - 1]
@@ -301,7 +347,7 @@ class TestAncestralSample:
         import safemax_lab.denoiser as dn
 
         model = dn.init_model(2, 4, 32, 2, 8, 20, np.random.default_rng(n))
-        sched = df.build_schedule(20, 1e-3, 0.2)
+        sched = df.NoiseSchedule(20, 1e-3, 0.2)
         expected = [self._reference_chain(model, c, sched, n, np.random.default_rng(c))
                     for c in (0, 3)]
         tapes = []
@@ -315,7 +361,7 @@ class TestAncestralSample:
         for c, reference in zip((0, 3), expected):
             got = df.ancestral_sample(model, c, sched, n, np.random.default_rng(c))
             assert got.tobytes() == reference.tobytes()
-        chains = [tapes[:sched.T], tapes[sched.T:]]
+        chains = [tapes[:sched.t], tapes[sched.t:]]
         assert all(tape is chain[0] and not tape.grad for chain in chains for tape in chain)
         assert chains[0][0] is not chains[1][0]
 
@@ -370,7 +416,7 @@ class TestInterclassDistance:
 
 @pytest.fixture(scope="module")
 def trajectory():
-    sched = df.build_schedule(100, 1e-4, 0.2)
+    sched = df.NoiseSchedule(100, 1e-4, 0.2)
     ds = generate_toy_dataset(DatasetSpec(4, 1000, "ring", 0.35, 0))
     rng = np.random.default_rng(9)
     checkpoints = [1, 25, 50, 75, 100]

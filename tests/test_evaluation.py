@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from safemax_lab import evaluation as ev
 from safemax_lab import gradcore as gc
 from safemax_lab.denoiser import init_model
-from safemax_lab.diffusion import LabeledDataset, ancestral_sample, build_schedule
+from safemax_lab.diffusion import LabeledDataset, NoiseSchedule, ancestral_sample
 from safemax_lab.errors import DomainError, EvaluatorQualityError, NumericError
 from safemax_lab.harness import DatasetSpec, generate_toy_dataset
 
@@ -80,6 +80,10 @@ class TestTrainClassifier:
         with pytest.raises(DomainError, match="seed must be integer >= 0"):
             ev.train_classifier(dataset, 8, 1, 0.1, seed)
 
+    def test_list_seed_rejected(self, dataset):
+        with pytest.raises(DomainError, match=r"seed must be a single integer, got \[3\]"):
+            ev.train_classifier(dataset, 8, 1, 0.1, [3])
+
     def test_arch_holds_python_ints(self):
         # a checkpoint header records the arch as JSON integers
         clf = ev.init_classifier(np.int64(2), np.int32(4), np.int64(8), np.random.default_rng(0))
@@ -143,6 +147,15 @@ class TestUnlearningAccuracy:
         with pytest.raises(DomainError, match="forget class"):
             ev.unlearning_accuracy(classifier, pts, c_f)
         with pytest.raises(DomainError, match="forget class"):
+            ev.score_samples(classifier, dict.fromkeys(range(dataset.K), pts), dataset, c_f)
+
+    @pytest.mark.parametrize("c_f", [[0], np.array([0])], ids=["list", "array"])
+    def test_list_forget_class_rejected(self, classifier, dataset, c_f):
+        # score_samples used to fail on it as a bare TypeError (an unhashable dict key)
+        pts = np.tile([4.0, 0.0], (50, 1))
+        with pytest.raises(DomainError, match="forget class must be a single integer"):
+            ev.unlearning_accuracy(classifier, pts, c_f)
+        with pytest.raises(DomainError, match="forget class must be a single integer"):
             ev.score_samples(classifier, dict.fromkeys(range(dataset.K), pts), dataset, c_f)
 
     def test_complements_accuracy_exactly(self, classifier, dataset):
@@ -237,6 +250,10 @@ class TestFanoBound:
         with pytest.raises(DomainError, match="cardinality must be integer >= 2"):
             ev.fano_bound(1.0, card)
 
+    def test_list_cardinality_rejected(self):
+        with pytest.raises(DomainError, match=r"cardinality must be a single integer, got \[16\]"):
+            ev.fano_bound(1.0, [16])
+
     @given(st.floats(min_value=0.0, max_value=10.0),
            st.floats(min_value=0.0, max_value=2.0),
            st.integers(min_value=2, max_value=1000))
@@ -284,7 +301,7 @@ class TestSampleClasses:
 
     @pytest.fixture(scope="class")
     def schedule(self):
-        return build_schedule(20, 1e-3, 0.2)
+        return NoiseSchedule(20, 1e-3, 0.2)
 
     @pytest.fixture
     def chains(self, monkeypatch):
@@ -324,7 +341,7 @@ class TestSampleClasses:
     def test_more_workers_than_cores_keep_the_bits(self, monkeypatch):
         """Eight chains on eight workers, switching threads every microsecond."""
         model = init_model(2, 8, 16, 2, 8, 10, np.random.default_rng(6))
-        schedule = build_schedule(10, 1e-3, 0.2)
+        schedule = NoiseSchedule(10, 1e-3, 0.2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         interval = sys.getswitchinterval()
@@ -375,4 +392,10 @@ class TestSampleClasses:
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError, match="n_samples must be integer >= 1"):
             ev.sample_classes(model, schedule, self.K, n, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_rejects_a_list_sample_count_before_any_draw(self, model, schedule):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match=r"n_samples must be a single integer, got \[5\]"):
+            ev.sample_classes(model, schedule, self.K, [5], rng)
         assert rng.random() == np.random.default_rng(0).random()

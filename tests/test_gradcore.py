@@ -551,6 +551,32 @@ class TestIndices:
         assert calls == []
 
 
+class TestInteger:
+    @pytest.mark.parametrize("value", [2, np.int64(2), np.uint8(2), np.array(2)])
+    def test_one_integer_passes_as_a_python_int(self, value):
+        out = gc.integer(value, "count", 1)
+        assert type(out) is int and out == 2
+
+    @pytest.mark.parametrize("value", [[2], (2,), np.array([2]), np.array([[2]])],
+                             ids=["list", "tuple", "array", "rank2"])
+    def test_list_or_array_rejected_naming_the_value(self, value):
+        # a rank-1 count used to pass ``indices`` and fail later, or be read as its one entry
+        with pytest.raises(DomainError, match=r"count must be a single integer, got \S*2"):
+            gc.integer(value, "count", 1)
+
+    @pytest.mark.parametrize("value", [1, True, 2.0, [], None],
+                             ids=["below", "bool", "float", "empty", "none"])
+    def test_bad_scalar_rejected_under_indices(self, value):
+        with pytest.raises(DomainError, match="count must be integer >= 2, got"):
+            gc.integer(value, "count", 2)
+
+    def test_fit_rejects_a_list_step_count_before_any_step(self):
+        calls = []
+        with pytest.raises(DomainError, match=r"steps must be a single integer, got \[2\]"):
+            gc.fit([2], 0.1, calls.append)
+        assert calls == []
+
+
 class TestEmbedding:
     @pytest.mark.parametrize("ids", [[1.7], np.array([True]), [3], [-1]],
                              ids=["float", "bool", "past_end", "negative"])

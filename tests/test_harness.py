@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -170,6 +171,17 @@ class TestConfig:
         section, field = _section_field(key)
         cfg = cf.default_config()
         with pytest.raises(DomainError, match=f"{field}.* must be integer"):
+            replace(cfg, **{section: replace(getattr(cfg, section), **{field: value})})
+
+    @pytest.mark.parametrize("wrap", [lambda v: [v], lambda v: np.array([v])],
+                             ids=["list", "array"])
+    @pytest.mark.parametrize("key", INTEGER_KEYS)
+    def test_list_count_rejected_by_its_section(self, key, wrap):
+        # a one-entry list used to pass its section and fail once a run read it
+        section, field = _section_field(key)
+        cfg = cf.default_config()
+        value = wrap(DEFAULTS[key])
+        with pytest.raises(DomainError, match=rf"{field} must be a single integer, got \S*\["):
             replace(cfg, **{section: replace(getattr(cfg, section), **{field: value})})
 
     def test_numpy_floats_render_as_python_floats(self):
@@ -427,7 +439,7 @@ class TestModelFromCheckpoint:
         loaded, schedule = ex.model_from_checkpoint(ckpt)
         assert loaded.params.names() == model.params.names()
         assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
-        assert schedule.T == 10
+        assert schedule.t == 10
 
     @pytest.mark.parametrize("edit", [
         lambda c: c.params.update(head_b=np.zeros(3)),
@@ -447,15 +459,31 @@ class TestModelFromCheckpoint:
         lambda c: c.schedule.update(extra=1),
         lambda c: c.schedule.update(t=10.0),
         lambda c: c.schedule.update(beta_min=0.3),
+        lambda c: c.schedule.update(t=[10]),
+        lambda c: c.schedule.update(t=None),
+        lambda c: c.schedule.update(t=True),
+        lambda c: c.schedule.update(beta_min=None),
+        lambda c: c.arch.update(hidden_width=[8]),
     ], ids=["wrong_shape", "extra_name", "missing_name", "renamed", "arch_width",
             "arch_missing_key", "arch_not_int", "schedule_missing_key", "schedule_t_5",
             "arch_T_true", "arch_K_str", "arch_depth_float", "schedule_betas_str",
             "schedule_beta_bool", "schedule_extra_key", "schedule_t_float",
-            "schedule_betas_reversed"])
+            "schedule_betas_reversed", "schedule_t_list", "schedule_t_none",
+            "schedule_t_true", "schedule_beta_none", "arch_width_list"])
     def test_mismatch_raises_integrity_error(self, tmp_path, edit):
         _, ckpt = self._saved_model(tmp_path, edit)
         with pytest.raises(CheckpointIntegrityError):
             ex.model_from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("edit", [lambda c: c.schedule.update(t=[10]),
+                                      lambda c: c.arch.update(hidden_width=[8])],
+                             ids=["schedule", "arch"])
+    def test_list_header_value_fails_the_integer_rule(self, tmp_path, edit):
+        # the reader's own JSON-type checks used to refuse both; the integer rule now does
+        _, ckpt = self._saved_model(tmp_path, edit)
+        with pytest.raises(CheckpointIntegrityError, match="single integer") as exc:
+            ex.model_from_checkpoint(ckpt)
+        assert isinstance(exc.value.__cause__, DomainError)
 
     @pytest.mark.parametrize("damage", ["params", "header"])
     def test_ensure_pretrained_rebuilds_a_mismatched_checkpoint(self, tmp_path, damage):
@@ -475,6 +503,22 @@ class TestModelFromCheckpoint:
         rebuilt = ex.ensure_pretrained(cfg, tmp_path, train_ds, schedule)
         assert rebuilt.params.flat.tobytes() == model.params.flat.tobytes()
         assert path.read_bytes() == clean
+
+    def test_reusing_is_logged_only_for_an_accepted_checkpoint(self, tmp_path, caplog):
+        # a cached header the reader refused used to log "reusing" before "rebuilding"
+        cfg = tiny_config(tmp_path)
+        train_ds, _, schedule = ex.build_world(cfg)
+        ex.ensure_pretrained(cfg, tmp_path, train_ds, schedule)
+        path = tmp_path / "pretrained.ckpt"
+        caplog.set_level(logging.INFO, logger=ex.__name__)
+        ex.ensure_pretrained(cfg, tmp_path, train_ds, schedule)
+        assert f"reusing {path}" in caplog.text
+        caplog.clear()
+        ckpt = ck.load_checkpoint(path)
+        ckpt.schedule["t"] = float(ckpt.schedule["t"])
+        ck.save_checkpoint(path, ckpt)
+        ex.ensure_pretrained(cfg, tmp_path, train_ds, schedule)
+        assert f"reusing {path}" not in caplog.text and f"{path} is unreadable" in caplog.text
 
     def test_numpy_int_width_round_trips(self, tmp_path):
         # the fresh checkpoint's arch used to hold the np.int64, which its own check refused
@@ -619,6 +663,24 @@ class TestRunExperiment:
             a_bytes = (ra.outdir / name).read_bytes()
             b_bytes = (rb.outdir / name).read_bytes()
             assert a_bytes == b_bytes, f"{name} differs between reruns"
+
+    def test_numpy_integers_write_the_python_ints_bytes(self, tmp_path):
+        # an np.int64 seed or step count used to crash save_checkpoint's JSON header
+        def as_numpy(spec, *names):
+            return replace(spec, **{name: np.int64(getattr(spec, name)) for name in names})
+
+        runs = {}
+        for name in ("plain", "numpy"):
+            (tmp_path / name).mkdir()
+            cfg = tiny_config(tmp_path / name)
+            if name == "numpy":
+                cfg = replace(cfg, schedule=as_numpy(cfg.schedule, "t"),
+                              pretrain=as_numpy(cfg.pretrain, "seed", "steps"),
+                              unlearn=as_numpy(cfg.unlearn, "seed", "steps"),
+                              eval=as_numpy(cfg.eval, "seed", "n_samples"))
+            runs[name] = ex.run_experiment(cfg, clock=FakeClock()).outdir
+        for name in RUN_ARTIFACTS[1:]:  # config.txt names its own output.dir
+            assert (runs["plain"] / name).read_bytes() == (runs["numpy"] / name).read_bytes(), name
 
     def test_missing_parent_raises_path_error(self, tmp_path):
         cfg = replace(tiny_config(tmp_path), output_dir=str(tmp_path / "no" / "such" / "dir"))
@@ -867,6 +929,12 @@ class TestSweep:
         cfg = tiny_config(tmp_path)
         with pytest.raises(DomainError, match="members must be integer >= 1"):
             ex.sweep(cfg, [1.0], members=members)
+        assert not Path(cfg.output_dir).exists()
+
+    def test_list_member_count_rejected_before_any_run(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        with pytest.raises(DomainError, match=r"members must be a single integer, got \[1\]"):
+            ex.sweep(cfg, [1.0], members=[1])
         assert not Path(cfg.output_dir).exists()
 
     def test_members_train_one_classifier_each(self, tmp_path, monkeypatch):

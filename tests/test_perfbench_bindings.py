@@ -73,7 +73,7 @@ def _run_both_through_table(model, dataset, schedule, config):
 @pytest.mark.parametrize("run_both", [_run_both_directly, _run_both_through_table],
                          ids=["direct", "method_table"])
 def test_loops_call_the_patched_step_functions(tracer_module, run_both):
-    schedule = df.build_schedule(20, 1e-3, 0.2)
+    schedule = df.NoiseSchedule(20, 1e-3, 0.2)
     dataset = generate_toy_dataset(DatasetSpec(4, 50, "ring", 0.35, 0))
     model = dn.init_model(2, 4, 8, 1, 4, 20, np.random.default_rng(0))
     config = ul.UnlearnConfig(forget_class=0, lam=1.0, steps=2, learning_rate=0.01,

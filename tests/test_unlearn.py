@@ -20,7 +20,7 @@ needs_openblas = pytest.mark.skipif(gc.blas_threads() is None, reason="no OpenBL
 
 @pytest.fixture(scope="module")
 def schedule():
-    return df.build_schedule(50, 1e-3, 0.2)
+    return df.NoiseSchedule(50, 1e-3, 0.2)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +92,11 @@ class TestPsi:
         with pytest.raises(DomainError, match="T must be integer >= 1"):
             ul.psi(0, T, 1.0)
 
+    def test_list_horizon_rejected(self):
+        # psi's t may be an array; its T is one integer
+        with pytest.raises(DomainError, match=r"T must be a single integer, got \[10\]"):
+            ul.psi(np.arange(3), [10], 1.0)
+
     @pytest.mark.parametrize("t", [True, 2.0, [1, 11], -1],
                              ids=["bool", "float", "past_T", "negative"])
     def test_non_integer_or_out_of_range_step_rejected(self, t):
@@ -139,7 +144,7 @@ class TestForgetLoss:
         model = small_model(3)
         batch = forget_batch(dataset, schedule, n=8, seed=9)
         target = ul.epsT_target(batch.x_t, np.random.default_rng(11))
-        weights = ul.psi(batch.t, schedule.T, 1.0)
+        weights = ul.psi(batch.t, schedule.t, 1.0)
 
         def loss_fn(tape, params):
             pnodes = tape.params(params)
@@ -188,7 +193,7 @@ class TestSafemaxStep:
     @staticmethod
     def _forget_loss(method, pred, f_batch, schedule, cfg, rng):
         if method == "safemax":  # psi-weighted regression onto a fresh terminal-noise draw
-            weights = ul.psi(f_batch.t, schedule.T, cfg.lam)
+            weights = ul.psi(f_batch.t, schedule.t, cfg.lam)
             return gc.mse_loss(pred, ul.epsT_target(f_batch.x_t, rng), weights=weights)
         return gc.mse_loss(pred, f_batch.eps)  # donor rows regress their own noise
 
@@ -405,6 +410,17 @@ class TestUnlearnConfig:
             ul.UnlearnConfig(forget_class=0, lam=1.0, **shared)
         assert str(unlearn_exc.value) == str(train_exc.value)
 
+    @pytest.mark.parametrize("field", ["steps", "batch_size", "seed", "forget_class"])
+    def test_list_integer_field_rejected(self, field):
+        # steps = [2] and forget_class = [0] used to pass, and to fail only once a run started
+        train = dict(steps=3, batch_size=8, learning_rate=0.01, seed=0)
+        configs = [(ul.UnlearnConfig, dict(forget_class=0, lam=1.0, **train))]
+        if field in train:
+            configs.append((dn.TrainConfig, train))
+        for config, fields in configs:
+            with pytest.raises(DomainError, match=rf"^{field} must be a single integer, got \[\d\]"):
+                config(**{**fields, field: [fields[field]]})
+
 
 class TestBlasPin:
     @needs_openblas
@@ -439,7 +455,7 @@ class TestBlasPin:
     def test_pinned_logs_bit_identical_to_default_threads(self, dataset, schedule,
                                                           monkeypatch, method):
         # the default width and batches, whose products OpenBLAS would split across threads
-        model = dn.init_model(2, 4, 128, 3, 16, schedule.T, np.random.default_rng(0))
+        model = dn.init_model(2, 4, 128, 3, 16, schedule.t, np.random.default_rng(0))
         config = base_config(steps=60, batch_size=64)
 
         def unlearn():
