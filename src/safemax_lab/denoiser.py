@@ -56,8 +56,7 @@ class TrainConfig:
     def __post_init__(self):
         gc.integer(self.steps, "steps")
         gc.integer(self.batch_size, "batch_size", 1)
-        if not 0.0 < self.learning_rate < np.inf:
-            raise DomainError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
+        gc.real(self.learning_rate, "learning_rate", above=0.0, below=np.inf)
         gc.integer(self.seed, "seed")
 
 

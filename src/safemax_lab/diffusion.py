@@ -8,17 +8,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSampleError, DimensionError, DomainError, NumericError
-from .gradcore import Array, Tape, as_array, indices, integer
+from .gradcore import Array, Tape, as_array, indices, integer, real
 
 LOG_2PI_E = float(np.log(2.0 * np.pi * np.e))
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """A linear beta schedule over steps 1..t: ``t >= 1`` under ``gradcore.integer`` and
-    ``0 < beta_min <= beta_max < 1``, else ``DomainError``. Its read-only tables ``beta``,
-    ``alpha = 1 - beta`` and their running product ``alpha_bar``, position ``s - 1`` for step
-    ``s``, are attributes, not fields, so ``asdict`` gives only the three header values."""
+    """A linear beta schedule over steps 1..t: ``t >= 1`` under ``gradcore.integer``, and
+    ``beta_min`` in (0, 1) and ``beta_max`` in [beta_min, 1) under ``gradcore.real``, else
+    ``DomainError``. Its read-only float64 tables ``beta``, ``alpha = 1 - beta`` and their
+    running product ``alpha_bar``, position ``s - 1`` for step ``s``, are attributes, not
+    fields, so ``asdict`` gives only the three header values."""
 
     t: int
     beta_min: float
@@ -26,9 +27,8 @@ class NoiseSchedule:
 
     def __post_init__(self):
         t = integer(self.t, "t", 1)
-        if not 0.0 < self.beta_min <= self.beta_max < 1.0:
-            raise DomainError(f"need 0 < beta_min <= beta_max < 1, got {self}")
-        beta = np.linspace(self.beta_min, self.beta_max, t)
+        beta_min = real(self.beta_min, "beta_min", above=0.0, below=1.0)
+        beta = np.linspace(beta_min, real(self.beta_max, "beta_max", beta_min, below=1.0), t)
         for name, table in (("beta", beta), ("alpha", 1.0 - beta),
                             ("alpha_bar", np.cumprod(1.0 - beta))):
             table.setflags(write=False)

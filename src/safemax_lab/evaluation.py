@@ -214,8 +214,7 @@ def fano_bound(h_cond_nats: float, cardinality: int) -> FanoDiagnostic:
     ``clamp((h_cond - 1) / ln(cardinality), 0, 1)``; entropies in nats.
     """
     gc.integer(cardinality, "cardinality", 2)
-    if h_cond_nats < 0.0:
-        raise DomainError(f"conditional entropy must be >= 0, got {h_cond_nats}")
+    h_cond_nats = gc.real(h_cond_nats, "h_cond_nats", 0.0)
     raw = (h_cond_nats - 1.0) / float(np.log(cardinality))
     return FanoDiagnostic(h_cond_nats=h_cond_nats, cardinality=cardinality,
                           pe_lower_bound=float(np.clip(raw, 0.0, 1.0)))
@@ -223,15 +222,13 @@ def fano_bound(h_cond_nats: float, cardinality: int) -> FanoDiagnostic:
 
 def differential_entropy_uniform(a: float, b: float) -> float:
     """Differential entropy of Uniform(a, b): ln(b - a) nats."""
-    if not b > a:
-        raise DomainError(f"need b > a, got ({a}, {b})")
-    return float(np.log(b - a))
+    a = gc.real(a, "a")
+    return float(np.log(gc.real(b, "b", above=a) - a))
 
 
 def differential_entropy_gaussian(sigma: float) -> float:
     """Differential entropy of N(mu, sigma^2): 0.5 ln(2 pi e sigma^2) nats."""
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
+    sigma = gc.real(sigma, "sigma", above=0.0)
     return 0.5 * float(np.log(2.0 * np.pi * np.e * sigma * sigma))
 
 

@@ -369,6 +369,21 @@ def integer(value, what: str, low: int = 0, high: int | None = None) -> int:
     return int(ids)
 
 
+def real(value, what: str, low: float = -math.inf, high: float = math.inf, *,
+         above: float | None = None, below: float | None = None) -> float:
+    """``value`` as a Python float, the lab's one rule for rates, scales, weights and bounds:
+    ``DomainError``, naming ``what`` and the interval, unless it is rank 0 with an integer or
+    float dtype (not bool), not NaN, and in [low, high], where ``above``/``below`` open an end."""
+    x = np.asarray(value)
+    if not (x.ndim == 0 and x.dtype.kind in "iuf"
+            and (x > above if above is not None else x >= low)
+            and (x < below if below is not None else x <= high)):
+        interval = (f"({above}" if above is not None else f"[{low}") + ", " + (
+            f"{below})" if below is not None else f"{high}]")
+        raise DomainError(f"{what}: expected a real number in {interval}, got {value!r}")
+    return float(x)
+
+
 def embedding(table: Node, ids) -> Node:
     """Row lookup into a rank-2 table, ``ids`` checked by ``indices``; gradients scatter-add back."""
     if table.value.ndim != 2:
@@ -480,8 +495,7 @@ def grad_check(model_loss_fn, params: ParamStore, epsilon: float = 1e-5,
     parameters until ``probes`` probes have run. Returns the maximum
     relative error ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-8)``.
     """
-    if not (0.0 < epsilon <= 1e-3):
-        raise DomainError(f"epsilon must lie in (0, 1e-3], got {epsilon}")
+    epsilon = real(epsilon, "epsilon", above=0.0, high=1e-3)
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -531,12 +545,8 @@ class SGD:
     """
 
     def __init__(self, learning_rate: float, momentum: float = 0.9):
-        if not 0.0 < learning_rate < math.inf:
-            raise DomainError(f"learning_rate must be positive and finite, got {learning_rate}")
-        if not (0.0 <= momentum < 1.0):
-            raise DomainError(f"momentum must lie in [0, 1), got {momentum}")
-        self.learning_rate = learning_rate
-        self.momentum = momentum
+        self.learning_rate = real(learning_rate, "learning_rate", above=0.0, below=math.inf)
+        self.momentum = real(momentum, "momentum", 0.0, below=1.0)
         self._velocity: Array | None = None
 
     def step(self, params: ParamStore, grads: Gradients) -> ParamStore:

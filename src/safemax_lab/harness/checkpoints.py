@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -57,8 +56,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def to_json(value, **options) -> str:
-    """``json.dumps`` with sorted keys; a numpy integer is written as the JSON integer it holds."""
-    return json.dumps(value, sort_keys=True, default=operator.index, **options)
+    """``json.dumps`` with sorted keys; a numpy scalar is written as the Python value it holds."""
+    return json.dumps(value, sort_keys=True, default=np.generic.item, **options)
 
 
 def write_atomic(path, data: bytes | str) -> None:

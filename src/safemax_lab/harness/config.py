@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from ..denoiser import TrainConfig
 from ..diffusion import NoiseSchedule
 from ..errors import ConfigError, DomainError
-from ..gradcore import integer
+from ..gradcore import integer, real
 from ..unlearn import UnlearnConfig
 from .datasets import DatasetSpec
 
@@ -46,9 +46,7 @@ class EvalSpec:
         integer(self.n_samples, "n_samples", 3)  # a Frechet fit in d = 2 needs d + 1 points
         integer(self.classifier_hidden_width, "classifier_hidden_width", 1)
         integer(self.classifier_steps, "classifier_steps", 1)
-        if not 0.0 < self.classifier_learning_rate < math.inf:
-            raise DomainError("classifier_learning_rate must be > 0 and finite, "
-                              f"got {self.classifier_learning_rate}")
+        real(self.classifier_learning_rate, "classifier_learning_rate", above=0.0, below=math.inf)
         integer(self.classifier_seed, "classifier_seed")
         integer(self.seed, "seed")
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..diffusion import LabeledDataset
 from ..errors import DomainError
-from ..gradcore import integer
+from ..gradcore import integer, real
 
 GEOMETRIES = ("ring", "grid")
 RING_RADIUS = 4.0
@@ -29,8 +29,7 @@ class DatasetSpec:
         integer(self.n_per_class, "n_per_class", 2)
         if self.geometry not in GEOMETRIES:
             raise DomainError(f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}")
-        if not 0.0 < self.noise_scale < math.inf:
-            raise DomainError(f"noise_scale must be > 0 and finite, got {self.noise_scale}")
+        real(self.noise_scale, "noise_scale", above=0.0, below=math.inf)
         integer(self.seed, "seed")
 
 

@@ -354,14 +354,12 @@ def sweep(config: ExperimentConfig, values, members: int = 3,
     the config rejects raises before the first run; any other error
     propagates.
     """
-    values = [float(v) for v in values]
+    values = [float(replace(config.unlearn, lam=v).lam) for v in values]  # the config's rule
     if not values:
         raise DomainError("values must be non-empty")
     integer(members, "members", 1)
     if len(set(values)) != len(values):
         raise DomainError(f"duplicate sweep values: {values}")
-    for value in values:  # reject a bad value before any run starts
-        replace(config.unlearn, lam=value)
 
     outdir = _ensure_dir(resolve_outdir(config))
     sweep_dir = outdir / "sweep_lambda"

@@ -30,8 +30,7 @@ class UnlearnConfig(TrainConfig):
     def __post_init__(self):
         super().__post_init__()
         gc.integer(self.forget_class, "forget_class")
-        if not self.lam >= 0.0:
-            raise DomainError(f"lambda must be >= 0, got {self.lam}")
+        gc.real(self.lam, "lambda", 0.0)
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,7 @@ class UnlearnLog:
 
 def psi(t, T: int, lam: float):
     """Decay weight exp(-lam * t / T) of integer steps t in [0, T]; scalar in, scalar out."""
-    if not lam >= 0.0:
-        raise DomainError(f"lambda must be >= 0, got {lam}")
+    lam = gc.real(lam, "lambda", 0.0)
     gc.integer(T, "T", 1)
     t_arr = gc.indices(t, "t", 0, T + 1).astype(np.float64)
     if lam == np.inf:  # the limit, since -inf * 0 is nan: weight 1 at t = 0, else 0

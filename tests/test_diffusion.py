@@ -73,6 +73,24 @@ class TestNoiseSchedule:
         with pytest.raises(DomainError, match="t must be a single integer"):
             df.NoiseSchedule(t, 0.1, 0.2)
 
+    @pytest.mark.parametrize("beta_min, beta_max, name", [
+        (np.array([0.1, 0.2]), 0.3, "beta_min"), (0.1, [0.2], "beta_max"),
+        (float("nan"), 0.2, "beta_min"), (0.3, 0.2, "beta_max"), (0.1, 1.0, "beta_max")],
+        ids=["array", "list", "nan", "below_beta_min", "one"])
+    def test_bad_beta_bound_rejected_naming_it(self, beta_min, beta_max, name):
+        # an array used to raise a bare ValueError from the comparison
+        with pytest.raises(DomainError, match=f"{name}: expected a real number"):
+            df.NoiseSchedule(10, beta_min, beta_max)
+
+    def test_numpy_float_bounds_build_the_widened_floats_tables(self):
+        # float32 bounds used to build float32 tables
+        sched = df.NoiseSchedule(20, np.float32(1e-3), np.float32(0.2))
+        plain = df.NoiseSchedule(20, float(np.float32(1e-3)), float(np.float32(0.2)))
+        for name in ("beta", "alpha", "alpha_bar"):
+            table = getattr(sched, name)
+            assert table.dtype == np.float64
+            assert table.tobytes() == getattr(plain, name).tobytes()
+
 
 class TestLabeledDataset:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -254,6 +254,13 @@ class TestFanoBound:
         with pytest.raises(DomainError, match=r"cardinality must be a single integer, got \[16\]"):
             ev.fano_bound(1.0, [16])
 
+    @pytest.mark.parametrize("h", [float("nan"), [1.5], -0.1], ids=["nan", "list", "negative"])
+    def test_conditional_entropy_not_one_real_from_zero_rejected(self, h):
+        # NaN used to give a NaN bound, a list to raise a bare TypeError
+        with pytest.raises(DomainError,
+                           match=r"h_cond_nats: expected a real number in \[0\.0, inf\]"):
+            ev.fano_bound(h, 4)
+
     @given(st.floats(min_value=0.0, max_value=10.0),
            st.floats(min_value=0.0, max_value=2.0),
            st.integers(min_value=2, max_value=1000))
@@ -282,6 +289,18 @@ class TestReferenceEntropies:
             ev.differential_entropy_uniform(1.0, 1.0)
         with pytest.raises(DomainError):
             ev.differential_entropy_gaussian(0.0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), True, [1.0]], ids=["nan", "bool", "list"])
+    def test_gaussian_sigma_not_one_real_rejected(self, sigma):
+        # NaN used to give nan nats and True the entropy of sigma = 1
+        with pytest.raises(DomainError, match=r"sigma: expected a real number in \(0\.0, inf\]"):
+            ev.differential_entropy_gaussian(sigma)
+
+    def test_list_uniform_bounds_rejected(self):
+        # used to raise a bare TypeError from the comparison
+        with pytest.raises(DomainError,
+                           match=r"^a: expected a real number in \[-inf, inf\], got \[0\.0\]$"):
+            ev.differential_entropy_uniform([0.0], [1.0])
 
 
 class TestEntropyLinkage:

@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -577,6 +579,45 @@ class TestInteger:
         assert calls == []
 
 
+class TestReal:
+    @pytest.mark.parametrize("value", [True, np.bool_(False), [0.5], (0.5,), np.array([0.5]),
+                                       "0.5", None, 0.5j, float("nan"), np.float32("nan")],
+                             ids=["bool", "numpy_bool", "list", "tuple", "array", "str", "none",
+                                  "complex", "nan", "float32_nan"])
+    def test_non_real_or_nan_refused_naming_what(self, value):
+        with pytest.raises(DomainError, match=r"rate: expected a real number in \[-inf, inf\], "):
+            gc.real(value, "rate")
+
+    @pytest.mark.parametrize("value", [np.array(0.5), np.array(2), 2, np.int64(2), np.uint8(2),
+                                       np.float64(0.5), 0.5])
+    def test_zero_d_array_int_or_float_returned_as_a_python_float(self, value):
+        out = gc.real(value, "rate")
+        assert type(out) is float and out == float(np.asarray(value))
+
+    def test_float32_widened_exactly(self):
+        out = gc.real(np.float32(0.1), "rate")
+        assert type(out) is float and out == 0.10000000149011612
+        assert np.float32(out) == np.float32(0.1)
+
+    @pytest.mark.parametrize("bounds, interval, inside, outside", [
+        (dict(low=0.0), "[0.0, inf]", [0.0, math.inf], [-5e-324, -math.inf]),
+        (dict(above=0.0), "(0.0, inf]", [5e-324, math.inf], [0.0, -1.0]),
+        (dict(high=1e-3), "[-inf, 0.001]", [1e-3, -math.inf], [0.0011, math.inf]),
+        (dict(below=1.0), "[-inf, 1.0)", [np.nextafter(1.0, 0.0), -math.inf], [1.0, math.inf]),
+        (dict(above=0.0, below=math.inf), "(0.0, inf)", [1e300], [0.0, math.inf, -math.inf]),
+        (dict(low=0.0, below=1.0), "[0.0, 1.0)", [0.0, 0.5], [1.0, -0.1]),
+        (dict(above=-math.inf, high=math.inf), "(-inf, inf]", [math.inf], [-math.inf]),
+    ], ids=["closed_low", "open_low", "closed_high", "open_high", "open_both",
+            "closed_open", "open_minus_inf"])
+    def test_each_end_open_or_closed(self, bounds, interval, inside, outside):
+        for value in inside:
+            assert gc.real(value, "x", **bounds) == value
+        for value in outside:
+            with pytest.raises(DomainError, match=re.escape(f"x: expected a real number in "
+                                                            f"{interval}, got {value!r}")):
+                gc.real(value, "x", **bounds)
+
+
 class TestEmbedding:
     @pytest.mark.parametrize("ids", [[1.7], np.array([True]), [3], [-1]],
                              ids=["float", "bool", "past_end", "negative"])
@@ -734,6 +775,14 @@ class TestGradCheck:
         store = make_store(p=np.array([1.0]))
         with pytest.raises(DomainError):
             gc.grad_check(lambda t, p: _total(t.params(p)["p"]), store, epsilon=1e-2)
+
+    @pytest.mark.parametrize("epsilon", [[1e-5], float("nan"), True], ids=["list", "nan", "bool"])
+    def test_epsilon_not_one_real_rejected(self, epsilon):
+        # a list used to raise a bare TypeError from the comparison
+        store = make_store(p=np.array([1.0]))
+        with pytest.raises(DomainError,
+                           match=r"epsilon: expected a real number in \(0\.0, 0\.001\]"):
+            gc.grad_check(lambda t, p: _total(t.params(p)["p"]), store, epsilon=epsilon)
 
     def test_non_finite_loss_raises(self):
         store = make_store(p=np.array([0.0]))

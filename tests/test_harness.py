@@ -184,6 +184,18 @@ class TestConfig:
         with pytest.raises(DomainError, match=rf"{field} must be a single integer, got \S*\["):
             replace(cfg, **{section: replace(getattr(cfg, section), **{field: value})})
 
+    @pytest.mark.parametrize("value", [[0.1], np.array([0.05]), True, None, "0.1"],
+                             ids=["list", "array", "bool", "none", "str"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_bad_float_rejected_by_its_section(self, key, value):
+        # a one-entry array used to pass EvalSpec, a bool TrainConfig and UnlearnConfig, and
+        # the others to raise a bare TypeError or ValueError from a comparison
+        section, field = _section_field(key)
+        cfg = cf.default_config()
+        name = key.split(".")[1]
+        with pytest.raises(DomainError, match=f"{name}: expected a real number in "):
+            replace(cfg, **{section: replace(getattr(cfg, section), **{field: value})})
+
     def test_numpy_floats_render_as_python_floats(self):
         # numpy 2 reprs np.float64(1.0) as "np.float64(1.0)", which the parser rejects
         base = cf.default_config()
@@ -682,6 +694,26 @@ class TestRunExperiment:
         for name in RUN_ARTIFACTS[1:]:  # config.txt names its own output.dir
             assert (runs["plain"] / name).read_bytes() == (runs["numpy"] / name).read_bytes(), name
 
+    def test_numpy_floats_write_the_widened_floats_bytes(self, tmp_path):
+        # an np.float32 rate or bound used to crash the first JSON write
+        runs = {}
+        for name, kind in (("plain", lambda v: float(np.float32(v))), ("numpy", np.float32)):
+            (tmp_path / name).mkdir()
+            cfg = tiny_config(tmp_path / name)
+            sections = {}
+            for key in FLOAT_KEYS:
+                section, field = _section_field(key)
+                value = getattr(getattr(cfg, section), field)
+                sections.setdefault(section, {})[field] = kind(value)
+            cfg = replace(cfg, **{section: replace(getattr(cfg, section), **fields)
+                                  for section, fields in sections.items()})
+            runs[name] = ex.run_experiment(cfg, clock=FakeClock()).outdir
+        for name in RUN_ARTIFACTS[1:]:  # config.txt names its own output.dir
+            assert (runs["plain"] / name).read_bytes() == (runs["numpy"] / name).read_bytes(), name
+        keys = [[line for line in (out / "config.txt").read_text().splitlines()
+                 if not line.startswith("output.")] for out in runs.values()]
+        assert keys[0] == keys[1]
+
     def test_missing_parent_raises_path_error(self, tmp_path):
         cfg = replace(tiny_config(tmp_path), output_dir=str(tmp_path / "no" / "such" / "dir"))
         with pytest.raises(FileNotFoundError):
@@ -922,6 +954,24 @@ class TestSweep:
             ex.sweep(cfg, [1.0, -1.0], members=1)
         assert not (Path(cfg.output_dir) / "sweep_lambda" / "member0").exists()
         assert list(tmp_path.rglob("*.ckpt")) == []
+
+    @pytest.mark.parametrize("value", [True, [0.5], "abc"], ids=["bool", "list", "str"])
+    def test_value_not_one_real_rejected_before_any_directory(self, tmp_path, value):
+        # a bool used to run lambda = 1.0, a list or a str to raise a bare TypeError or ValueError
+        cfg = tiny_config(tmp_path)
+        with pytest.raises(DomainError, match="lambda: expected a real number"):
+            ex.sweep(cfg, [value], members=1)
+        assert not Path(cfg.output_dir).exists()
+
+    def test_numpy_float_value_writes_the_python_floats_table(self, tmp_path):
+        tables = {}
+        for name, value in (("plain", 0.5), ("numpy", np.float32(0.5))):
+            (tmp_path / name).mkdir()
+            path = ex.sweep(tiny_config(tmp_path / name), [value], members=1, clock=FakeClock())
+            assert [p.name for p in (path.parent / "member0").iterdir() if p.is_dir()] == [
+                "value_0.5"]
+            tables[name] = path.read_bytes()
+        assert tables["plain"] == tables["numpy"]
 
     @pytest.mark.parametrize("members", [0, 1.5, True], ids=["zero", "float", "bool"])
     def test_bad_member_count_rejected_before_any_run(self, tmp_path, members):
