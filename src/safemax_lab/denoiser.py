@@ -8,33 +8,32 @@ keeps the gradient path trivial to verify.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gradcore as gc
 from .diffusion import LabeledDataset, LatentBatch, NoiseSchedule, sample_latent_batch
 from .errors import DimensionError, DomainError, NumericError
-from .gradcore import Array, Node, ParamStore, SGD, Tape
+from .gradcore import Array, Node, ParamStore, Record, SGD, Tape, rule
+
+
+def even(value, what: str) -> int:
+    """The rule for an embedding width, sin/cos pairs: ``gradcore.integer`` from 2, and even."""
+    width = gc.integer(value, what, 2)
+    if width % 2:
+        raise DomainError(f"{what} must be even, got {width}")
+    return width
 
 
 @dataclass(frozen=True)
-class Sizes:
-    """Sizes of at least 1 under ``gradcore.integer``, held as the Python ints it returns."""
-
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, gc.integer(getattr(self, f.name), f.name, 1))
-
-
-@dataclass(frozen=True)
-class DenoiserArch(Sizes):
-    d: int
-    K: int
-    hidden_width: int
-    hidden_depth: int
-    embed_dim: int
-    T: int
+class DenoiserArch(Record):
+    d: int = rule(gc.integer, 1)
+    K: int = rule(gc.integer, 2)
+    hidden_width: int = rule(gc.integer, 1)
+    hidden_depth: int = rule(gc.integer, 1)
+    embed_dim: int = rule(even)
+    T: int = rule(gc.integer, 1)
 
 
 @dataclass
@@ -47,17 +46,11 @@ class DenoiserModel:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    steps: int
-    batch_size: int
-    learning_rate: float
-    seed: int
-
-    def __post_init__(self):
-        gc.integer(self.steps, "steps")
-        gc.integer(self.batch_size, "batch_size", 1)
-        gc.real(self.learning_rate, "learning_rate", above=0.0, below=np.inf)
-        gc.integer(self.seed, "seed")
+class TrainConfig(Record):
+    steps: int = rule(gc.integer)
+    batch_size: int = rule(gc.integer, 1)
+    learning_rate: float = rule(gc.real, above=0.0, below=np.inf)
+    seed: int = rule(gc.integer)
 
 
 @functools.lru_cache(maxsize=8)
@@ -97,14 +90,12 @@ def init_model(d: int, K: int, hidden_width: int, hidden_depth: int,
     """Fan-in scaled normal initialization; deterministic given the rng state."""
     arch = DenoiserArch(d=d, K=K, hidden_width=hidden_width, hidden_depth=hidden_depth,
                         embed_dim=embed_dim, T=T)
-    gc.integer(K, "K", 2)
-    if embed_dim % 2 != 0:
-        raise DomainError(f"embed_dim must be even, got {embed_dim}")
+    e = arch.embed_dim
     params = ParamStore()
-    params.add("class_embed", rng.standard_normal((K, embed_dim)) / np.sqrt(embed_dim))
-    params.add("time_w", rng.standard_normal((embed_dim, embed_dim)) / np.sqrt(embed_dim))
-    params.add("time_b", np.zeros(embed_dim))
-    init_mlp(params, d + 2 * embed_dim, hidden_width, hidden_depth, d, rng)
+    params.add("class_embed", rng.standard_normal((arch.K, e)) / np.sqrt(e))
+    params.add("time_w", rng.standard_normal((e, e)) / np.sqrt(e))
+    params.add("time_b", np.zeros(e))
+    init_mlp(params, arch.d + 2 * e, arch.hidden_width, arch.hidden_depth, arch.d, rng)
     return DenoiserModel(params=params, arch=arch)
 
 

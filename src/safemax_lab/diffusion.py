@@ -8,27 +8,27 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSampleError, DimensionError, DomainError, NumericError
-from .gradcore import Array, Tape, as_array, indices, integer, real
+from .gradcore import Array, Record, Tape, as_array, indices, integer, real, rule
 
 LOG_2PI_E = float(np.log(2.0 * np.pi * np.e))
 
 
 @dataclass(frozen=True)
-class NoiseSchedule:
+class NoiseSchedule(Record):
     """A linear beta schedule over steps 1..t: ``t >= 1`` under ``gradcore.integer``, and
     ``beta_min`` in (0, 1) and ``beta_max`` in [beta_min, 1) under ``gradcore.real``, else
     ``DomainError``. Its read-only float64 tables ``beta``, ``alpha = 1 - beta`` and their
     running product ``alpha_bar``, position ``s - 1`` for step ``s``, are attributes, not
     fields, so ``asdict`` gives only the three header values."""
 
-    t: int
-    beta_min: float
-    beta_max: float
+    t: int = rule(integer, 1)
+    beta_min: float = rule(real, above=0.0, below=1.0)
+    beta_max: float = rule(real, above=0.0, below=1.0)
 
     def __post_init__(self):
-        t = integer(self.t, "t", 1)
-        beta_min = real(self.beta_min, "beta_min", above=0.0, below=1.0)
-        beta = np.linspace(beta_min, real(self.beta_max, "beta_max", beta_min, below=1.0), t)
+        super().__post_init__()
+        real(self.beta_max, "beta_max", self.beta_min, below=1.0)
+        beta = np.linspace(self.beta_min, self.beta_max, self.t)
         for name, table in (("beta", beta), ("alpha", 1.0 - beta),
                             ("alpha_bar", np.cumprod(1.0 - beta))):
             table.setflags(write=False)
@@ -49,7 +49,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.points = as_array(self.points)
-        integer(self.K, "K", 2)
+        self.K = integer(self.K, "K", 2)
         self.labels = indices(self.labels, "labels", 0, self.K)
         if self.points.ndim != 2:
             raise DimensionError(f"points must be rank-2, got {self.points.shape}")

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradcore as gc
-from .denoiser import Sizes, init_mlp, mlp
+from .denoiser import init_mlp, mlp
 from .diffusion import LabeledDataset, NoiseSchedule, ancestral_sample
 from .errors import DimensionError, DomainError, EvaluatorQualityError, NumericError
-from .gradcore import Array, ParamStore, Tape
+from .gradcore import Array, ParamStore, Record, Tape, rule
 
 log = logging.getLogger(__name__)
 
@@ -25,10 +25,10 @@ _CLASSIFIER_DEPTH = 2
 
 
 @dataclass(frozen=True)
-class ClassifierArch(Sizes):
-    d: int
-    K: int
-    hidden_width: int
+class ClassifierArch(Record):
+    d: int = rule(gc.integer, 1)
+    K: int = rule(gc.integer, 1)
+    hidden_width: int = rule(gc.integer, 1)
 
 
 @dataclass
@@ -87,7 +87,7 @@ def init_classifier(d: int, K: int, hidden_width: int, rng: np.random.Generator)
     """Two hidden relu layers with fan-in scaled normal initialization."""
     arch = ClassifierArch(d=d, K=K, hidden_width=hidden_width)
     params = ParamStore()
-    init_mlp(params, d, hidden_width, _CLASSIFIER_DEPTH, K, rng)
+    init_mlp(params, arch.d, arch.hidden_width, _CLASSIFIER_DEPTH, arch.K, rng)
     return Classifier(params=params, arch=arch)
 
 

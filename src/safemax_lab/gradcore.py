@@ -21,6 +21,7 @@ code small enough to verify by finite differences.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import functools
 import math
 import weakref
@@ -382,6 +383,35 @@ def real(value, what: str, low: float = -math.inf, high: float = math.inf, *,
             f"{below})" if below is not None else f"{high}]")
         raise DomainError(f"{what}: expected a real number in {interval}, got {value!r}")
     return float(x)
+
+
+def one_of(value, what: str, *choices: str) -> str:
+    """``value`` as a Python str, the rule for a name: ``DomainError``, naming ``what``, unless it
+    is one rank-0 str (a numpy str too) among ``choices``."""
+    x = np.asarray(value)
+    if x.ndim or x.dtype.kind != "U" or str(x) not in choices:
+        raise DomainError(f"{what} must be one of {choices}, got {value!r}")
+    return str(x)
+
+
+def rule(check: Callable, *bounds, default=dataclasses.MISSING, what: str | None = None,
+         **options):
+    """A ``Record`` field whose value ``check(value, what, *bounds, **options)`` checks, and
+    whose record holds what it returns; ``what`` defaults to the field's name."""
+    return dataclasses.field(default=default, metadata={"rule": (check, what, bounds, options)})
+
+
+class Record:
+    """Base of a frozen dataclass whose ``rule`` fields, once it is built (or ``replace``d),
+    hold what their checks return: a Python int, float or str. A subclass that adds a rule
+    across fields calls ``super().__post_init__()`` first."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if "rule" in f.metadata:
+                check, what, bounds, options = f.metadata["rule"]
+                object.__setattr__(self, f.name, check(getattr(self, f.name), what or f.name,
+                                                       *bounds, **options))
 
 
 def embedding(table: Node, ids) -> Node:

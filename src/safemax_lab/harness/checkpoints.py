@@ -56,8 +56,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def to_json(value, **options) -> str:
-    """``json.dumps`` with sorted keys; a numpy scalar is written as the Python value it holds."""
-    return json.dumps(value, sort_keys=True, default=np.generic.item, **options)
+    """``json.dumps`` with sorted keys."""
+    return json.dumps(value, sort_keys=True, **options)
 
 
 def write_atomic(path, data: bytes | str) -> None:

@@ -11,44 +11,29 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
-from ..denoiser import TrainConfig
+from ..denoiser import TrainConfig, even
 from ..diffusion import NoiseSchedule
 from ..errors import ConfigError, DomainError
-from ..gradcore import integer, real
+from ..gradcore import Record, integer, real, rule
 from ..unlearn import UnlearnConfig
 from .datasets import DatasetSpec
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    hidden_width: int = 128
-    hidden_depth: int = 3
-    embed_dim: int = 16
-
-    def __post_init__(self):
-        integer(self.hidden_width, "hidden_width", 1)
-        integer(self.hidden_depth, "hidden_depth", 1)
-        integer(self.embed_dim, "embed_dim", 2)
-        if self.embed_dim % 2:
-            raise DomainError(f"embed_dim must be even, got {self.embed_dim}")
+class ModelSpec(Record):
+    hidden_width: int = rule(integer, 1, default=128)
+    hidden_depth: int = rule(integer, 1, default=3)
+    embed_dim: int = rule(even, default=16)
 
 
 @dataclass(frozen=True)
-class EvalSpec:
-    n_samples: int = 500
-    classifier_hidden_width: int = 64
-    classifier_steps: int = 3000
-    classifier_learning_rate: float = 0.05
-    classifier_seed: int = 3
-    seed: int = 4
-
-    def __post_init__(self):
-        integer(self.n_samples, "n_samples", 3)  # a Frechet fit in d = 2 needs d + 1 points
-        integer(self.classifier_hidden_width, "classifier_hidden_width", 1)
-        integer(self.classifier_steps, "classifier_steps", 1)
-        real(self.classifier_learning_rate, "classifier_learning_rate", above=0.0, below=math.inf)
-        integer(self.classifier_seed, "classifier_seed")
-        integer(self.seed, "seed")
+class EvalSpec(Record):
+    n_samples: int = rule(integer, 3, default=500)  # a Frechet fit in d = 2 needs d + 1 points
+    classifier_hidden_width: int = rule(integer, 1, default=64)
+    classifier_steps: int = rule(integer, 1, default=3000)
+    classifier_learning_rate: float = rule(real, above=0.0, below=math.inf, default=0.05)
+    classifier_seed: int = rule(integer, default=3)
+    seed: int = rule(integer, default=4)
 
 
 @dataclass(frozen=True)
@@ -148,7 +133,7 @@ def render_config(config: ExperimentConfig) -> str:
         value = _value(config, key)
         if key == "output.dir" and value.split("#", 1)[0].strip().splitlines() != [value]:
             raise ConfigError(f"{key}: {value!r} holds '#', a line break or edge space")
-        lines.append(f"{key} = {float(value)!r}" if _KINDS[key] is float else f"{key} = {value}")
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..diffusion import LabeledDataset
-from ..errors import DomainError
-from ..gradcore import integer, real
+from ..gradcore import Record, integer, one_of, real, rule
 
 GEOMETRIES = ("ring", "grid")
 RING_RADIUS = 4.0
@@ -17,20 +16,12 @@ GRID_SPACING = 4.0
 
 
 @dataclass(frozen=True)
-class DatasetSpec:
-    k: int = 4
-    n_per_class: int = 1000
-    geometry: str = "ring"
-    noise_scale: float = 0.35
-    seed: int = 0
-
-    def __post_init__(self):
-        integer(self.k, "k", 2)
-        integer(self.n_per_class, "n_per_class", 2)
-        if self.geometry not in GEOMETRIES:
-            raise DomainError(f"geometry must be one of {GEOMETRIES}, got {self.geometry!r}")
-        real(self.noise_scale, "noise_scale", above=0.0, below=math.inf)
-        integer(self.seed, "seed")
+class DatasetSpec(Record):
+    k: int = rule(integer, 2, default=4)
+    n_per_class: int = rule(integer, 2, default=1000)
+    geometry: str = rule(one_of, *GEOMETRIES, default="ring")
+    noise_scale: float = rule(real, above=0.0, below=math.inf, default=0.35)
+    seed: int = rule(integer, default=0)
 
 
 def class_means(spec: DatasetSpec) -> np.ndarray:

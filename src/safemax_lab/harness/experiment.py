@@ -26,7 +26,7 @@ from ..errors import CheckpointIntegrityError, CheckpointVersionError, DomainErr
 from ..evaluation import (SUMMARY, Classifier, ClassifierArch, EvalReport, entropy_linkage_holds,
                           evaluate, gate_classifier, init_classifier, sample_classes,
                           score_samples, train_classifier)
-from ..gradcore import blas_threads, integer, one_blas_thread
+from ..gradcore import blas_threads, integer, one_blas_thread, one_of
 from .checkpoints import Checkpoint, load_checkpoint, save_checkpoint, to_json, write_atomic
 from .config import (ExperimentConfig, classifier_sha256, config_sha256, pretrain_sha256,
                      render_config)
@@ -274,8 +274,7 @@ def run_experiment(config: ExperimentConfig, method: str = next(iter(unlearn.MET
     next to that checkpoint. The scatter plots show the samples each
     evaluation scored.
     """
-    if method not in unlearn.METHODS:
-        raise DomainError(f"method must be one of {tuple(unlearn.METHODS)}, got {method!r}")
+    method = one_of(method, "method", *unlearn.METHODS)
     ucfg = config.unlearn
 
     config_text = render_config(config)  # before any directory: it may reject output_dir
@@ -354,7 +353,7 @@ def sweep(config: ExperimentConfig, values, members: int = 3,
     the config rejects raises before the first run; any other error
     propagates.
     """
-    values = [float(replace(config.unlearn, lam=v).lam) for v in values]  # the config's rule
+    values = [replace(config.unlearn, lam=v).lam for v in values]  # the config's rule
     if not values:
         raise DomainError("values must be non-empty")
     integer(members, "members", 1)

@@ -24,13 +24,8 @@ from .gradcore import Array, SGD
 
 @dataclass(frozen=True)
 class UnlearnConfig(TrainConfig):
-    forget_class: int
-    lam: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        gc.integer(self.forget_class, "forget_class")
-        gc.real(self.lam, "lambda", 0.0)
+    forget_class: int = gc.rule(gc.integer)
+    lam: float = gc.rule(gc.real, 0.0, what="lambda")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from safemax_lab import denoiser as dn
 from safemax_lab import diffusion as df
 from safemax_lab import gradcore as gc
 from safemax_lab.errors import ContractError, DimensionError, DomainError, NumericError
-from safemax_lab.harness import DatasetSpec, generate_toy_dataset
+from safemax_lab.harness.datasets import DatasetSpec, generate_toy_dataset
 
 
 needs_openblas = pytest.mark.skipif(gc.blas_threads() is None, reason="no OpenBLAS loaded")
@@ -69,10 +69,12 @@ class TestInitModel:
     @pytest.mark.parametrize("what, value", [("hidden_depth", True), ("hidden_width", 8.0),
                                              ("T", 0), ("K", np.float64(4))])
     def test_non_integer_or_zero_dimension_rejected_before_any_draw(self, what, value):
-        # a bool depth used to build a depth-1 net, a float width to fail in numpy
+        # a bool depth used to build a depth-1 net, a float width to fail in numpy;
+        # DenoiserArch holds the K >= 2 rule
         dims = dict(d=2, K=4, hidden_width=16, hidden_depth=2, embed_dim=8, T=20)
         rng = np.random.default_rng(0)
-        with pytest.raises(DomainError, match=f"^{what} must be integer >= 1"):
+        low = 2 if what == "K" else 1
+        with pytest.raises(DomainError, match=f"^{what} must be integer >= {low}"):
             dn.init_model(**{**dims, what: value}, rng=rng)
         assert rng.random() == np.random.default_rng(0).random()
 

@@ -6,7 +6,7 @@ import pytest
 
 from safemax_lab import diffusion as df
 from safemax_lab.errors import DegenerateSampleError, DimensionError, DomainError
-from safemax_lab.harness import DatasetSpec, generate_toy_dataset
+from safemax_lab.harness.datasets import DatasetSpec, generate_toy_dataset
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from safemax_lab import gradcore as gc
 from safemax_lab.denoiser import init_model
 from safemax_lab.diffusion import LabeledDataset, NoiseSchedule, ancestral_sample
 from safemax_lab.errors import DomainError, EvaluatorQualityError, NumericError
-from safemax_lab.harness import DatasetSpec, generate_toy_dataset
+from safemax_lab.harness.datasets import DatasetSpec, generate_toy_dataset
 
 
 needs_openblas = pytest.mark.skipif(gc.blas_threads() is None, reason="no OpenBLAS loaded")

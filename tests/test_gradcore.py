@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import FrozenInstanceError, dataclass, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -616,6 +617,52 @@ class TestReal:
             with pytest.raises(DomainError, match=re.escape(f"x: expected a real number in "
                                                             f"{interval}, got {value!r}")):
                 gc.real(value, "x", **bounds)
+
+
+class TestOneOf:
+    @pytest.mark.parametrize("value", ["ring", np.str_("ring"), np.array("ring")])
+    def test_str_forms_returned_as_a_python_str(self, value):
+        out = gc.one_of(value, "geometry", "ring", "grid")
+        assert type(out) is str and out == "ring"
+
+    @pytest.mark.parametrize("value", ["hex", ["ring"], np.array(["ring"]), b"ring", None, 1],
+                             ids=["other", "list", "array", "bytes", "none", "int"])
+    def test_anything_else_refused_naming_what(self, value):
+        with pytest.raises(DomainError, match=r"^geometry must be one of \('ring', 'grid'\), got "):
+            gc.one_of(value, "geometry", "ring", "grid")
+
+
+@dataclass(frozen=True)
+class _Span(gc.Record):
+    start: int = gc.rule(gc.integer, default=0)
+    width: float = gc.rule(gc.real, above=0.0, what="span width", default=1.0)
+    note: str = "free"
+
+    def __post_init__(self):
+        super().__post_init__()
+        gc.integer(self.start, "start", 0, 10)
+
+
+class TestRecord:
+    def test_each_rule_field_holds_what_its_check_returns(self):
+        span = _Span(np.array(3), np.float32(0.5), np.str_("x"))
+        assert (type(span.start), type(span.width)) == (int, float)
+        assert (span.start, span.width) == (3, 0.5)
+        assert type(span.note) is np.str_  # a field without a rule is left as given
+        assert span == _Span(3, 0.5, "x") and hash(span) == hash(_Span(3, 0.5, "x"))
+        with pytest.raises(FrozenInstanceError):
+            span.start = 4
+
+    def test_replace_runs_the_rules_and_what_names_the_value(self):
+        assert type(replace(_Span(), start=np.uint8(7)).start) is int
+        with pytest.raises(DomainError, match=r"^span width: expected a real number in \(0\.0"):
+            replace(_Span(), width=0.0)
+        with pytest.raises(DomainError, match=r"^start must be integer >= 0"):
+            _Span(start=-1)
+
+    def test_rule_across_fields_runs_after_the_field_rules(self):
+        with pytest.raises(DomainError, match=r"^start must be integer in \[0, 10\)"):
+            _Span(start=np.int8(10))
 
 
 class TestEmbedding:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,6 +45,14 @@ class TestGenerateToyDataset:
         b = generate_toy_dataset(DatasetSpec(3, 50, "grid", 0.2, 9))
         npt.assert_array_equal(a.points, b.points)
         npt.assert_array_equal(a.labels, b.labels)
+
+    def test_narrow_numpy_seed_builds_the_python_seeds_world(self):
+        # an np.int8 seed used to overflow at seed + HELDOUT_SEED_OFFSET
+        cfg = cf.default_config()
+        plain, narrow = (ex.build_world(replace(cfg, dataset=replace(cfg.dataset, seed=seed)))
+                         for seed in (5, np.int8(5)))
+        for a, b in zip(plain[:2], narrow[:2]):
+            npt.assert_array_equal(a.points, b.points)
 
     def test_default_world_points_are_golden(self):
         # Pins the draw order of the training set and of the held-out set, which
@@ -195,6 +204,19 @@ class TestConfig:
         name = key.split(".")[1]
         with pytest.raises(DomainError, match=f"{name}: expected a real number in "):
             replace(cfg, **{section: replace(getattr(cfg, section), **{field: value})})
+
+    @pytest.mark.parametrize("wrap", [lambda v: np.array(v)[()], np.array],
+                             ids=["scalar", "0-d"])
+    @pytest.mark.parametrize("key", [key for key in cf._KEYS if key != "output.dir"])
+    def test_numpy_value_held_as_its_python_value(self, key, wrap):
+        # a section used to keep the numpy value it was given: a 0-d array passed the checks,
+        # then broke a run and made the section unhashable
+        section, field = _section_field(key)
+        base = getattr(cf.default_config(), section)
+        built = replace(base, **{field: wrap(DEFAULTS[key])})
+        held = getattr(built, field)
+        assert type(held) is type(DEFAULTS[key]) and held == DEFAULTS[key]
+        assert built == base and hash(built) == hash(base)
 
     def test_numpy_floats_render_as_python_floats(self):
         # numpy 2 reprs np.float64(1.0) as "np.float64(1.0)", which the parser rejects
@@ -694,6 +716,17 @@ class TestRunExperiment:
         for name in RUN_ARTIFACTS[1:]:  # config.txt names its own output.dir
             assert (runs["plain"] / name).read_bytes() == (runs["numpy"] / name).read_bytes(), name
 
+    def test_zero_dim_arrays_write_the_python_values_bytes(self, tmp_path):
+        # a 0-d seed used to fail in pretraining, a 0-d decay rate at the report
+        runs = {}
+        for name, kind in (("plain", lambda v: v), ("numpy", np.array)):
+            (tmp_path / name).mkdir()
+            cfg = tiny_config(tmp_path / name, lam=kind(0.5))
+            cfg = replace(cfg, pretrain=replace(cfg.pretrain, seed=kind(1)))
+            runs[name] = ex.run_experiment(cfg, clock=FakeClock()).outdir
+        for name in RUN_ARTIFACTS[1:]:  # config.txt names its own output.dir
+            assert (runs["plain"] / name).read_bytes() == (runs["numpy"] / name).read_bytes(), name
+
     def test_numpy_floats_write_the_widened_floats_bytes(self, tmp_path):
         # an np.float32 rate or bound used to crash the first JSON write
         runs = {}
@@ -895,6 +928,14 @@ class TestSweep:
                  "eval.seed"}
         assert {key for key in before if before[key] != after[key]} == seeds
         assert all(int(after[key]) == int(before[key]) + 3 for key in seeds)
+
+    def test_offset_of_a_narrow_numpy_seed_is_exact(self):
+        # an np.uint8 seed of 255 used to wrap to 1 under a RuntimeWarning
+        cfg = cf.default_config()
+        cfg = replace(cfg, eval=replace(cfg.eval, seed=np.uint8(255)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ex.offset_seeds(cfg, 2).eval.seed == 257
 
     def test_single_value_matches_single_run(self, tmp_path):
         cfg = tiny_config(tmp_path)

@@ -16,7 +16,7 @@ from safemax_lab import denoiser as dn
 from safemax_lab import diffusion as df
 from safemax_lab import gradcore as gc
 from safemax_lab import unlearn as ul
-from safemax_lab.harness import DatasetSpec, generate_toy_dataset
+from safemax_lab.harness.datasets import DatasetSpec, generate_toy_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
