@@ -26,6 +26,26 @@ def even(value, what: str) -> int:
     return width
 
 
+# name -> (shape, n): a weight drawn from normal(0, 1/n), or a zero bias when n is None.
+Layout = dict[str, tuple[tuple[int, ...], int | None]]
+
+
+def mlp_layout(fan_in: int, width: int, depth: int, out: int) -> Layout:
+    """Fan-in scaled ``layer{i}_w``/``layer{i}_b`` for i < depth, then ``head_w``/``head_b``."""
+    layout = {}
+    for i in range(depth):
+        layout[f"layer{i}_w"] = ((fan_in, width), fan_in)
+        layout[f"layer{i}_b"] = ((width,), None)
+        fan_in = width
+    return {**layout, "head_w": ((width, out), width), "head_b": ((out,), None)}
+
+
+def init_params(layout: Layout, rng: np.random.Generator) -> ParamStore:
+    """The layout's parameters, drawn in its order; deterministic given the rng state."""
+    return ParamStore({name: rng.standard_normal(shape) / np.sqrt(n) if n else np.zeros(shape)
+                       for name, (shape, n) in layout.items()})
+
+
 @dataclass(frozen=True)
 class DenoiserArch(Record):
     d: int = rule(gc.integer, 1)
@@ -34,6 +54,11 @@ class DenoiserArch(Record):
     hidden_depth: int = rule(gc.integer, 1)
     embed_dim: int = rule(even)
     T: int = rule(gc.integer, 1)
+
+    def layout(self) -> Layout:
+        e = self.embed_dim
+        return {"class_embed": ((self.K, e), e), "time_w": ((e, e), e), "time_b": ((e,), None),
+                **mlp_layout(self.d + 2 * e, self.hidden_width, self.hidden_depth, self.d)}
 
 
 @dataclass
@@ -67,19 +92,8 @@ def _timestep_embedding_table(T: int, embed_dim: int) -> Array:
     return table
 
 
-def init_mlp(params: ParamStore, fan_in: int, width: int, depth: int, out: int,
-             rng: np.random.Generator) -> None:
-    """Add fan-in scaled ``layer{i}_w``/``layer{i}_b`` for i < depth, then ``head_w``/``head_b``."""
-    for i in range(depth):
-        params.add(f"layer{i}_w", rng.standard_normal((fan_in, width)) / np.sqrt(fan_in))
-        params.add(f"layer{i}_b", np.zeros(width))
-        fan_in = width
-    params.add("head_w", rng.standard_normal((width, out)) / np.sqrt(width))
-    params.add("head_b", np.zeros(out))
-
-
 def mlp(h: Node, pnodes: dict[str, Node], depth: int, kind: str) -> Node:
-    """Forward pass through the layers ``init_mlp`` made, ``kind`` activation on each hidden layer."""
+    """Forward pass through an ``mlp_layout``'s layers, ``kind`` activation on each hidden layer."""
     for i in range(depth):
         h = gc.dense(h, pnodes[f"layer{i}_w"], pnodes[f"layer{i}_b"], kind)
     return gc.dense(h, pnodes["head_w"], pnodes["head_b"])
@@ -87,16 +101,10 @@ def mlp(h: Node, pnodes: dict[str, Node], depth: int, kind: str) -> Node:
 
 def init_model(d: int, K: int, hidden_width: int, hidden_depth: int,
                embed_dim: int, T: int, rng: np.random.Generator) -> DenoiserModel:
-    """Fan-in scaled normal initialization; deterministic given the rng state."""
+    """``init_params`` of the architecture's layout; deterministic given the rng state."""
     arch = DenoiserArch(d=d, K=K, hidden_width=hidden_width, hidden_depth=hidden_depth,
                         embed_dim=embed_dim, T=T)
-    e = arch.embed_dim
-    params = ParamStore()
-    params.add("class_embed", rng.standard_normal((arch.K, e)) / np.sqrt(e))
-    params.add("time_w", rng.standard_normal((e, e)) / np.sqrt(e))
-    params.add("time_b", np.zeros(e))
-    init_mlp(params, arch.d + 2 * e, arch.hidden_width, arch.hidden_depth, arch.d, rng)
-    return DenoiserModel(params=params, arch=arch)
+    return DenoiserModel(init_params(arch.layout(), rng), arch)
 
 
 def _validate_batch_inputs(arch: DenoiserArch, x_t: Array, labels: Array, t: Array) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradcore as gc
-from .denoiser import init_mlp, mlp
+from .denoiser import Layout, init_params, mlp, mlp_layout
 from .diffusion import LabeledDataset, NoiseSchedule, ancestral_sample
 from .errors import DimensionError, DomainError, EvaluatorQualityError, NumericError
 from .gradcore import Array, ParamStore, Record, Tape, rule
@@ -29,6 +29,9 @@ class ClassifierArch(Record):
     d: int = rule(gc.integer, 1)
     K: int = rule(gc.integer, 1)
     hidden_width: int = rule(gc.integer, 1)
+
+    def layout(self) -> Layout:
+        return mlp_layout(self.d, self.hidden_width, _CLASSIFIER_DEPTH, self.K)
 
 
 @dataclass
@@ -86,9 +89,7 @@ def classify(classifier: Classifier, samples: Array) -> Array:
 def init_classifier(d: int, K: int, hidden_width: int, rng: np.random.Generator) -> Classifier:
     """Two hidden relu layers with fan-in scaled normal initialization."""
     arch = ClassifierArch(d=d, K=K, hidden_width=hidden_width)
-    params = ParamStore()
-    init_mlp(params, arch.d, arch.hidden_width, _CLASSIFIER_DEPTH, arch.K, rng)
-    return Classifier(params=params, arch=arch)
+    return Classifier(init_params(arch.layout(), rng), arch)
 
 
 def _init_and_split(dataset: LabeledDataset, hidden_width: int, seed: int):

@@ -26,7 +26,7 @@ import functools
 import math
 import weakref
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -76,45 +76,24 @@ class Node:
 class ParamStore:
     """Named float64 parameters in one contiguous buffer, ``flat``.
 
-    Each name maps to a view into ``flat``, laid out in insertion order, so
-    an optimizer updates every parameter with whole-buffer operations and
-    the views see the update. Names are unique; iteration follows insertion
-    order, which is deterministic across runs that construct parameters in
-    the same sequence.
+    Built once from a name -> array mapping, with one copy: each name maps
+    to a view into ``flat``, laid out in the mapping's order, so an
+    optimizer updates every parameter with whole-buffer operations and the
+    views see the update. Iteration follows the mapping's order, which is
+    deterministic across runs that build the mapping in the same sequence.
     """
 
-    def __init__(self):
-        self.flat = np.zeros(0)
-        self._shapes: dict[str, tuple[int, ...]] = {}
+    def __init__(self, arrays: Mapping[str, Array]):
+        arrays = {name: as_array(value) for name, value in arrays.items()}
+        self.flat = np.concatenate([value.reshape(-1) for value in arrays.values()])
         self._views: dict[str, Array] = {}
-
-    def _bind_views(self) -> None:
         offset = 0
-        for name, shape in self._shapes.items():
-            size = math.prod(shape)
-            self._views[name] = self.flat[offset:offset + size].reshape(shape)
-            offset += size
-
-    def add(self, name: str, value) -> None:
-        if name in self._shapes:
-            raise ContractError(f"parameter {name!r} already exists")
-        value = as_array(value)
-        self.flat = np.concatenate([self.flat, value.reshape(-1)])
-        self._shapes[name] = value.shape
-        self._bind_views()
+        for name, value in arrays.items():
+            self._views[name] = self.flat[offset:offset + value.size].reshape(value.shape)
+            offset += value.size
 
     def __getitem__(self, name: str) -> Array:
         return self._views[name]
-
-    def __setitem__(self, name: str, value) -> None:
-        """Copy ``value`` into the parameter's view; its shape must not change."""
-        if name not in self._views:
-            raise ContractError(f"unknown parameter {name!r}")
-        value = as_array(value)
-        if value.shape != self._shapes[name]:
-            raise DimensionError(f"parameter {name!r} has shape {self._shapes[name]}, "
-                                 f"got {value.shape}")
-        self._views[name][...] = value
 
     def names(self) -> list[str]:
         return list(self._views)
@@ -123,11 +102,7 @@ class ParamStore:
         return iter(self._views.items())
 
     def copy(self) -> "ParamStore":
-        dup = ParamStore()
-        dup.flat = self.flat.copy()
-        dup._shapes = dict(self._shapes)
-        dup._bind_views()
-        return dup
+        return ParamStore(self._views)
 
 
 Gradients = dict[str, Array]

@@ -24,9 +24,9 @@ from .. import denoiser, unlearn
 from ..diffusion import LabeledDataset, NoiseSchedule
 from ..errors import CheckpointIntegrityError, CheckpointVersionError, DomainError, StageError
 from ..evaluation import (SUMMARY, Classifier, ClassifierArch, EvalReport, entropy_linkage_holds,
-                          evaluate, gate_classifier, init_classifier, sample_classes,
-                          score_samples, train_classifier)
-from ..gradcore import blas_threads, integer, one_blas_thread, one_of
+                          evaluate, gate_classifier, sample_classes, score_samples,
+                          train_classifier)
+from ..gradcore import ParamStore, blas_threads, integer, one_blas_thread, one_of
 from .checkpoints import Checkpoint, load_checkpoint, save_checkpoint, to_json, write_atomic
 from .config import (ExperimentConfig, classifier_sha256, config_sha256, pretrain_sha256,
                      render_config)
@@ -102,8 +102,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[denoiser.DenoiserModel, Noi
     ``beta_max``, under its rules) whose ``t`` is the architecture's ``T``, or
     the parameters do not fit.
     """
-    arch, params = _params_for(ckpt, denoiser.DenoiserArch,
-                               lambda arch, rng: denoiser.init_model(**asdict(arch), rng=rng))
+    arch, params = _params_for(ckpt, denoiser.DenoiserArch)
     try:
         schedule = NoiseSchedule(**ckpt.schedule)
     except (TypeError, ValueError) as exc:
@@ -113,28 +112,25 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[denoiser.DenoiserModel, Noi
     return denoiser.DenoiserModel(params=params, arch=arch), schedule
 
 
-def _params_for(ckpt: Checkpoint, arch_cls, init):
-    """The architecture ``ckpt`` declares and its parameters, checked against that architecture.
+def _params_for(ckpt: Checkpoint, arch_cls):
+    """The architecture ``ckpt`` declares and its parameters, in that architecture's layout.
 
-    ``init(arch, rng)`` builds a model of ``arch`` whose ``params`` give the
-    expected names and shapes; the checkpoint's arrays are copied into that
-    store. Raises ``CheckpointIntegrityError`` when the architecture entries
-    are unusable or the parameters do not fit them.
+    The file's names and shapes are compared with ``arch.layout()`` before any
+    array is made, and the store is built from the file's own arrays. Raises
+    ``CheckpointIntegrityError`` when the architecture entries are unusable or
+    the parameters do not fit them.
     """
     try:
         arch = arch_cls(**ckpt.arch)
-        params = init(arch, np.random.default_rng(0)).params
     except (TypeError, ValueError) as exc:
         raise CheckpointIntegrityError(f"checkpoint does not describe a {arch_cls.__name__}: "
                                        f"{exc!r}") from exc
-    expected = {name: value.shape for name, value in params.items()}
+    expected = {name: shape for name, (shape, _) in arch.layout().items()}
     found = {name: np.shape(value) for name, value in ckpt.params.items()}
     if found != expected:
         raise CheckpointIntegrityError(
             f"parameters {found} disagree with the architecture's {expected}")
-    for name in expected:
-        params[name] = ckpt.params[name]
-    return arch, params
+    return arch, ParamStore({name: ckpt.params[name] for name in expected})
 
 
 def pretrain_model(config: ExperimentConfig, train_ds: LabeledDataset,
@@ -197,9 +193,7 @@ def _ensure_classifier(config: ExperimentConfig, cache_dir: Path,
         return Checkpoint(dict(clf.params.items()), asdict(clf.arch))
 
     def use(ckpt):
-        arch, params = _params_for(
-            ckpt, ClassifierArch,
-            lambda arch, rng: init_classifier(arch.d, arch.K, arch.hidden_width, rng))
+        arch, params = _params_for(ckpt, ClassifierArch)
         clf = Classifier(params=params, arch=arch)
         gate_classifier(clf, train_ds, ev.classifier_seed)
         return clf

@@ -94,6 +94,27 @@ class TestInitModel:
         npt.assert_array_equal(model.params.flat, small_model().params.flat)
 
 
+    def test_draws_the_reference_layout_bit_for_bit(self):
+        d, K, width, depth, e = 2, 4, 128, 3, 16
+        model = dn.init_model(d, K, width, depth, e, 100, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        ref = {"class_embed": rng.standard_normal((K, e)) / np.sqrt(e),
+               "time_w": rng.standard_normal((e, e)) / np.sqrt(e),
+               "time_b": np.zeros(e)}
+        fan_in = d + 2 * e
+        for i in range(depth):
+            ref[f"layer{i}_w"] = rng.standard_normal((fan_in, width)) / np.sqrt(fan_in)
+            ref[f"layer{i}_b"] = np.zeros(width)
+            fan_in = width
+        ref["head_w"] = rng.standard_normal((width, d)) / np.sqrt(width)
+        ref["head_b"] = np.zeros(d)
+        assert model.params.names() == list(ref)
+        for name, value in ref.items():
+            assert model.params[name].tobytes() == value.tobytes(), name
+        assert model.params.flat.tobytes() == np.concatenate(
+            [value.ravel() for value in ref.values()]).tobytes()
+
+
 class TestTimestepEmbedding:
     def test_bounded_by_one(self):
         assert np.all(np.abs(dn._timestep_embedding_table(9999, 12)) <= 1.0)

@@ -89,6 +89,20 @@ class TestTrainClassifier:
         clf = ev.init_classifier(np.int64(2), np.int32(4), np.int64(8), np.random.default_rng(0))
         assert [type(v) for v in vars(clf.arch).values()] == [int] * 3
 
+    def test_draws_the_reference_layout_bit_for_bit(self):
+        d, K, width = 2, 4, 64
+        clf = ev.init_classifier(d, K, width, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        ref = {"layer0_w": rng.standard_normal((d, width)) / np.sqrt(d),
+               "layer0_b": np.zeros(width),
+               "layer1_w": rng.standard_normal((width, width)) / np.sqrt(width),
+               "layer1_b": np.zeros(width),
+               "head_w": rng.standard_normal((width, K)) / np.sqrt(width),
+               "head_b": np.zeros(K)}
+        assert clf.params.names() == list(ref)
+        for name, value in ref.items():
+            assert clf.params[name].tobytes() == value.tobytes(), name
+
     def test_gate_with_negative_seed_rejected(self, classifier, dataset):
         with pytest.raises(DomainError, match="seed must be integer >= 0"):
             ev.gate_classifier(classifier, dataset, -1)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -475,6 +476,37 @@ class TestModelFromCheckpoint:
         assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
         assert schedule.t == 10
 
+    def test_parameters_stored_in_reverse_restore_in_layout_order(self, tmp_path):
+        model, ckpt = self._saved_model(
+            tmp_path, lambda c: setattr(c, "params", dict(reversed(c.params.items()))))
+        assert list(ckpt.params) == model.params.names()[::-1]
+        loaded, _ = ex.model_from_checkpoint(ckpt)
+        assert loaded.params.names() == model.params.names()
+        assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+
+    def test_restored_model_owns_its_parameters(self, tmp_path):
+        model, ckpt = self._saved_model(tmp_path)
+        loaded, _ = ex.model_from_checkpoint(ckpt)
+        for value in ckpt.params.values():
+            value[...] = 7.0
+        assert loaded.params.flat.tobytes() == model.params.flat.tobytes()
+
+    @pytest.mark.parametrize("width", [10**12, 2048])
+    def test_declared_width_is_refused_before_any_array_of_its_size(self, tmp_path, width):
+        # the 10**12 width used to raise MemoryError: Unable to allocate 72.8 TiB; a width
+        # malloc grants used to be allocated and drawn before the shape check
+        _, ckpt = self._saved_model(tmp_path, lambda c: c.arch.update(hidden_width=width))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointIntegrityError) as exc:
+                ex.model_from_checkpoint(ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert "'layer1_w': (8, 8)" in str(exc.value)
+        assert f"'layer1_w': ({width}, {width})" in str(exc.value)
+
     @pytest.mark.parametrize("edit", [
         lambda c: c.params.update(head_b=np.zeros(3)),
         lambda c: c.params.update(extra=np.zeros(1)),
@@ -908,6 +940,19 @@ class TestRunExperiment:
         for name in RUN_ARTIFACTS:
             assert (out / name).read_bytes() == clean[name], name
 
+    def test_cached_header_of_an_absurd_width_is_rebuilt(self, tmp_path):
+        # each used to fail its stage with MemoryError: Unable to allocate ... TiB
+        cfg = tiny_config(tmp_path)
+        out = ex.run_experiment(cfg, clock=FakeClock()).outdir
+        clean = {name: (out / name).read_bytes() for name in RUN_ARTIFACTS}
+        for cached_name in ("pretrained.ckpt", "classifier.ckpt"):
+            cached = ck.load_checkpoint(out / cached_name)
+            cached.arch["hidden_width"] = 10**12
+            ck.save_checkpoint(out / cached_name, cached)
+            ex.run_experiment(cfg, clock=FakeClock())
+            for name in RUN_ARTIFACTS:
+                assert (out / name).read_bytes() == clean[name], (cached_name, name)
+
     def test_relabel_method(self, tmp_path):
         cfg = tiny_config(tmp_path)
         result = ex.run_experiment(cfg, method="relabel", clock=FakeClock())
@@ -1123,15 +1168,20 @@ class TestCli:
 
     @pytest.mark.parametrize("damage, named", [
         ("flip", "CheckpointIntegrityError"), ("version", "CheckpointVersionError"),
-    ], ids=["corrupt", "wrong_version"])
+        ("wide", "CheckpointIntegrityError: parameters"),
+    ], ids=["corrupt", "wrong_version", "absurd_width"])
     def test_sample_on_unloadable_checkpoint_exits_1(self, tmp_path, capsys, monkeypatch,
                                                      damage, named):
+        # the absurd width used to end in a MemoryError traceback
         from safemax_lab.harness.cli import main
         path = tmp_path / "model.ckpt"
+        ckpt = _dummy_checkpoint()
+        if damage == "wide":
+            ckpt.arch["hidden_width"] = 10**12
         with monkeypatch.context() as m:
             if damage == "version":
                 m.setattr(ck, "FORMAT_VERSION", 99)
-            ck.save_checkpoint(path, _dummy_checkpoint())
+            ck.save_checkpoint(path, ckpt)
         if damage == "flip":
             blob = bytearray(path.read_bytes())
             blob[-1] ^= 0xFF
