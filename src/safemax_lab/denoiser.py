@@ -142,6 +142,14 @@ def predict_eps(model: DenoiserModel, x_t: Array, labels: Array, t: Array,
     return denoiser_forward(tape, pnodes, model.arch, x_t, labels, t).value.copy()
 
 
+def class_predictor(model: DenoiserModel, c: int):
+    """Class ``c``'s noise predictor ``eps_hat(x_t, t)`` for one ``ancestral_sample`` chain: its
+    ``predict_eps`` calls share one gradient-free tape. ``DomainError`` for a ``c`` outside the
+    model's K classes under ``gradcore.integer``."""
+    c, tape = gc.integer(c, "class", 0, model.arch.K), Tape(grad=False)
+    return lambda x_t, t: predict_eps(model, x_t, np.full(len(x_t), c), np.full(len(x_t), t), tape)
+
+
 # A row group: (x_t, condition labels, t, regression target, row weights or None for 1).
 Group = tuple[Array, Array, Array, Array, Array | None]
 

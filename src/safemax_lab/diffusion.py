@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSampleError, DimensionError, DomainError, NumericError
-from .gradcore import Array, Record, Tape, as_array, indices, integer, real, rule
+from .gradcore import Array, Record, as_array, indices, integer, real, rule
 
 LOG_2PI_E = float(np.log(2.0 * np.pi * np.e))
 
@@ -127,33 +127,22 @@ def sample_latent_batch(dataset: LabeledDataset, schedule: NoiseSchedule,
     return LatentBatch(_forward_sample_rows(x0, t, schedule, eps), dataset.labels[rows], t, eps)
 
 
-def ancestral_sample(model, c: int, schedule: NoiseSchedule, n: int,
+def ancestral_sample(eps_hat, d: int, schedule: NoiseSchedule, n: int,
                      rng: np.random.Generator) -> Array:
-    """Generate n samples of class c by running the reverse chain.
+    """Generate n samples in d dimensions by running the reverse chain of the
+    noise predictor ``eps_hat(x_t, t)``, called once per step ``t`` on all rows.
 
     Starts from standard normal noise and iterates
     ``x_{t-1} = (x_t - ((1 - a_t)/sqrt(1 - abar_t)) * eps_hat) / sqrt(a_t) + sigma_t z``
-    with ``sigma_t^2 = beta_t`` and no noise at the final step. The t
-    forward passes share one gradient-free tape, so they share its buffers.
-    ``DomainError`` for a ``c`` outside the model's K classes or an ``n`` below 0, both
-    under ``gradcore.integer``.
+    with ``sigma_t^2 = beta_t`` and no noise at the final step.
+    ``DomainError`` for an ``n`` below 0 under ``gradcore.integer``.
     """
-    from .denoiser import predict_eps
-
-    integer(c, "class", 0, model.arch.K)
     integer(n, "n")
-    d = model.arch.d
-    if n == 0:
-        return np.zeros((0, d))
     x = rng.standard_normal((n, d))
-    labels = np.full(n, c, dtype=np.int64)
-    tape = Tape(grad=False)
     for t in range(schedule.t, 0, -1):
-        steps = np.full(n, t, dtype=np.int64)
-        eps_hat = predict_eps(model, x, labels, steps, tape)
         a_t = schedule.alpha[t - 1]
         abar_t = schedule.alpha_bar[t - 1]
-        x = (x - ((1.0 - a_t) / np.sqrt(1.0 - abar_t)) * eps_hat) / np.sqrt(a_t)
+        x = (x - ((1.0 - a_t) / np.sqrt(1.0 - abar_t)) * eps_hat(x, t)) / np.sqrt(a_t)
         if t > 1:
             x = x + np.sqrt(schedule.beta[t - 1]) * rng.standard_normal((n, d))
         if not np.all(np.isfinite(x)):

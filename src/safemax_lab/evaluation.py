@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradcore as gc
-from .denoiser import Layout, init_params, mlp, mlp_layout
+from .denoiser import Layout, class_predictor, init_params, mlp, mlp_layout
 from .diffusion import LabeledDataset, NoiseSchedule, ancestral_sample
 from .errors import DimensionError, DomainError, EvaluatorQualityError, NumericError
 from .gradcore import Array, ParamStore, Record, Tape, rule
@@ -261,7 +261,8 @@ def sample_classes(model, schedule: NoiseSchedule, k: int, n_samples: int,
         rng.standard_normal((schedule.t, n_samples, model.arch.d))
 
     def run(c, chain_rng, context):  # finds ancestral_sample per call, so a patched binding applies
-        return context.run(ancestral_sample, model, c, schedule, n_samples, chain_rng)
+        return context.run(ancestral_sample, class_predictor(model, c), model.arch.d, schedule,
+                           n_samples, chain_rng)
 
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     with gc.one_blas_thread(), ThreadPoolExecutor(cores) as pool:  # starts at most k threads

@@ -108,7 +108,7 @@ def load_checkpoint(path) -> Checkpoint:
     header_len = struct.unpack("<Q", reader.take(8))[0]
     try:
         header = json.loads(reader.take(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointIntegrityError(f"unreadable header: {exc}") from exc
     _check_header(header)
     params: dict[str, Array] = {}

@@ -12,15 +12,16 @@ from pathlib import Path
 import numpy as np
 
 from .. import unlearn
+from ..denoiser import class_predictor
 from ..diffusion import ancestral_sample
 from ..errors import (CheckpointIntegrityError, CheckpointVersionError, ConfigError, DomainError,
-                      StageError)
+                      NumericError, StageError)
 from ..evaluation import SUMMARY
 from ..gradcore import integer
 from .checkpoints import load_checkpoint
 from .config import ExperimentConfig, default_config, parse_config
 from .experiment import (build_world, ensure_pretrained, model_from_checkpoint,
-                         resolve_outdir, run_experiment, sweep, _ensure_dir)
+                         resolve_outdir, run_experiment, sweep, _ensure_dir, _stage)
 from .plots import render_scatter
 
 
@@ -37,7 +38,9 @@ def _cmd_train(args) -> int:
     config = _load_config(args.config)
     outdir = _ensure_dir(resolve_outdir(config))
     train_ds, _, schedule = build_world(config)
-    ensure_pretrained(config, outdir, train_ds, schedule)
+    (outdir / "status.json").unlink(missing_ok=True)  # a failure record of an earlier run
+    with _stage("pretrain", outdir):
+        ensure_pretrained(config, outdir, train_ds, schedule)
     print(f"pretrained checkpoint ready at {outdir / 'pretrained.ckpt'}")
     return 0
 
@@ -54,7 +57,8 @@ def _cmd_unlearn(args) -> int:
 def _cmd_sample(args) -> int:
     rng = np.random.default_rng(integer(args.seed, "--seed"))
     model, schedule = model_from_checkpoint(load_checkpoint(args.checkpoint))
-    samples = ancestral_sample(model, args.class_id, schedule, args.n, rng)
+    samples = ancestral_sample(class_predictor(model, args.class_id), model.arch.d, schedule,
+                               args.n, rng)
     render_scatter({args.class_id: samples}, args.out,
                    title=f"class {args.class_id} samples")
     print(f"wrote {args.n} samples of class {args.class_id} to {args.out}")
@@ -143,7 +147,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"invalid value: {exc}", file=sys.stderr)
         return 2
-    except (OSError, CheckpointIntegrityError, CheckpointVersionError, StageError) as exc:
+    except (OSError, CheckpointIntegrityError, CheckpointVersionError, NumericError,
+            StageError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

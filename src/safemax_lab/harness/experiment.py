@@ -99,13 +99,13 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[denoiser.DenoiserModel, Noi
 
     Raises ``CheckpointIntegrityError`` when the architecture is unusable, the
     schedule header is not a ``NoiseSchedule`` (exactly ``t``, ``beta_min`` and
-    ``beta_max``, under its rules) whose ``t`` is the architecture's ``T``, or
-    the parameters do not fit.
+    ``beta_max``, under its rules, with tables that can be allocated) whose ``t``
+    is the architecture's ``T``, or the parameters do not fit.
     """
     arch, params = _params_for(ckpt, denoiser.DenoiserArch)
     try:
         schedule = NoiseSchedule(**ckpt.schedule)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MemoryError) as exc:
         raise CheckpointIntegrityError(f"checkpoint has no usable schedule: {exc!r}") from exc
     if schedule.t != arch.T:
         raise CheckpointIntegrityError(f"schedule t={schedule.t} is not arch T={arch.T}")

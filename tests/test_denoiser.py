@@ -25,6 +25,11 @@ def fresh_eps(model, x, labels, t):
     return dn.predict_eps(model, x, labels, t, gc.Tape(grad=False))
 
 
+def class_chain(model, c, schedule, n, rng):
+    """``n`` ancestral samples of class ``c`` through the model's class predictor."""
+    return df.ancestral_sample(dn.class_predictor(model, c), model.arch.d, schedule, n, rng)
+
+
 @pytest.fixture(scope="module")
 def schedule():
     return df.NoiseSchedule(20, 1e-3, 0.2)
@@ -248,6 +253,74 @@ class TestPredictEps:
             fresh_eps(small_model(0), np.zeros((2, 2)), labels, t)
 
 
+class TestClassPredictor:
+    """``class_predictor`` holds the class rule and the tape of one reverse chain."""
+
+    def test_class_out_of_range(self):
+        with pytest.raises(DomainError, match=r"class must be integer in \[0, 4\)"):
+            dn.class_predictor(small_model(), 4)
+
+    @pytest.mark.parametrize("c", [1.5, True], ids=["float", "bool"])
+    def test_non_integer_class_rejected_not_truncated(self, c):
+        # both used to sample class 1
+        with pytest.raises(DomainError, match="integer"):
+            dn.class_predictor(small_model(), c)
+
+    def test_list_class_rejected_before_any_draw(self, schedule):
+        # a one-entry class list used to return that class's samples
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match=r"^class must be a single integer, got \[1\]"):
+            class_chain(small_model(), [1], schedule, 5, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_numpy_integer_class_keeps_the_bits(self, schedule):
+        model = small_model()
+        got = class_chain(model, np.int64(1), schedule, 5, np.random.default_rng(0))
+        expected = class_chain(model, 1, schedule, 5, np.random.default_rng(0))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_predicts_the_class_at_the_step_for_every_row(self):
+        model = small_model(2)
+        x = np.random.default_rng(3).standard_normal((6, 2))
+        got = dn.class_predictor(model, 3)(x, 7)
+        assert got.tobytes() == fresh_eps(model, x, np.full(6, 3), np.full(6, 7)).tobytes()
+
+    @staticmethod
+    def _reference_chain(model, c, schedule, n, rng):
+        """The reverse chain with a fresh gradient-free tape for every forward pass."""
+        x = rng.standard_normal((n, model.arch.d))
+        labels = np.full(n, c, dtype=np.int64)
+        for t in range(schedule.t, 0, -1):
+            eps_hat = fresh_eps(model, x, labels, np.full(n, t, dtype=np.int64))
+            a_t = schedule.alpha[t - 1]
+            abar_t = schedule.alpha_bar[t - 1]
+            x = (x - ((1.0 - a_t) / np.sqrt(1.0 - abar_t)) * eps_hat) / np.sqrt(a_t)
+            if t > 1:
+                x = x + np.sqrt(schedule.beta[t - 1]) * rng.standard_normal(x.shape)
+        return x
+
+    @pytest.mark.parametrize("n", [500, 7])
+    def test_one_tape_per_chain_matches_the_reference_chain(self, monkeypatch, n):
+        model = dn.init_model(2, 4, 32, 2, 8, 20, np.random.default_rng(n))
+        sched = df.NoiseSchedule(20, 1e-3, 0.2)
+        expected = [self._reference_chain(model, c, sched, n, np.random.default_rng(c))
+                    for c in (0, 3)]
+        tapes = []
+        forward = dn.denoiser_forward
+
+        def recording(tape, *args):
+            tapes.append(tape)
+            return forward(tape, *args)
+
+        monkeypatch.setattr(dn, "denoiser_forward", recording)
+        for c, reference in zip((0, 3), expected):
+            got = class_chain(model, c, sched, n, np.random.default_rng(c))
+            assert got.tobytes() == reference.tobytes()
+        chains = [tapes[:sched.t], tapes[sched.t:]]
+        assert all(tape is chain[0] and not tape.grad for chain in chains for tape in chain)
+        assert chains[0][0] is not chains[1][0]
+
+
 class TestTrainStep:
     def test_loss_non_negative(self, dataset, schedule):
         model = small_model(1)
@@ -404,7 +477,7 @@ class TestTrainedGeneration:
         model, ds, sched = trained_two_class
         n = 2000
         for c in range(2):
-            samples = df.ancestral_sample(model, c, sched, n, np.random.default_rng(9))
+            samples = class_chain(model, c, sched, n, np.random.default_rng(9))
             data_mean = ds.points[ds.class_indices(c)].mean(axis=0)
             assert np.all(np.abs(samples.mean(axis=0) - data_mean) < 0.1)
 
@@ -414,7 +487,7 @@ class TestTrainedGeneration:
         n = 2000
         means, ses = [], []
         for c in range(2):
-            samples = df.ancestral_sample(model, c, sched, n, np.random.default_rng(9))
+            samples = class_chain(model, c, sched, n, np.random.default_rng(9))
             means.append(samples.mean(axis=0))
             ses.append(np.linalg.norm(samples.std(axis=0, ddof=1)) / np.sqrt(n))
         distance = np.linalg.norm(means[0] - means[1])

@@ -10,13 +10,18 @@ from hypothesis import strategies as st
 
 from safemax_lab import evaluation as ev
 from safemax_lab import gradcore as gc
-from safemax_lab.denoiser import init_model
+from safemax_lab.denoiser import class_predictor, init_model
 from safemax_lab.diffusion import LabeledDataset, NoiseSchedule, ancestral_sample
 from safemax_lab.errors import DomainError, EvaluatorQualityError, NumericError
 from safemax_lab.harness.datasets import DatasetSpec, generate_toy_dataset
 
 
 needs_openblas = pytest.mark.skipif(gc.blas_threads() is None, reason="no OpenBLAS loaded")
+
+
+def class_chain(model, c, schedule, n, rng):
+    """``n`` ancestral samples of class ``c`` through the model's class predictor."""
+    return ancestral_sample(class_predictor(model, c), model.arch.d, schedule, n, rng)
 
 
 @pytest.fixture(scope="module")
@@ -352,7 +357,7 @@ class TestSampleClasses:
     def _check_bits_of_chains_in_turn(self, model, schedule, chains):
         rng, expected_rng = np.random.default_rng(8), np.random.default_rng(8)
         got = ev.sample_classes(model, schedule, self.K, self.N, rng)
-        expected = {c: ancestral_sample(model, c, schedule, self.N, expected_rng)
+        expected = {c: class_chain(model, c, schedule, self.N, expected_rng)
                     for c in range(self.K)}
         assert list(got) == list(range(self.K))
         for c in range(self.K):
@@ -385,7 +390,7 @@ class TestSampleClasses:
             sys.setswitchinterval(interval)
         rng = np.random.default_rng(1)
         for c in range(8):
-            assert got[c].tobytes() == ancestral_sample(model, c, schedule, 32, rng).tobytes()
+            assert got[c].tobytes() == class_chain(model, c, schedule, 32, rng).tobytes()
 
     @needs_openblas
     def test_chains_run_on_one_blas_thread_and_restore_the_count(self, model, schedule, chains):
@@ -406,7 +411,7 @@ class TestSampleClasses:
             with pytest.raises(NumericError) as direct:
                 rng = np.random.default_rng(0)
                 for c in range(self.K):
-                    ancestral_sample(overflowing, c, schedule, self.N, rng)
+                    class_chain(overflowing, c, schedule, self.N, rng)
             with pytest.raises(NumericError, match=r"reverse step t=\d+") as pooled:
                 ev.sample_classes(overflowing, schedule, self.K, self.N,
                                   np.random.default_rng(0))
@@ -415,10 +420,14 @@ class TestSampleClasses:
     def test_chains_keep_the_callers_numpy_error_state(self, overflowing, schedule):
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):
-                ancestral_sample(overflowing, 2, schedule, self.N, np.random.default_rng(0))
+                class_chain(overflowing, 2, schedule, self.N, np.random.default_rng(0))
             with pytest.raises(FloatingPointError, match="overflow"):
                 ev.sample_classes(overflowing, schedule, self.K, self.N,
                                   np.random.default_rng(0))
+
+    def test_a_class_the_model_lacks_raises_the_class_rule(self, model, schedule):
+        with pytest.raises(DomainError, match=r"class must be integer in \[0, 4\)"):
+            ev.sample_classes(model, schedule, self.K + 1, self.N, np.random.default_rng(0))
 
     @pytest.mark.parametrize("n", [0, 2.5, True], ids=["zero", "float", "bool"])
     def test_rejects_a_bad_sample_count_before_any_draw(self, model, schedule, n):

@@ -418,6 +418,15 @@ class TestCheckpoints:
         with pytest.raises(CheckpointIntegrityError):
             ck.load_checkpoint(path)
 
+    @pytest.mark.parametrize("depth, named", [(500, "header is not a JSON object"),
+                                              (5000, "unreadable header")])
+    def test_deeply_nested_header_raises_integrity_error(self, tmp_path, depth, named):
+        # 5,000 deep used to raise RecursionError
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(_deep_header(depth))
+        with pytest.raises(CheckpointIntegrityError, match=named):
+            ck.load_checkpoint(path)
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_any_byte_flip_or_truncation_raises_a_checkpoint_error(self, saved_checkpoint, data):
@@ -454,6 +463,16 @@ def _rewrite_header(path, edit) -> None:
     payload = (payload[:start] + struct.pack("<Q", len(header_bytes)) + header_bytes
                + payload[start + 8 + header_len:])
     path.write_bytes(payload + hashlib.sha256(payload).digest())
+
+
+def _deep_header(depth: int = 5000) -> bytes:
+    """A checksummed checkpoint of no parameters whose header nests ``depth`` JSON lists."""
+    import struct
+
+    header = b"[" * depth + b"]" * depth
+    payload = (ck.MAGIC + struct.pack("<I", ck.FORMAT_VERSION) + struct.pack("<Q", len(header))
+               + header)
+    return payload + hashlib.sha256(payload).digest()
 
 
 class TestModelFromCheckpoint:
@@ -530,12 +549,14 @@ class TestModelFromCheckpoint:
         lambda c: c.schedule.update(t=True),
         lambda c: c.schedule.update(beta_min=None),
         lambda c: c.arch.update(hidden_width=[8]),
+        # used to raise MemoryError: Unable to allocate 7.28 TiB for the schedule's tables
+        lambda c: c.arch.update(T=10**12) or c.schedule.update(t=10**12),
     ], ids=["wrong_shape", "extra_name", "missing_name", "renamed", "arch_width",
             "arch_missing_key", "arch_not_int", "schedule_missing_key", "schedule_t_5",
             "arch_T_true", "arch_K_str", "arch_depth_float", "schedule_betas_str",
             "schedule_beta_bool", "schedule_extra_key", "schedule_t_float",
             "schedule_betas_reversed", "schedule_t_list", "schedule_t_none",
-            "schedule_t_true", "schedule_beta_none", "arch_width_list"])
+            "schedule_t_true", "schedule_beta_none", "arch_width_list", "schedule_t_1e12"])
     def test_mismatch_raises_integrity_error(self, tmp_path, edit):
         _, ckpt = self._saved_model(tmp_path, edit)
         with pytest.raises(CheckpointIntegrityError):
@@ -664,6 +685,18 @@ def count_calls(monkeypatch, owner, name: str) -> list:
     return calls
 
 
+def count_predictions(monkeypatch) -> list:
+    """Record the step of every noise prediction of every chain ``evaluation`` samples."""
+    steps = []
+    chain = ev.ancestral_sample
+
+    def counting(eps_hat, *args):
+        return chain(lambda x_t, t: steps.append(t) or eps_hat(x_t, t), *args)
+
+    monkeypatch.setattr(ev, "ancestral_sample", counting)
+    return steps
+
+
 RUN_ARTIFACTS = ("config.txt", "metrics.csv", "report.json", "unlearn_log.csv",
                  "samples_pretrained.svg", "samples_unlearned.svg", "pretrained.ckpt",
                  "unlearned.ckpt", "classifier.ckpt", "samples_pretrained.ckpt")
@@ -680,7 +713,7 @@ class FakeClock:
 
 class TestRunExperiment:
     def test_pipeline_produces_all_artifacts(self, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, dn, "predict_eps")
+        calls = count_predictions(monkeypatch)
         cfg = tiny_config(tmp_path)
         result = ex.run_experiment(cfg, clock=FakeClock())
         # one reverse chain per class per evaluated model; the plots reuse them
@@ -857,7 +890,7 @@ class TestRunExperiment:
             assert (out / name).read_bytes() == clean[name], name
 
     def test_second_run_reuses_classifier_and_pretrained_samples(self, tmp_path, monkeypatch):
-        eps_calls = count_calls(monkeypatch, dn, "predict_eps")
+        eps_calls = count_predictions(monkeypatch)
         clf_calls = count_calls(monkeypatch, ex, "train_classifier")
         linkage_calls = count_calls(monkeypatch, ex, "entropy_linkage_holds")
         shared = tmp_path / "shared"
@@ -880,7 +913,7 @@ class TestRunExperiment:
     def test_each_cache_is_invalidated_only_by_its_own_keys(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path)
         ex.run_experiment(cfg, clock=FakeClock())
-        eps_calls = count_calls(monkeypatch, dn, "predict_eps")
+        eps_calls = count_predictions(monkeypatch)
         clf_calls = count_calls(monkeypatch, ex, "train_classifier")
         chains = cfg.dataset.k * cfg.schedule.t
         cfg = replace(cfg, eval=replace(cfg.eval, seed=cfg.eval.seed + 1))
@@ -952,6 +985,24 @@ class TestRunExperiment:
             ex.run_experiment(cfg, clock=FakeClock())
             for name in RUN_ARTIFACTS:
                 assert (out / name).read_bytes() == clean[name], (cached_name, name)
+
+    @pytest.mark.parametrize("damage", ["deep_header", "huge_schedule"])
+    def test_cached_pretrained_checkpoint_that_cannot_be_restored_is_rebuilt(self, tmp_path,
+                                                                             damage):
+        # each used to fail stage 'pretrain' (RecursionError, MemoryError)
+        cfg = tiny_config(tmp_path)
+        out = ex.run_experiment(cfg, clock=FakeClock()).outdir
+        clean = {name: (out / name).read_bytes() for name in RUN_ARTIFACTS}
+        path = out / "pretrained.ckpt"
+        if damage == "deep_header":
+            path.write_bytes(_deep_header())
+        else:
+            cached = ck.load_checkpoint(path)
+            cached.arch["T"] = cached.schedule["t"] = 10**12
+            ck.save_checkpoint(path, cached)
+        ex.run_experiment(cfg, clock=FakeClock())
+        for name in RUN_ARTIFACTS:
+            assert (out / name).read_bytes() == clean[name], name
 
     def test_relabel_method(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -1169,10 +1220,13 @@ class TestCli:
     @pytest.mark.parametrize("damage, named", [
         ("flip", "CheckpointIntegrityError"), ("version", "CheckpointVersionError"),
         ("wide", "CheckpointIntegrityError: parameters"),
-    ], ids=["corrupt", "wrong_version", "absurd_width"])
+        ("deep", "CheckpointIntegrityError: unreadable header"),
+        ("long", "CheckpointIntegrityError: checkpoint has no usable schedule"),
+    ], ids=["corrupt", "wrong_version", "absurd_width", "deep_header", "huge_schedule"])
     def test_sample_on_unloadable_checkpoint_exits_1(self, tmp_path, capsys, monkeypatch,
                                                      damage, named):
-        # the absurd width used to end in a MemoryError traceback
+        # the absurd width and the huge schedule used to end in a MemoryError traceback,
+        # the deep header in a RecursionError one
         from safemax_lab.harness.cli import main
         path = tmp_path / "model.ckpt"
         ckpt = _dummy_checkpoint()
@@ -1186,10 +1240,59 @@ class TestCli:
             blob = bytearray(path.read_bytes())
             blob[-1] ^= 0xFF
             path.write_bytes(bytes(blob))
+        elif damage == "deep":
+            path.write_bytes(_deep_header())
+        elif damage == "long":
+            TestModelFromCheckpoint._saved_model(
+                tmp_path, lambda c: c.arch.update(T=10**12) or c.schedule.update(t=10**12))
         out_svg = tmp_path / "samples.svg"
         assert main(["sample", str(path), "--class", "0", "--out", str(out_svg)]) == 1
         self._assert_one_error_line(capsys, named)
         assert not out_svg.exists()
+
+    def test_sample_of_no_rows_writes_an_svg(self, tmp_path, capsys):
+        from safemax_lab.harness.cli import main
+        TestModelFromCheckpoint._saved_model(tmp_path)
+        out_svg = tmp_path / "empty.svg"
+        assert main(["sample", str(tmp_path / "model.ckpt"), "--class", "3", "--n", "0",
+                     "--out", str(out_svg)]) == 0
+        assert "wrote 0 samples of class 3" in capsys.readouterr().out
+        assert out_svg.read_text().startswith("<svg")
+
+    def test_sample_that_overflows_exits_1_naming_its_step(self, tmp_path, capsys):
+        # used to end in a NumericError traceback
+        from safemax_lab.harness.cli import main
+        TestModelFromCheckpoint._saved_model(
+            tmp_path, lambda c: c.params["class_embed"].__setitem__(0, 1e308))
+        out_svg = tmp_path / "samples.svg"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["sample", str(tmp_path / "model.ckpt"), "--class", "0",
+                       "--out", str(out_svg)])
+        assert rc == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert re.fullmatch(r"NumericError: non-finite latent at reverse step t=\d+", last)
+        assert not out_svg.exists()
+
+    def test_train_whose_loss_overflows_exits_1_naming_the_stage(self, tmp_path, capsys):
+        # used to end in a NumericError traceback; `unlearn` already exited 1
+        from safemax_lab.harness.cli import main
+        cfg = tiny_config(tmp_path)
+        cfg = replace(cfg, pretrain=replace(cfg.pretrain, learning_rate=1e6))
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(cf.render_config(cfg), encoding="utf-8")
+        for command in ("train", "unlearn"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main([command, str(cfg_path)]) == 1
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert last == ("StageError: stage 'pretrain' failed: "
+                            "non-finite training loss (at step 2)"), command
+            assert not (Path(cfg.output_dir) / "pretrained.ckpt").exists()
+            status = json.loads((Path(cfg.output_dir) / "status.json").read_text())
+            assert status["stage"] == "pretrain"
+        # a train that succeeds clears the failure record
+        cfg_path.write_text(cf.render_config(tiny_config(tmp_path)), encoding="utf-8")
+        assert main(["train", str(cfg_path)]) == 0
+        assert not (Path(cfg.output_dir) / "status.json").exists()
 
     def test_output_dir_without_parent_exits_1(self, tmp_path, capsys):
         from safemax_lab.harness.cli import main
