@@ -15,13 +15,13 @@ LOG_2PI_E = float(np.log(2.0 * np.pi * np.e))
 
 @dataclass(frozen=True)
 class NoiseSchedule(Record):
-    """A linear beta schedule over steps 1..t: ``t >= 1`` under ``gradcore.integer``, and
+    """A linear beta schedule over steps 1..t: ``t`` in [1, 10_000] under ``gradcore.integer``, and
     ``beta_min`` in (0, 1) and ``beta_max`` in [beta_min, 1) under ``gradcore.real``, else
     ``DomainError``. Its read-only float64 tables ``beta``, ``alpha = 1 - beta`` and their
     running product ``alpha_bar``, position ``s - 1`` for step ``s``, are attributes, not
     fields, so ``asdict`` gives only the three header values."""
 
-    t: int = rule(integer, 1)
+    t: int = rule(integer, 1, 10_001)  # 100x the default; bounds the tables a header can ask for
     beta_min: float = rule(real, above=0.0, below=1.0)
     beta_max: float = rule(real, above=0.0, below=1.0)
 

@@ -248,11 +248,11 @@ def sample_classes(model, schedule: NoiseSchedule, k: int, n_samples: int,
                    rng: np.random.Generator) -> dict[int, Array]:
     """``n_samples`` ancestral samples per class, classes in order from one ``rng``.
 
-    The chains run on a thread per usable core, OpenBLAS on one, each in a
-    copy of the caller's context (numpy's error state) and from a copy of
-    ``rng`` taken where its draws begin. A bulk draw of the same length moves
-    ``rng`` past them, so every bit, ``rng``'s too, is as if the classes ran
-    in turn. The first failing class raises.
+    The chains run on a thread per usable core, each in a copy of the caller's
+    context (numpy's error state) and from a copy of ``rng`` taken where its
+    draws begin. A bulk draw of the same length moves ``rng`` past them, so
+    every bit, ``rng``'s too, is as if the classes ran in turn. The first
+    failing class raises.
     """
     gc.integer(n_samples, "n_samples", 1)
     chains = []
@@ -265,7 +265,7 @@ def sample_classes(model, schedule: NoiseSchedule, k: int, n_samples: int,
                            n_samples, chain_rng)
 
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    with gc.one_blas_thread(), ThreadPoolExecutor(cores) as pool:  # starts at most k threads
+    with ThreadPoolExecutor(cores) as pool:  # starts at most k threads
         return dict(zip(range(k), pool.map(run, *zip(*chains))))
 
 

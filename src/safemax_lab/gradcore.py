@@ -15,7 +15,13 @@ All math is 64-bit. The only broadcast is ``dense``'s bias row; every
 other op demands exact shape agreement, which keeps the gradient
 code small enough to verify by finite differences.
 
-``fit`` is the one training loop: momentum SGD, on one OpenBLAS thread.
+``fit`` is the one training loop: momentum SGD.
+
+Importing this module sets a loaded OpenBLAS to one thread, once, for the
+whole process: the lab's products are small (a 128-row training batch, a
+500-row chain), and a second thread gains them little or no wall time while
+it spins a core. Nothing restores the count; a caller that wants more threads
+for its own work sets them itself.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ import dataclasses
 import functools
 import math
 import weakref
-from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -573,7 +578,7 @@ class SGD:
 
 @functools.cache
 def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The loaded OpenBLAS's get- and set-threads functions, found on first use; None without one."""
+    """The loaded OpenBLAS's get- and set-threads functions, found once; None without one."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             paths = sorted({line.split()[-1] for line in maps if "blas" in line.lower()})
@@ -600,37 +605,20 @@ def blas_threads() -> int | None:
     return None if fns is None else fns[0]()
 
 
-@contextmanager
-def one_blas_thread() -> Iterator[None]:
-    """Run the block with OpenBLAS on one thread, then restore its count; without one, do nothing.
-
-    Training products of 128 rows or fewer gain no wall time from a second
-    thread, which spins a core for the whole loop. The count is process-wide.
-    """
-    fns = _openblas()
-    if fns is None:
-        yield
-        return
-    get, put = fns
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
+if _openblas() is not None:  # the lab's one thread count, set once (see the module docstring)
+    _openblas()[1](1)
 
 
 def fit(steps: int, learning_rate: float, step: Callable[[SGD], object]) -> list:
-    """Call ``step(optimizer)`` ``steps`` times on one momentum ``SGD`` inside ``one_blas_thread``;
-    returns the results in order. A ``NumericError`` is re-raised naming its step."""
+    """Call ``step(optimizer)`` ``steps`` times on one momentum ``SGD``; returns the results in
+    order. A ``NumericError`` is re-raised naming its step."""
     optimizer = SGD(learning_rate)
     results = []
-    with one_blas_thread():
-        for i in range(integer(steps, "steps")):
-            try:
-                results.append(step(optimizer))
-            except NumericError as exc:
-                raise NumericError(f"{exc} (at step {i})") from exc
+    for i in range(integer(steps, "steps")):
+        try:
+            results.append(step(optimizer))
+        except NumericError as exc:
+            raise NumericError(f"{exc} (at step {i})") from exc
     return results
 
 

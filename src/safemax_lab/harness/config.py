@@ -88,7 +88,8 @@ def _value(config: ExperimentConfig, key: str):
     return getattr(config if section is None else getattr(config, section), attr)
 
 
-_KINDS = {key: type(_value(default_config(), key)) for key in _KEYS}  # int, float or str
+_DEFAULT = default_config()
+_KINDS = {key: type(_value(_DEFAULT, key)) for key in _KEYS}  # int, float or str
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -26,7 +26,7 @@ from ..errors import CheckpointIntegrityError, CheckpointVersionError, DomainErr
 from ..evaluation import (SUMMARY, Classifier, ClassifierArch, EvalReport, entropy_linkage_holds,
                           evaluate, gate_classifier, sample_classes, score_samples,
                           train_classifier)
-from ..gradcore import ParamStore, blas_threads, integer, one_blas_thread, one_of
+from ..gradcore import ParamStore, blas_threads, integer, one_of
 from .checkpoints import Checkpoint, load_checkpoint, save_checkpoint, to_json, write_atomic
 from .config import (ExperimentConfig, classifier_sha256, config_sha256, pretrain_sha256,
                      render_config)
@@ -99,13 +99,13 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[denoiser.DenoiserModel, Noi
 
     Raises ``CheckpointIntegrityError`` when the architecture is unusable, the
     schedule header is not a ``NoiseSchedule`` (exactly ``t``, ``beta_min`` and
-    ``beta_max``, under its rules, with tables that can be allocated) whose ``t``
-    is the architecture's ``T``, or the parameters do not fit.
+    ``beta_max``, under its rules) whose ``t`` is the architecture's ``T``, or the
+    parameters do not fit.
     """
     arch, params = _params_for(ckpt, denoiser.DenoiserArch)
     try:
         schedule = NoiseSchedule(**ckpt.schedule)
-    except (TypeError, ValueError, MemoryError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointIntegrityError(f"checkpoint has no usable schedule: {exc!r}") from exc
     if schedule.t != arch.T:
         raise CheckpointIntegrityError(f"schedule t={schedule.t} is not arch T={arch.T}")
@@ -226,13 +226,10 @@ def _score_pretrained(config: ExperimentConfig, cache_dir: Path, model: denoiser
 
 
 def _environment() -> dict:
-    """The Python, numpy and BLAS a run used, and BLAS's default and training thread counts."""
+    """The Python, numpy and BLAS a run used, and BLAS's thread count."""
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
-    with one_blas_thread():
-        training = blas_threads()
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}",
-            "blas_threads_default": blas_threads(), "blas_threads_training": training}
+            "blas": f"{blas.get('name')} {blas.get('version')}", "blas_threads": blas_threads()}
 
 
 def _fmt(value) -> str:

@@ -28,10 +28,10 @@ class TestNoiseSchedule:
         with pytest.raises(DomainError):
             df.NoiseSchedule(10, 0.0, 0.5)
 
-    @pytest.mark.parametrize("T", [0, True, 10.0], ids=["zero", "bool", "float"])
+    @pytest.mark.parametrize("T", [0, True, 10.0, 10_001], ids=["zero", "bool", "float", "long"])
     def test_bad_horizon_rejected(self, T):
-        # a bool used to build a one-step schedule
-        with pytest.raises(DomainError, match="t must be integer >= 1"):
+        # a bool used to build a one-step schedule, and a horizon of 10**9 24 GB of tables
+        with pytest.raises(DomainError, match=r"t must be integer in \[1, 10001\)"):
             df.NoiseSchedule(T, 0.1, 0.2)
 
     def test_alpha_bar_strictly_decreasing_and_matches_product(self):

@@ -53,8 +53,7 @@ class TestTrainClassifier:
         assert np.all(probs >= 0.0)
 
     @needs_openblas
-    def test_steps_run_on_one_blas_thread_and_the_gate_on_the_default(self, dataset,
-                                                                      monkeypatch):
+    def test_steps_and_the_gate_run_with_blas_on_one_thread(self, dataset, monkeypatch):
         seen = []
         logits = ev._classifier_logits
 
@@ -65,14 +64,29 @@ class TestTrainClassifier:
             return logits(tape, pnodes, x)
 
         monkeypatch.setattr(ev, "_classifier_logits", probe)
-        before = gc.blas_threads()
         with pytest.raises(EvaluatorQualityError):  # three steps cannot pass the gate
             ev.train_classifier(dataset, 16, 3, 1e-5, seed=5)
-        assert seen == [(True, 1)] * 3 + [(False, before)]
-        assert gc.blas_threads() == before
+        assert seen == [(True, 1)] * 3 + [(False, 1)]
         with pytest.raises(NumericError):
             ev.train_classifier(dataset, 16, 3, 1e-5, seed=5)
-        assert gc.blas_threads() == before
+
+    @needs_openblas
+    def test_pinned_gate_and_scores_bit_identical_to_default_threads(self, dataset,
+                                                                    on_two_blas_threads):
+        # the default classifier width over the gate's rows, the linkage check's 2,000 noise
+        # rows and 500 samples a class: products OpenBLAS would split across threads
+        clf = ev.init_classifier(2, 4, 64, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        noise = rng.standard_normal((2000, 2))
+        samples = {c: rng.standard_normal((500, 2)) + c for c in range(4)}
+
+        def products():
+            report = ev.score_samples(clf, samples, dataset, 0)
+            return (ev.predict_proba(clf, dataset.points).tobytes(),
+                    ev.predict_proba(clf, noise).tobytes(), report.ua_percent,
+                    report.mean_entropy_nats, report.frechet_per_class)
+
+        assert products() == on_two_blas_threads(products)
 
     @pytest.mark.parametrize("steps, seed, match", [(1, -1, "seed"), (-1, 0, "steps")])
     def test_negative_seed_or_steps_rejected(self, dataset, steps, seed, match):
@@ -393,11 +407,9 @@ class TestSampleClasses:
             assert got[c].tobytes() == class_chain(model, c, schedule, 32, rng).tobytes()
 
     @needs_openblas
-    def test_chains_run_on_one_blas_thread_and_restore_the_count(self, model, schedule, chains):
-        before = gc.blas_threads()
+    def test_chains_run_with_blas_on_one_thread(self, model, schedule, chains):
         ev.sample_classes(model, schedule, self.K, self.N, np.random.default_rng(0))
         assert [blas for _, blas in chains] == [1] * self.K
-        assert gc.blas_threads() == before
 
     @pytest.fixture(scope="class")
     def overflowing(self, model):

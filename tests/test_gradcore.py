@@ -1,7 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -950,51 +954,19 @@ class TestParamStore:
         assert store["a"][0, 0] == 0.0
 
 
-class FakeBlas:
-    """A get/set thread-count pair over a plain counter, in place of OpenBLAS."""
-
-    def __init__(self, threads):
-        self.threads = threads
-        self.calls = []
-
-    def get(self):
-        return self.threads
-
-    def set(self, n):
-        self.calls.append(n)
-        self.threads = n
-
-
-class TestOneBlasThread:
-    def test_pins_one_thread_and_restores_the_count_after_a_normal_exit(self, monkeypatch):
-        blas = FakeBlas(3)
-        monkeypatch.setattr(gc, "_openblas", lambda: (blas.get, blas.set))
-        with gc.one_blas_thread():
-            assert gc.blas_threads() == 1
-        assert gc.blas_threads() == 3
-        assert blas.calls == [1, 3]
-
-    def test_restores_the_count_after_an_exception(self, monkeypatch):
-        blas = FakeBlas(3)
-        monkeypatch.setattr(gc, "_openblas", lambda: (blas.get, blas.set))
-        with pytest.raises(NumericError):
-            with gc.one_blas_thread():
-                raise NumericError("inside the block")
-        assert blas.threads == 3
-
-    def test_without_openblas_does_nothing(self, monkeypatch):
-        monkeypatch.setattr(gc, "_openblas", lambda: None)
-        ran = []
-        with gc.one_blas_thread():
-            ran.append(gc.blas_threads())
-        assert ran == [None]
-
-    def test_loaded_library_pinned_and_restored(self):
-        before = gc.blas_threads()
-        if before is None:
+class TestBlasThreads:
+    def test_importing_gradcore_sets_openblas_to_one_thread(self):
+        if gc.blas_threads() is None:
             pytest.skip("no OpenBLAS loaded")
-        with pytest.raises(RuntimeError):
-            with gc.one_blas_thread():
-                assert gc.blas_threads() == 1
-                raise RuntimeError("leave the block")
-        assert gc.blas_threads() == before
+        # OpenBLAS would start on two threads here, given two cores
+        src = Path(gc.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", "import safemax_lab.gradcore as g; print(g.blas_threads())"],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "2"},
+            capture_output=True, text=True, check=True).stdout
+        assert out == "1\n"
+
+    def test_without_openblas_reads_none_and_fit_runs(self, monkeypatch):
+        monkeypatch.setattr(gc, "_openblas", lambda: None)
+        assert gc.blas_threads() is None
+        assert gc.fit(2, 0.1, lambda opt: gc.blas_threads()) == [None, None]

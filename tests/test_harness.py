@@ -27,6 +27,9 @@ from safemax_lab.harness.datasets import DatasetSpec, class_means, generate_toy_
 from safemax_lab.harness.plots import render_scatter
 
 
+needs_openblas = pytest.mark.skipif(gc.blas_threads() is None, reason="no OpenBLAS loaded")
+
+
 class TestGenerateToyDataset:
     def test_ring_means_at_cardinal_angles(self):
         means = class_means(DatasetSpec(4, geometry="ring"))
@@ -156,6 +159,11 @@ class TestConfig:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             cf.parse_config("dataset.k = 4\ndataset.k = 5")
+
+    def test_schedule_longer_than_its_bound_rejected(self):
+        assert cf.parse_config("schedule.t = 10000").schedule.t == 10_000
+        with pytest.raises(ConfigError, match=r"^schedule\.t: t must be integer in \[1, 10001\)"):
+            cf.parse_config("schedule.t = 10001")
 
     def test_forget_class_bound_check(self):
         with pytest.raises(ConfigError, match="unlearn.forget_class"):
@@ -562,6 +570,21 @@ class TestModelFromCheckpoint:
         with pytest.raises(CheckpointIntegrityError):
             ex.model_from_checkpoint(ckpt)
 
+    def test_schedule_longer_than_its_bound_refused_before_any_table(self, tmp_path):
+        # malloc would grant a t of 10**9: 24 GB of schedule tables, then a 128 GB step
+        # embedding table at the first forward
+        _, ckpt = self._saved_model(
+            tmp_path, lambda c: c.arch.update(T=10**9) or c.schedule.update(t=10**9))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointIntegrityError,
+                               match="^checkpoint has no usable schedule: .*10001"):
+                ex.model_from_checkpoint(ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("edit", [lambda c: c.schedule.update(t=[10]),
                                       lambda c: c.arch.update(hidden_width=[8])],
                              ids=["schedule", "arch"])
@@ -744,11 +767,34 @@ class TestRunExperiment:
     def test_env_json_records_versions_and_blas_threads(self, tmp_path):
         out = ex.run_experiment(tiny_config(tmp_path), clock=FakeClock()).outdir
         env = json.loads((out / "env.json").read_text())
-        assert sorted(env) == ["blas", "blas_threads_default", "blas_threads_training",
-                               "numpy", "python"]
+        assert sorted(env) == ["blas", "blas_threads", "numpy", "python"]
         assert env["numpy"] == np.__version__
-        assert env["blas_threads_default"] == gc.blas_threads()
-        assert env["blas_threads_training"] == (None if gc.blas_threads() is None else 1)
+        assert env["blas_threads"] == (None if gc.blas_threads() is None else 1)
+
+    @needs_openblas
+    def test_every_product_of_a_run_sees_blas_on_one_thread(self, tmp_path, monkeypatch):
+        # the classifier gate, the linkage check and the scoring used to run on the default count
+        seen = {"training step": set(), "predict_proba": set(), "predict_eps": set()}
+        fit, proba, chain = gc.fit, ev.predict_proba, ev.ancestral_sample
+
+        def record(what):
+            seen[what].add(gc.blas_threads())
+
+        def fitting(steps, learning_rate, step):
+            return fit(steps, learning_rate, lambda opt: record("training step") or step(opt))
+
+        def predicting(*args):
+            record("predict_proba")
+            return proba(*args)
+
+        def sampling(eps_hat, *args):
+            return chain(lambda x_t, t: record("predict_eps") or eps_hat(x_t, t), *args)
+
+        monkeypatch.setattr(gc, "fit", fitting)
+        monkeypatch.setattr(ev, "predict_proba", predicting)
+        monkeypatch.setattr(ev, "ancestral_sample", sampling)
+        ex.run_experiment(tiny_config(tmp_path), clock=FakeClock())
+        assert seen == {"training step": {1}, "predict_proba": {1}, "predict_eps": {1}}
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_a = tiny_config(tmp_path / "a")
