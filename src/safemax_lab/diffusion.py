@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateSampleError, DimensionError, DomainError, NumericError
-from .gradcore import Array, Record, as_array, indices, integer, real, rule
+from .gradcore import Array, Record, indices, integer, point_set, real, rule
 
 LOG_2PI_E = float(np.log(2.0 * np.pi * np.e))
 
@@ -37,8 +38,8 @@ class NoiseSchedule(Record):
 
 @dataclass
 class LabeledDataset:
-    """Class-conditional points with integer labels in [0, K), at least 2 per class, and a
-    read-only class-sorted index: the stable argsort of the labels, each class's start and count."""
+    """Class-conditional ``point_set`` points, integer labels in [0, K), at least 2 per class, and a
+    read-only class-sorted index: the labels' stable argsort, each class's start and count."""
 
     points: Array
     labels: Array
@@ -48,13 +49,9 @@ class LabeledDataset:
     _counts: Array = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.points = as_array(self.points)
+        self.points = point_set(self.points, "points")
         self.K = integer(self.K, "K", 2)
         self.labels = indices(self.labels, "labels", 0, self.K)
-        if self.points.ndim != 2:
-            raise DimensionError(f"points must be rank-2, got {self.points.shape}")
-        if not np.all(np.isfinite(self.points)):
-            raise DomainError("points must be finite")
         if self.labels.shape != (self.points.shape[0],):
             raise DimensionError("labels must align with points")
         counts = np.bincount(self.labels, minlength=self.K)
@@ -151,18 +148,14 @@ def ancestral_sample(eps_hat, d: int, schedule: NoiseSchedule, n: int,
 
 
 def latent_entropy_estimate(samples: Array) -> float:
-    """Differential entropy (nats) of a Gaussian fit to the samples.
+    """Differential entropy (nats) of a Gaussian fit to ``point_set`` samples of d + 1 or more rows.
 
     Computes ``0.5 * ln((2 pi e)^d det(cov))`` from the sample covariance.
     Raises when the covariance is numerically singular rather than
     regularizing it, so degenerate inputs fail loudly.
     """
-    samples = as_array(samples)
-    if samples.ndim != 2:
-        raise DimensionError(f"samples must be rank-2, got {samples.shape}")
-    n, d = samples.shape
-    if n < d + 1:
-        raise DomainError(f"need at least d+1={d + 1} samples, got {n}")
+    d = point_set(samples, "samples").shape[1]
+    samples = point_set(samples, "samples", d, d + 1)
     cov = np.atleast_2d(np.cov(samples, rowvar=False))
     eigs = np.linalg.eigvalsh(cov)
     floor = max(abs(eigs[-1]), 1.0) * 1e-12
@@ -172,17 +165,11 @@ def latent_entropy_estimate(samples: Array) -> float:
 
 
 def interclass_distance(latents_by_class) -> float:
-    """Mean Euclidean distance between class means over all unordered pairs."""
-    groups = [as_array(g) for g in latents_by_class]
+    """Mean Euclidean distance between the means of ``point_set`` classes of one width, all pairs."""
+    groups = list(latents_by_class)
     if len(groups) < 2:
         raise DomainError(f"need at least 2 classes, got {len(groups)}")
-    means = []
-    for g in groups:
-        if g.ndim != 2 or g.shape[0] == 0:
-            raise DomainError("every class needs a non-empty rank-2 sample array")
-        means.append(g.mean(axis=0))
-    dists = []
-    for i in range(len(means)):
-        for j in range(i + 1, len(means)):
-            dists.append(float(np.linalg.norm(means[i] - means[j])))
+    d = point_set(groups[0], "latents_by_class[0]").shape[1]
+    means = [point_set(g, f"latents_by_class[{c}]", d).mean(axis=0) for c, g in enumerate(groups)]
+    dists = [float(np.linalg.norm(a - b)) for a, b in combinations(means, 2)]
     return float(np.mean(dists))

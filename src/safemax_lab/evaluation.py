@@ -16,7 +16,7 @@ import numpy as np
 from . import gradcore as gc
 from .denoiser import Layout, class_predictor, init_params, mlp, mlp_layout
 from .diffusion import LabeledDataset, NoiseSchedule, ancestral_sample
-from .errors import DimensionError, DomainError, EvaluatorQualityError, NumericError
+from .errors import EvaluatorQualityError, NumericError
 from .gradcore import Array, ParamStore, Record, Tape, rule
 
 log = logging.getLogger(__name__)
@@ -69,10 +69,9 @@ def _classifier_logits(tape: Tape, pnodes, x: Array):
 
 
 def predict_proba(classifier: Classifier, samples: Array) -> Array:
-    """Softmax class probabilities, one row per sample."""
-    samples = gc.as_array(samples)
-    if samples.ndim != 2 or samples.shape[1] != classifier.arch.d:
-        raise DimensionError(f"samples must have shape (n, {classifier.arch.d})")
+    """Softmax class probabilities, one row per sample of a ``gradcore.point_set`` at the
+    classifier's width, which may have no rows."""
+    samples = gc.point_set(samples, "samples", classifier.arch.d, 0)
     tape = Tape(grad=False)
     pnodes = tape.params(classifier.params)
     logits = _classifier_logits(tape, pnodes, samples).value
@@ -82,7 +81,7 @@ def predict_proba(classifier: Classifier, samples: Array) -> Array:
 
 
 def classify(classifier: Classifier, samples: Array) -> Array:
-    """Argmax class per sample; ties resolve to the lowest class id."""
+    """Argmax class per sample, checked as by ``predict_proba``; ties go to the lowest class id."""
     return np.argmax(predict_proba(classifier, samples), axis=1)
 
 
@@ -154,22 +153,17 @@ def gate_classifier(classifier: Classifier, dataset: LabeledDataset, seed: int) 
 
 
 def unlearning_accuracy(classifier: Classifier, samples: Array, c_f: int) -> float:
-    """100 minus the classifier's percent accuracy on forget-conditioned samples; ``DomainError``
-    for no samples or a ``c_f`` that fails ``gradcore.integer`` for the classifier's K."""
+    """100 minus the classifier's percent accuracy on forget-conditioned ``point_set`` samples (at
+    least one row); ``DomainError`` also for a ``c_f`` that fails ``gradcore.integer`` for K."""
     c_f = gc.integer(c_f, "forget class", 0, classifier.arch.K)
-    samples = gc.as_array(samples)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise DomainError("need a non-empty rank-2 sample array")
+    samples = gc.point_set(samples, "samples", classifier.arch.d)
     hits = int(np.count_nonzero(classify(classifier, samples) == c_f))
     return 100.0 * (samples.shape[0] - hits) / samples.shape[0]
 
 
 def prediction_entropy(classifier: Classifier, samples: Array) -> float:
-    """Mean Shannon entropy (nats) of per-sample prediction distributions."""
-    samples = gc.as_array(samples)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise DomainError("need a non-empty rank-2 sample array")
-    probs = predict_proba(classifier, samples)
+    """Mean Shannon entropy (nats) of the predictions on ``point_set`` samples, at least one row."""
+    probs = predict_proba(classifier, gc.point_set(samples, "samples", classifier.arch.d))
     terms = np.zeros_like(probs)
     mask = probs > 0.0
     terms[mask] = probs[mask] * np.log(probs[mask])
@@ -182,15 +176,11 @@ def frechet_distance(samples_a: Array, samples_b: Array) -> float:
     ``|mu_a - mu_b|^2 + tr(S_a + S_b - 2 (S_a S_b)^(1/2))`` with the matrix
     square root taken through the symmetric form ``S_b^(1/2) S_a S_b^(1/2)``.
     Tiny negative eigenvalues from roundoff clamp to zero; anything more
-    negative raises.
+    negative raises. Both are ``point_set``s of ``samples_a``'s width d, d + 1 or more rows.
     """
-    a = gc.as_array(samples_a)
-    b = gc.as_array(samples_b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise DimensionError(f"incompatible sample shapes {a.shape} and {b.shape}")
-    d = a.shape[1]
-    if a.shape[0] < d + 1 or b.shape[0] < d + 1:
-        raise DomainError(f"need at least d+1={d + 1} samples per side")
+    d = gc.point_set(samples_a, "samples_a").shape[1]
+    a = gc.point_set(samples_a, "samples_a", d, d + 1)
+    b = gc.point_set(samples_b, "samples_b", d, d + 1)
     mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
     cov_a, cov_b = (np.atleast_2d(np.cov(s, rowvar=False)) for s in (a, b))
 

@@ -333,8 +333,10 @@ def rows(a: Node, start: int, stop: int) -> Node:
 def indices(values, what: str, low: int = 0, high: int | None = None) -> Array:
     """``values`` as int64, the lab's one integer rule for ids, counts, sizes, seeds and steps:
     ``DomainError``, naming ``what``, unless the dtype is integer (not bool or float) and every
-    value is in [low, high), or >= low without ``high``."""
+    value is in [low, high), or >= low without ``high``, and below 2**63, where int64 ends."""
     ids = np.asarray(values)
+    if ids.dtype.kind == "u" and ids.size and ids.max() > np.iinfo(np.int64).max:
+        raise DomainError(f"{what} must be an integer below 2**63, got {ids} ({ids.dtype})")
     if ids.dtype.kind not in "iu" or (ids.size and (
             ids.min() < low or (high is not None and ids.max() >= high))):
         bound = f">= {low}" if high is None else f"in [{low}, {high})"
@@ -363,6 +365,27 @@ def real(value, what: str, low: float = -math.inf, high: float = math.inf, *,
             f"{below})" if below is not None else f"{high}]")
         raise DomainError(f"{what}: expected a real number in {interval}, got {value!r}")
     return float(x)
+
+
+def point_set(values, what: str, d: int | None = None, at_least: int = 1) -> Array:
+    """``values`` as a float64 ``(n, d)`` array, the lab's one rule for points to score, fit or
+    plot: ``DimensionError``, naming ``what``, unless rank 2 with ``d`` columns (any d >= 1 without
+    ``d``); ``DomainError`` unless integer or float (not bool, str, object or ragged), finite and
+    ``n >= at_least``."""
+    try:
+        x = np.asarray(values)
+    except ValueError:  # numpy refuses a ragged nesting
+        raise DomainError(f"{what} must be an array of numbers, got a ragged nesting") from None
+    if x.dtype.kind not in "iuf":
+        raise DomainError(f"{what} must hold integer or float values, got {x.dtype}")
+    if x.ndim != 2 or (x.shape[1] < 1 if d is None else x.shape[1] != d):
+        raise DimensionError(f"{what} must have shape (n, {'d' if d is None else d}), got {x.shape}")
+    if x.shape[0] < at_least:
+        raise DomainError(f"{what} needs {at_least} or more rows, got {x.shape[0]}")
+    x = x.astype(np.float64, copy=False)
+    if not np.isfinite(x).all():
+        raise DomainError(f"{what} must be finite")
+    return x
 
 
 def one_of(value, what: str, *choices: str) -> str:

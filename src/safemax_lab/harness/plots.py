@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionError
-from ..gradcore import as_array
+from ..gradcore import point_set
 from .checkpoints import write_atomic
 
 AXIS_MIN, AXIS_MAX = -8.0, 8.0
@@ -22,8 +21,9 @@ def _to_px(v: float) -> float:
 def render_scatter(samples_by_class, path, title: str = "") -> None:
     """Write one SVG scatter: one color per class, fixed [-8, 8]^2 axes, legend.
 
-    ``samples_by_class`` maps class id to an (n, 2) array. Points outside
-    the axis box are dropped. Output bytes are a pure function of the inputs.
+    ``samples_by_class`` maps class id to a ``point_set`` of width 2, maybe empty;
+    finite points outside the axis box are dropped. Output bytes are a pure
+    function of the inputs.
     """
     groups = sorted(samples_by_class.items())
     size = CANVAS + 2 * MARGIN
@@ -48,9 +48,7 @@ def render_scatter(samples_by_class, path, title: str = "") -> None:
     parts.append(f'<rect x="{MARGIN}" y="{MARGIN}" width="{CANVAS}" height="{CANVAS}" '
                  f'fill="none" stroke="#000000" stroke-width="1"/>')
     for label, samples in groups:
-        samples = as_array(samples)
-        if samples.ndim != 2 or samples.shape[1] != 2:
-            raise DimensionError(f"scatter needs (n, 2) samples, got {samples.shape}")
+        samples = point_set(samples, f"samples_by_class[{label}]", 2, 0)
         color = PALETTE[int(label) % len(PALETTE)]
         for x, y in samples:
             if not (AXIS_MIN <= x <= AXIS_MAX and AXIS_MIN <= y <= AXIS_MAX):

@@ -16,7 +16,11 @@ non-forget class, which small symmetric MLPs demonstrably never do. The
 entropy and runtime clauses of criterion 6 hold and are asserted separately.
 """
 
+import multiprocessing
+import os
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from statistics import median
@@ -196,43 +200,61 @@ class SeedOutcome:
     pipeline_seconds: float   # pretrain + default unlearning + evaluation
 
 
+def run_seed(k: int) -> SeedOutcome:
+    """Criteria 6..9's pipeline at seed offset ``k``; runs in a worker process of ``matrix``."""
+    base = default_config()
+    cfg = ex.offset_seeds(base, k)
+    t0 = time.perf_counter()
+    train_ds, held_ds, sched = ex.build_world(cfg)
+    model = ex.pretrain_model(cfg, train_ds, sched)
+    clf = ev.train_classifier(train_ds, cfg.eval.classifier_hidden_width,
+                              cfg.eval.classifier_steps,
+                              cfg.eval.classifier_learning_rate,
+                              cfg.eval.classifier_seed)
+    pre = ev.evaluate(model, clf, held_ds, sched, cfg.unlearn.forget_class,
+                      cfg.eval.n_samples, np.random.default_rng(cfg.eval.seed))
+    by_lambda = {}
+    default_seconds = None
+    for lam in (1.0, 0.0, 100.0):  # default first, so its timing is not inflated
+        ucfg = replace(cfg.unlearn, lam=lam)
+        unlearned, _ = ul.run_unlearning(model, train_ds, sched, ucfg)
+        by_lambda[lam] = ev.evaluate(unlearned, clf, held_ds, sched, ucfg.forget_class,
+                                     cfg.eval.n_samples,
+                                     np.random.default_rng(cfg.eval.seed))
+        if lam == 1.0:
+            default_seconds = time.perf_counter() - t0
+    relabel_model, _ = ul.run_relabel_unlearning(
+        model, train_ds, sched, cfg.unlearn,
+        target_class=(cfg.unlearn.forget_class + 1) % cfg.dataset.k)
+    relabel = ev.evaluate(relabel_model, clf, held_ds, sched,
+                          cfg.unlearn.forget_class, cfg.eval.n_samples,
+                          np.random.default_rng(cfg.eval.seed))
+    noise = np.random.default_rng(50 + k).standard_normal((cfg.eval.n_samples, 2))
+    oracle_ua = ev.unlearning_accuracy(clf, noise, cfg.unlearn.forget_class)
+    return SeedOutcome(pre=pre, by_lambda=by_lambda, relabel=relabel, oracle_ua=oracle_ua,
+                       pipeline_seconds=default_seconds)
+
+
+def inherit_warning_filters(filters: list) -> None:
+    """Worker initializer: the parent's warning filters, so ``-W error`` holds in workers too."""
+    for action, message, category, module, lineno in reversed(filters):
+        warnings.filterwarnings(action, getattr(message, "pattern", message or ""), category,
+                                getattr(module, "pattern", module or ""), lineno)
+
+
 @pytest.fixture(scope="module")
 def matrix():
-    base = default_config()
-    outcomes = []
-    for k in range(3):
-        cfg = ex.offset_seeds(base, k)
-        t0 = time.perf_counter()
-        train_ds, held_ds, sched = ex.build_world(cfg)
-        model = ex.pretrain_model(cfg, train_ds, sched)
-        clf = ev.train_classifier(train_ds, cfg.eval.classifier_hidden_width,
-                                  cfg.eval.classifier_steps,
-                                  cfg.eval.classifier_learning_rate,
-                                  cfg.eval.classifier_seed)
-        pre = ev.evaluate(model, clf, held_ds, sched, cfg.unlearn.forget_class,
-                          cfg.eval.n_samples, np.random.default_rng(cfg.eval.seed))
-        by_lambda = {}
-        default_seconds = None
-        for lam in (1.0, 0.0, 100.0):  # default first, so its timing is not inflated
-            ucfg = replace(cfg.unlearn, lam=lam)
-            unlearned, _ = ul.run_unlearning(model, train_ds, sched, ucfg)
-            by_lambda[lam] = ev.evaluate(unlearned, clf, held_ds, sched, ucfg.forget_class,
-                                         cfg.eval.n_samples,
-                                         np.random.default_rng(cfg.eval.seed))
-            if lam == 1.0:
-                default_seconds = time.perf_counter() - t0
-        relabel_model, _ = ul.run_relabel_unlearning(
-            model, train_ds, sched, cfg.unlearn,
-            target_class=(cfg.unlearn.forget_class + 1) % cfg.dataset.k)
-        relabel = ev.evaluate(relabel_model, clf, held_ds, sched,
-                              cfg.unlearn.forget_class, cfg.eval.n_samples,
-                              np.random.default_rng(cfg.eval.seed))
-        noise = np.random.default_rng(50 + k).standard_normal((cfg.eval.n_samples, 2))
-        oracle_ua = ev.unlearning_accuracy(clf, noise, cfg.unlearn.forget_class)
-        outcomes.append(SeedOutcome(pre=pre, by_lambda=by_lambda, relabel=relabel,
-                                    oracle_ua=oracle_ua,
-                                    pipeline_seconds=default_seconds))
-    return outcomes
+    """The three seeds' outcomes in seed order, from a pool of min(3, usable cores) processes.
+
+    The seeds share nothing, so they run side by side. Workers start by ``spawn``: the lab's
+    OpenBLAS keeps a worker thread, and ``fork`` is unsafe in a process with threads. The pool
+    is shut down, its workers joined, before the fixture returns.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ProcessPoolExecutor(min(3, cores), mp_context=multiprocessing.get_context("spawn"),
+                             initializer=inherit_warning_filters,
+                             initargs=(warnings.filters,)) as pool:
+        return list(pool.map(run_seed, range(3)))
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 import threading
 
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 from safemax_lab import evaluation as ev
 from safemax_lab import gradcore as gc
 from safemax_lab.denoiser import class_predictor, init_model
-from safemax_lab.diffusion import LabeledDataset, NoiseSchedule, ancestral_sample
-from safemax_lab.errors import DomainError, EvaluatorQualityError, NumericError
+from safemax_lab.diffusion import (LabeledDataset, NoiseSchedule, ancestral_sample,
+                                   interclass_distance, latent_entropy_estimate)
+from safemax_lab.errors import DimensionError, DomainError, EvaluatorQualityError, NumericError
 from safemax_lab.harness.datasets import DatasetSpec, generate_toy_dataset
+from safemax_lab.harness.plots import render_scatter
 
 
 needs_openblas = pytest.mark.skipif(gc.blas_threads() is None, reason="no OpenBLAS loaded")
@@ -262,6 +265,65 @@ class TestFrechetDistance:
         a = rng.standard_normal((200, 2)) * rng.uniform(0.5, 2.0) + rng.normal(size=2)
         b = rng.standard_normal((200, 2)) * rng.uniform(0.5, 2.0) + rng.normal(size=2)
         assert ev.frechet_distance(a, b) >= 0.0
+
+
+# Every function that scores, fits or plots a point set: (id, argument named in the error,
+# call with ``x`` in that argument's place, whether its width is fixed, least rows).
+GOOD = np.random.default_rng(0).standard_normal((6, 2))
+POINT_SET_SITES = [
+    ("LabeledDataset", "points",
+     lambda clf, x, out: LabeledDataset(points=x, labels=[0, 0, 0, 1, 1, 1], K=2), False, 1),
+    ("predict_proba", "samples", lambda clf, x, out: ev.predict_proba(clf, x), True, 0),
+    ("classify", "samples", lambda clf, x, out: ev.classify(clf, x), True, 0),
+    ("unlearning_accuracy", "samples",
+     lambda clf, x, out: ev.unlearning_accuracy(clf, x, 0), True, 1),
+    ("prediction_entropy", "samples", lambda clf, x, out: ev.prediction_entropy(clf, x), True, 1),
+    ("frechet_distance_a", "samples_a", lambda clf, x, out: ev.frechet_distance(x, GOOD), False, 3),
+    ("frechet_distance_b", "samples_b", lambda clf, x, out: ev.frechet_distance(GOOD, x), True, 3),
+    ("latent_entropy_estimate", "samples", lambda clf, x, out: latent_entropy_estimate(x), False, 3),
+    ("interclass_distance", "latents_by_class[1]",
+     lambda clf, x, out: interclass_distance([GOOD, x]), True, 1),
+    ("render_scatter", "samples_by_class[0]",
+     lambda clf, x, out: render_scatter({0: x}, out / "points.svg"), True, 0),
+]
+BAD_POINTS = [  # (id, the bad value from a site's least row count, error)
+    ("nan", lambda rows: np.full((6, 2), np.nan), DomainError),
+    ("inf", lambda rows: np.where(np.eye(6, 2) > 0, np.inf, GOOD), DomainError),
+    ("minus_inf", lambda rows: np.where(np.eye(6, 2) > 0, -np.inf, GOOD), DomainError),
+    ("bool", lambda rows: GOOD > 0.0, DomainError),
+    ("str", lambda rows: GOOD.astype(str), DomainError),
+    ("ragged", lambda rows: GOOD.tolist()[:5] + [[0.5]], DomainError),
+    ("rank_1", lambda rows: GOOD.ravel(), DimensionError),
+    ("rank_3", lambda rows: GOOD[:, :, None], DimensionError),
+    ("wrong_width", lambda rows: np.hstack([GOOD, GOOD[:, :1]]), DimensionError),
+    ("too_few_rows", lambda rows: GOOD[:rows - 1], DomainError),
+]
+
+
+@pytest.fixture(scope="module")
+def untrained_classifier():
+    return ev.init_classifier(2, 4, 8, np.random.default_rng(0))
+
+
+class TestPointSet:
+    @pytest.mark.parametrize("call", [pytest.param(call, id=site)
+                                      for site, _, call, _, _ in POINT_SET_SITES])
+    def test_valid_points_accepted(self, untrained_classifier, tmp_path, call):
+        call(untrained_classifier, GOOD, tmp_path)
+
+    @pytest.mark.parametrize("what, call, bad, error", [
+        pytest.param(what, call, make(rows), error, id=f"{site}-{case}")
+        for site, what, call, fixed_width, rows in POINT_SET_SITES
+        for case, make, error in BAD_POINTS
+        if (case != "wrong_width" or fixed_width) and (case != "too_few_rows" or rows > 0)])
+    def test_bad_points_raise_the_rule_naming_the_argument(self, untrained_classifier, tmp_path,
+                                                           what, call, bad, error):
+        # NaN samples used to score 0.0 nats and UA 0 or 100 (classify put every NaN row in
+        # class 0), and a fit nan; a bool array scored as 0/1; a str, ragged or mismatched
+        # width reached numpy as a bare ValueError
+        with pytest.raises(error, match="^" + re.escape(what) + " "):
+            call(untrained_classifier, bad, tmp_path)
+        assert not (tmp_path / "points.svg").exists()
 
 
 class TestFanoBound:

@@ -546,6 +546,16 @@ class TestIndices:
         with pytest.raises(DomainError, match="count must be integer >= 2, got"):
             gc.indices(values, "count", 2)
 
+    @pytest.mark.parametrize("values", [np.uint64(2 ** 63), np.array([1, 2 ** 64 - 1], np.uint64)],
+                             ids=["uint64_scalar", "uint64_array"])
+    def test_unsigned_beyond_int64_rejected_naming_what(self, values):
+        # astype(int64) used to wrap these to -2**63 and -1
+        with pytest.raises(DomainError, match=r"^seed must be an integer below 2\*\*63, got "):
+            gc.indices(values, "seed")
+
+    def test_largest_int64_passes(self):
+        npt.assert_array_equal(gc.indices(np.uint64(2 ** 63 - 1), "seed"), 2 ** 63 - 1)
+
     @pytest.mark.parametrize("steps", [-1, True, 2.5], ids=["negative", "bool", "float"])
     def test_fit_rejects_a_bad_step_count_before_any_step(self, steps):
         # a bool used to run one step
@@ -573,6 +583,12 @@ class TestInteger:
     def test_bad_scalar_rejected_under_indices(self, value):
         with pytest.raises(DomainError, match="count must be integer >= 2, got"):
             gc.integer(value, "count", 2)
+
+    @pytest.mark.parametrize("value, what", [(2 ** 63, "seed"), (2 ** 64 - 1, "steps")])
+    def test_python_int_beyond_int64_rejected_naming_what(self, value, what):
+        # used to return -2**63 for 2**63, and -1 for 2**64 - 1 despite low = 0
+        with pytest.raises(DomainError, match=rf"^{what} must be an integer below 2\*\*63, got "):
+            gc.integer(value, what)
 
     def test_fit_rejects_a_list_step_count_before_any_step(self):
         calls = []
@@ -618,6 +634,25 @@ class TestReal:
             with pytest.raises(DomainError, match=re.escape(f"x: expected a real number in "
                                                             f"{interval}, got {value!r}")):
                 gc.real(value, "x", **bounds)
+
+
+class TestPointSet:
+    @pytest.mark.parametrize("values", [[[1, 2], [3, 4]], np.array([[1, 2]], np.uint8),
+                                        np.array([[0.1, 2.0]], np.float32), np.zeros((0, 3))],
+                             ids=["list", "uint8", "float32", "no_rows"])
+    def test_integer_or_float_points_widened_to_float64(self, values):
+        points = gc.point_set(values, "points", at_least=0)
+        assert points.dtype == np.float64
+        npt.assert_array_equal(points, np.asarray(values, dtype=np.float64))
+
+    def test_float64_array_returned_without_a_copy(self):
+        points = np.ones((4, 2))
+        assert gc.point_set(points, "points", 2, 4) is points
+
+    def test_any_width_of_at_least_one_without_d(self):
+        assert gc.point_set(np.ones((2, 5)), "points").shape == (2, 5)
+        with pytest.raises(DimensionError, match=r"^points must have shape \(n, d\), got \(2, 0\)"):
+            gc.point_set(np.ones((2, 0)), "points")
 
 
 class TestOneOf:

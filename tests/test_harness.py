@@ -144,6 +144,11 @@ class TestConfig:
                 cf.parse_config(f"eval.n_samples = {n}")
         assert cf.parse_config("eval.n_samples = 3").eval.n_samples == 3
 
+    def test_seed_beyond_int64_rejected_naming_the_key(self):
+        # used to build a config whose seed was -2**63, which `train` ended in a numpy traceback
+        with pytest.raises(ConfigError, match=r"^dataset\.seed: seed must be an integer below 2\*\*63"):
+            cf.parse_config("dataset.seed = 9223372036854775808")
+
     def test_readme_config_example_parses(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
             encoding="utf-8")
@@ -673,6 +678,12 @@ class TestRenderScatter:
         render_scatter({c: rng.standard_normal((5, 2)) for c in range(9)}, path)
         colours = re.findall(r'fill="(#[0-9a-f]{6})" class="legend"', path.read_text())
         assert len(colours) == len(set(colours)) == 9
+
+    def test_finite_points_off_the_axes_dropped_and_no_rows_allowed(self, tmp_path):
+        path = tmp_path / "edges.svg"
+        render_scatter({0: np.zeros((0, 2)), 1: [[8.5, 0.0], [0.0, -9.0], [8.0, -8.0]]}, path)
+        text = path.read_text()
+        assert text.count("<circle") == 1 and text.count("class ") == 2
 
     def test_non_planar_rejected(self, tmp_path):
         with pytest.raises(DimensionError):
